@@ -189,11 +189,11 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-// BenchmarkLossParallel compares the naive sequential and parallel
+// BenchmarkLossParallelNaive compares the naive sequential and parallel
 // full-matrix quantification at n = 100 against the compiled engine
 // (the Fig. 5(a) regime). The naive fan-out used to be the fast path;
 // the engine makes both reference scans look stationary.
-func BenchmarkLossParallel(b *testing.B) {
+func BenchmarkLossParallelNaive(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c, err := markov.UniformRandom(rng, 100)
 	if err != nil {

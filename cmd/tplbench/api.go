@@ -30,12 +30,10 @@ import (
 // cohorts, so each landed step does the same accounting work in every
 // mode):
 //
-//   - v1-per-step: the deprecated contract — one request per step,
-//     per-user values.
-//   - v2-ndjson-values: the v2 batch endpoint, NDJSON, per-user values.
-//     Removes the per-request overhead but still pays the dominant
+//   - v2-ndjson-values: the batch endpoint, NDJSON, per-user values.
+//     Amortizes the per-request overhead but still pays the dominant
 //     cost, JSON-decoding 100k integers per step.
-//   - v2-ndjson-counts: the v2 batch endpoint, NDJSON, pre-aggregated
+//   - v2-ndjson-counts: the batch endpoint, NDJSON, pre-aggregated
 //     histograms. The at-scale wire shape: a step is domain-sized, so
 //     the transport stops being the bottleneck entirely.
 //   - v2-ndjson-counts-minimal: the same wire shape with
@@ -74,15 +72,12 @@ type apiPoint struct {
 
 // apiBenchFile is the BENCH_api.json document.
 type apiBenchFile struct {
-	Benchmark          string     `json:"benchmark"`
-	Users              int        `json:"users"`
-	Domain             int        `json:"domain"`
-	Cohorts            int        `json:"cohorts"`
-	Points             []apiPoint `json:"points"`
-	SpeedupValuesVsV1  float64    `json:"speedup_values_vs_v1"`
-	SpeedupCountsVsV1  float64    `json:"speedup_counts_vs_v1"`
-	SpeedupBatchedVsV1 float64    `json:"speedup_batched_vs_v1"` // best batched mode vs v1
-	Note               string     `json:"note"`
+	Benchmark string     `json:"benchmark"`
+	Users     int        `json:"users"`
+	Domain    int        `json:"domain"`
+	Cohorts   int        `json:"cohorts"`
+	Points    []apiPoint `json:"points"`
+	Note      string     `json:"note"`
 }
 
 // encodeStepJSON renders one step object ({"values":[...]} or
@@ -215,8 +210,8 @@ func runAPIBench(wr *report.Writer, seed int64, full bool, jsonPath string) erro
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	// A real TCP server: the v1 number must pay genuine per-request
-	// overhead, not httptest in-process shortcuts.
+	// A real TCP server: every row pays genuine per-request overhead,
+	// not httptest in-process shortcuts.
 	api := service.NewAPI()
 	hs := &http.Server{Handler: api.Handler()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -275,30 +270,6 @@ func runAPIBench(wr *report.Writer, seed int64, full bool, jsonPath string) erro
 		Note: "warmed, bounded-time windows; pre-encoded bodies over real TCP; identical accounting per step in every mode; allocs/step is process-wide (client+server); counts(+minimal) is the recommended at-scale wire shape",
 	}
 
-	// --- v1: one request per step ---
-	if err := newSession("bench-v1"); err != nil {
-		return err
-	}
-	v1Bodies := make([][]byte, 12)
-	v1Steps := make([]int, len(v1Bodies))
-	for i := range v1Bodies {
-		v1Bodies[i] = encodeStepJSON("values", values(), 0.1)
-		v1Steps[i] = 1
-	}
-	v1Post, err := newPoster(hc, base+"/v1/sessions/bench-v1/steps", "application/json", false)
-	if err != nil {
-		return err
-	}
-	res, err := runTimed(minWindow, v1Steps, func(i int) error {
-		landed["bench-v1"]++
-		return v1Post.post(v1Bodies[i])
-	})
-	if err != nil {
-		return fmt.Errorf("v1 step: %w", err)
-	}
-	p1 := res.point("v1-per-step", len(v1Bodies[0]))
-	doc.Points = append(doc.Points, p1)
-
 	// --- v2: NDJSON batches of per-user values ---
 	if err := newSession("bench-v2v"); err != nil {
 		return err
@@ -309,7 +280,7 @@ func runAPIBench(wr *report.Writer, seed int64, full bool, jsonPath string) erro
 	if err != nil {
 		return err
 	}
-	res, err = runTimed(minWindow, []int{vBatch}, func(i int) error {
+	res, err := runTimed(minWindow, []int{vBatch}, func(i int) error {
 		landed["bench-v2v"] += vBatch
 		return vPost.post(vBodies[i])
 	})
@@ -448,10 +419,6 @@ func runAPIBench(wr *report.Writer, seed int64, full bool, jsonPath string) erro
 		}
 	}
 
-	doc.SpeedupValuesVsV1 = p2.StepsPerSec / p1.StepsPerSec
-	doc.SpeedupCountsVsV1 = p3.StepsPerSec / p1.StepsPerSec
-	doc.SpeedupBatchedVsV1 = max(doc.SpeedupValuesVsV1, pm.StepsPerSec/p1.StepsPerSec)
-
 	if jsonPath != "" {
 		blob, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
@@ -464,7 +431,7 @@ func runAPIBench(wr *report.Writer, seed int64, full bool, jsonPath string) erro
 
 	tb := &report.Table{
 		Title:  fmt.Sprintf("Wire-API ingest benchmark (%d users, %d cohorts, domain %d)", users, cohorts, domain),
-		Header: []string{"mode", "steps", "requests", "writers", "bytes/step", "per step", "steps/s", "allocs/step", "vs v1", "scaling"},
+		Header: []string{"mode", "steps", "requests", "writers", "bytes/step", "per step", "steps/s", "allocs/step", "scaling"},
 	}
 	for _, p := range doc.Points {
 		writers := p.Writers
@@ -484,7 +451,6 @@ func runAPIBench(wr *report.Writer, seed int64, full bool, jsonPath string) erro
 			time.Duration(p.NsPerStep).Round(time.Microsecond).String(),
 			fmt.Sprintf("%.1f", p.StepsPerSec),
 			fmt.Sprintf("%.1f", p.AllocsPerStep),
-			fmt.Sprintf("%.1fx", p.StepsPerSec/p1.StepsPerSec),
 			scaling,
 		)
 	}

@@ -15,8 +15,7 @@
 // and api (the wire-API ingest benchmark behind BENCH_api.json).
 //
 // Output renders through internal/report in any of its four formats
-// (-format text, csv, md, json); the deprecated -csv flag is an alias
-// for -format csv.
+// (-format text, csv, md, json).
 //
 // The -full flag switches to the paper's parameter scales where they are
 // feasible on one machine; the default "quick" scales preserve every
@@ -44,7 +43,6 @@ func main() {
 		fig         = flag.String("fig", "all", "which figure/table to regenerate: 1,3,4,5n,5a,6,7,8t,8s,table2,ablation,soundness,mixing,engine,persist,api,all")
 		full        = flag.Bool("full", false, "use paper-scale parameters where feasible (slower)")
 		format      = flag.String("format", "", "output format: "+report.FormatNames()+" (default text)")
-		csv         = flag.Bool("csv", false, "deprecated: alias for -format csv")
 		seed        = flag.Int64("seed", 1, "seed for the synthetic-correlation generators")
 		engineJSON  = flag.String("engine-json", "", "with -fig engine: also write the machine-readable benchmark to this path (BENCH_engine.json)")
 		persistJSON = flag.String("persist-json", "", "with -fig persist: also write the machine-readable benchmark to this path (BENCH_persist.json)")
@@ -78,7 +76,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(os.Stdout, *fig, *full, report.ResolveFormat(*format, *csv), *seed, *engineJSON, *persistJSON, *apiJSON); err != nil {
+	if err := run(os.Stdout, *fig, *full, *format, *seed, *engineJSON, *persistJSON, *apiJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "tplbench: %v\n", err)
 		os.Exit(1)
 	}
@@ -340,8 +338,8 @@ func run(w io.Writer, fig string, full bool, format string, seed int64, engineJS
 	}
 	// The wire-API perf smoke is likewise opt-in (not part of "all"): it
 	// seeds BENCH_api.json for the perf trajectory by driving a real
-	// in-process HTTP server with a 100k-user session over v1 per-step
-	// and v2 batched-NDJSON ingestion.
+	// in-process HTTP server with 100k-user sessions over batched-NDJSON
+	// ingestion.
 	if strings.EqualFold(fig, "api") {
 		matched = true
 		if err := runAPIBench(wr, seed, full, apiJSON); err != nil {

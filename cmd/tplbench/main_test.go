@@ -119,24 +119,6 @@ func TestRunFig3PrintsPaperValues(t *testing.T) {
 	}
 }
 
-func TestCSVFlagAliasesFormat(t *testing.T) {
-	cases := []struct {
-		format string
-		csv    bool
-		want   string
-	}{
-		{"", false, ""},
-		{"", true, "csv"},
-		{"md", true, "md"}, // explicit -format wins over the alias
-		{"json", false, "json"},
-	}
-	for _, c := range cases {
-		if got := report.ResolveFormat(c.format, c.csv); got != c.want {
-			t.Errorf("report.ResolveFormat(%q, %v) = %q, want %q", c.format, c.csv, got, c.want)
-		}
-	}
-}
-
 func TestEveryFastFigureRendersInAllFormats(t *testing.T) {
 	// Acceptance: every figure id renders through internal/report in
 	// all four formats. The fast figures run the full matrix here; the

@@ -2,14 +2,13 @@
 // service: it drives one or more sessions of configurable population
 // against a running tplserved over the tpl/client SDK and reports
 // ingest throughput. Use it to size deployments, compare wire modes
-// (v1 per-step vs v2 batched values vs v2 batched pre-aggregated
-// counts), and soak the durability pipeline.
+// (batched per-user values vs batched pre-aggregated counts), and soak
+// the durability pipeline.
 //
 // Usage:
 //
 //	tplload -addr http://localhost:8344 -users 100000 -steps 200
 //	tplload -mode v2-values -batch 64 -sessions 4
-//	tplload -mode v1 -steps 50          # the deprecated per-step wire
 //
 // Cluster targets:
 //
@@ -27,9 +26,8 @@
 //
 // Modes: v2-counts (default; NDJSON batches of pre-aggregated
 // histograms — the at-scale shape), v2-values (NDJSON batches of raw
-// per-user values), v1 (one request per step over the deprecated API).
-// Every v2 batch carries an idempotency key, so the run is retry-safe
-// end to end.
+// per-user values). Every batch carries an idempotency key, so the run
+// is retry-safe end to end.
 package main
 
 import (
@@ -57,7 +55,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "http://127.0.0.1:8344", "base URL of the tplserved service, or a comma-separated shard list")
 		topology = flag.Bool("topology", false, "treat -addr as a cluster entry point: fetch /v2/topology and dial each session's owning shard directly")
-		mode     = flag.String("mode", "v2-counts", "wire mode: v2-counts, v2-values, v1")
+		mode     = flag.String("mode", "v2-counts", "wire mode: v2-counts, v2-values")
 		sessions = flag.Int("sessions", 1, "concurrent sessions (one worker each)")
 		users    = flag.Int("users", 100000, "population per session")
 		domain   = flag.Int("domain", 4, "value-domain size")
@@ -217,14 +215,14 @@ type shardStats struct {
 }
 
 func run(w io.Writer, addr, mode string, topology bool, sessions, users, domain, cohorts, steps, batchSize int, eps float64, seed int64, keep bool, format string) error {
-	f, err := report.ParseFormat(report.ResolveFormat(format, false))
+	f, err := report.ParseFormat(format)
 	if err != nil {
 		return err
 	}
 	switch mode {
-	case "v1", "v2-values", "v2-counts":
+	case "v2-values", "v2-counts":
 	default:
-		return fmt.Errorf("unknown -mode %q (want v2-counts, v2-values or v1)", mode)
+		return fmt.Errorf("unknown -mode %q (want v2-counts or v2-values)", mode)
 	}
 	if sessions < 1 || steps < 1 || batchSize < 1 {
 		return fmt.Errorf("-sessions, -steps and -batch must be positive")
@@ -281,22 +279,13 @@ func run(w io.Writer, addr, mode string, topology bool, sessions, users, domain,
 			// so the timing loop never contends on it.
 			local := make([]time.Duration, 0, (steps+batchSize-1)/batchSize)
 			for done < steps {
-				var err error
-				var n int
 				reqStart := time.Now()
-				switch mode {
-				case "v1":
-					n = 1
-					_, err = tgt.c.V1().Step(ctx, name, wk.step(false).Values, &eps)
-				default:
-					n = min(batchSize, steps-done)
-					batch := make([]client.Step, n)
-					for j := range batch {
-						batch[j] = wk.step(mode == "v2-counts")
-					}
-					_, err = tgt.c.StepsNDJSON(ctx, name, batch)
+				n := min(batchSize, steps-done)
+				batch := make([]client.Step, n)
+				for j := range batch {
+					batch[j] = wk.step(mode == "v2-counts")
 				}
-				if err != nil {
+				if _, err := tgt.c.StepsNDJSON(ctx, name, batch); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("session %s: %w", name, err)
@@ -378,12 +367,8 @@ func run(w io.Writer, addr, mode string, topology bool, sessions, users, domain,
 			)
 		}
 	}
-	tb.Notes = append(tb.Notes, "p50/p95/p99: per-request ingest latency across all workers (a v2 request carries one batch)")
-	if mode != "v1" {
-		tb.Notes = append(tb.Notes, fmt.Sprintf("batched NDJSON, %d steps per request, idempotency-keyed (retry-safe)", batchSize))
-	} else {
-		tb.Notes = append(tb.Notes, "deprecated v1 wire: one request per step, no retry safety")
-	}
+	tb.Notes = append(tb.Notes, "p50/p95/p99: per-request ingest latency across all workers (a request carries one batch)")
+	tb.Notes = append(tb.Notes, fmt.Sprintf("batched NDJSON, %d steps per request, idempotency-keyed (retry-safe)", batchSize))
 	if len(labels) > 1 {
 		tb.Notes = append(tb.Notes, "per-shard rows share the run's wall clock: their steps/s sum to the aggregate")
 	}

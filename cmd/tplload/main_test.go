@@ -19,7 +19,7 @@ func TestLoadModes(t *testing.T) {
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
 
-	for _, mode := range []string{"v2-counts", "v2-values", "v1"} {
+	for _, mode := range []string{"v2-counts", "v2-values"} {
 		t.Run(mode, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := run(&buf, srv.URL, mode, false, 2, 50, 3, 4, 7, 3, 0.1, 42, false, "csv"); err != nil {
@@ -123,10 +123,12 @@ func TestLoadClusterModes(t *testing.T) {
 
 func TestLoadBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "http://127.0.0.1:1", "nope", false, 1, 10, 2, 1, 1, 1, 0.1, 1, false, ""); err == nil {
-		t.Fatal("unknown mode accepted")
+	for _, mode := range []string{"nope", "v1"} {
+		if err := run(&buf, "http://127.0.0.1:1", mode, false, 1, 10, 2, 1, 1, 1, 0.1, 1, false, ""); err == nil {
+			t.Fatalf("unknown mode %q accepted", mode)
+		}
 	}
-	if err := run(&buf, "http://127.0.0.1:1", "v1", false, 0, 10, 2, 1, 1, 1, 0.1, 1, false, ""); err == nil {
+	if err := run(&buf, "http://127.0.0.1:1", "v2-counts", false, 0, 10, 2, 1, 1, 1, 0.1, 1, false, ""); err == nil {
 		t.Fatal("zero sessions accepted")
 	}
 }

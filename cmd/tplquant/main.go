@@ -40,7 +40,6 @@ func main() {
 		T       = flag.Int("T", 10, "number of release time points")
 		budgets = flag.String("budgets", "", "file with one per-step budget per line; overrides -eps and -T")
 		format  = flag.String("format", "", "output format: "+report.FormatNames()+" (default text)")
-		csv     = flag.Bool("csv", false, "deprecated: alias for -format csv")
 		showVer = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
@@ -48,7 +47,6 @@ func main() {
 		fmt.Println("tplquant", version.String())
 		return
 	}
-	*format = report.ResolveFormat(*format, *csv)
 	if err := run(os.Stdout, *pbPath, *pfPath, *eps, *T, *budgets, *format); err != nil {
 		fmt.Fprintf(os.Stderr, "tplquant: %v\n", err)
 		os.Exit(1)

@@ -39,7 +39,6 @@ func main() {
 		alg     = flag.Int("alg", 3, "planner: 2 = upper bound (any horizon), 3 = quantification (fixed T)")
 		T       = flag.Int("T", 10, "release horizon (budgets printed for this many steps)")
 		format  = flag.String("format", "", "output format: "+report.FormatNames()+" (default text)")
-		csv     = flag.Bool("csv", false, "deprecated: alias for -format csv")
 		showVer = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
@@ -47,7 +46,6 @@ func main() {
 		fmt.Println("tplrelease", version.String())
 		return
 	}
-	*format = report.ResolveFormat(*format, *csv)
 	if err := run(os.Stdout, *pbPath, *pfPath, *alpha, *alg, *T, *format); err != nil {
 		fmt.Fprintf(os.Stderr, "tplrelease: %v\n", err)
 		os.Exit(1)

@@ -29,16 +29,16 @@
 // and exits without booting.
 //
 // Sessions are created over the API, ingest time steps in atomic
-// batches (v2: JSON arrays or NDJSON streams, idempotency-keyed so
+// batches (JSON arrays or NDJSON streams, idempotency-keyed so
 // retries are exactly-once) with explicit or planned budgets, and
 // answer leakage queries; users declaring identical adversary models
 // share one accountant (cohort-sharded accounting), so sessions scale
 // to very large populations. Session configs may reference bundle
 // models by name ({"model": {"ref": "road"}}) instead of inlining
-// matrices. Errors are RFC 7807 problem+json with stable codes; the
-// deprecated /v1 per-step API remains as shims. Go callers should use
-// the typed tpl/client SDK instead of raw HTTP. The server shuts down
-// gracefully on SIGINT/SIGTERM, draining in-flight requests.
+// matrices. Errors are RFC 7807 problem+json with stable codes. Go
+// callers should use the typed tpl/client SDK instead of raw HTTP. The
+// server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
+// requests.
 //
 //	curl -s localhost:8344/healthz
 //	curl -s -X POST localhost:8344/v2/sessions -d '{

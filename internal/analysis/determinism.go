@@ -10,8 +10,8 @@ import (
 // determinism: the replay/wire path must be a pure function of its
 // inputs. Every bit-identical guarantee the test suite enforces —
 // kill-and-recover equality, journal-replay equality, content-hash
-// stable engine compiles, v1/v2 parity — reduces to three mechanical
-// rules on the code that produces persisted or hashed bytes:
+// stable engine compiles, batch-shape parity — reduces to three
+// mechanical rules on the code that produces persisted or hashed bytes:
 //
 //  1. no iteration over a map in an order-sensitive position (Go
 //     randomizes range order per execution);

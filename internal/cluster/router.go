@@ -15,7 +15,7 @@ import (
 )
 
 // Router is the stateless front door of a tplserved cluster: it owns a
-// topology document, proxies every session-scoped v1/v2 request to the
+// topology document, proxies every session-scoped /v2 request to the
 // owning shard (streaming NDJSON and SSE bodies through unbuffered),
 // fans list requests out across shards, and serves GET /v2/topology so
 // SDK clients can skip the extra hop and dial shards directly.
@@ -76,12 +76,10 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.health)
 	mux.HandleFunc("GET /v2/topology", rt.getTopology)
-	for _, v := range []string{"v1", "v2"} {
-		mux.HandleFunc("GET /"+v+"/sessions", rt.listSessions)
-		mux.HandleFunc("POST /"+v+"/sessions", rt.createSession)
-		mux.HandleFunc("/"+v+"/sessions/{name}", rt.bySession)
-		mux.HandleFunc("/"+v+"/sessions/{name}/{rest...}", rt.bySession)
-	}
+	mux.HandleFunc("GET /v2/sessions", rt.listSessions)
+	mux.HandleFunc("POST /v2/sessions", rt.createSession)
+	mux.HandleFunc("/v2/sessions/{name}", rt.bySession)
+	mux.HandleFunc("/v2/sessions/{name}/{rest...}", rt.bySession)
 	// Import is the shard-to-shard leg of a migration; routing it by the
 	// {name} pattern would misread "import" as a session name.
 	mux.HandleFunc("POST /v2/sessions/import", func(w http.ResponseWriter, r *http.Request) {

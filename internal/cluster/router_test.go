@@ -108,6 +108,40 @@ func TestRouterRoutesCreatesToOwner(t *testing.T) {
 	}
 }
 
+// TestRouterServesNoV1 checks that the router registers only the /v2
+// session routes: the retired prefix is a 404 at the router itself,
+// never proxied to a shard.
+func TestRouterServesNoV1(t *testing.T) {
+	router, shards, rt := twoShardCluster(t)
+	name := nameOwnedBy(t, rt.Topology(), shards[0].URL)
+	createVia(t, router.URL, name)
+	const retiredPrefix = "/v1"
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodGet, retiredPrefix + "/sessions", ""},
+		{http.MethodPost, retiredPrefix + "/sessions", `{"name":"x","domain":2,"users":1}`},
+		{http.MethodPost, retiredPrefix + "/sessions/" + name + "/steps", `{"values":[1],"eps":0.1}`},
+	} {
+		req, err := http.NewRequest(tc.method, router.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s via router: status %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+	var sum struct {
+		T int `json:"t"`
+	}
+	if code := getJSON(t, shards[0].URL+"/v2/sessions/"+name, &sum); code != http.StatusOK || sum.T != 0 {
+		t.Fatalf("session after retired-route requests: status %d, t=%d", code, sum.T)
+	}
+}
+
 func TestRouterTopologyEndpoint(t *testing.T) {
 	router, _, rt := twoShardCluster(t)
 	var topo Topology

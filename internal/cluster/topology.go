@@ -1,6 +1,6 @@
 // Package cluster implements the horizontal sharding plane for tplserved:
 // a consistent-hash topology that maps session names to shards, and an HTTP
-// router that proxies v1/v2 traffic to the owning shard.
+// router that proxies /v2 traffic to the owning shard.
 //
 // Sessions — not users — are the placement unit: every write endpoint is
 // scoped to a session, a session's engine state is a self-contained portable

@@ -282,8 +282,8 @@ func TestEngineSharedConcurrent(t *testing.T) {
 }
 
 // TestLossNaiveParallelMatchesSequential keeps the reference fan-out
-// honest against the reference scan (the engine-backed Loss and
-// LossParallel are compared in TestLossParallelMatchesSequential).
+// honest against the reference scan (the engine's own parallel compile
+// is checked in TestLossParallelMatchesSequential).
 func TestLossNaiveParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	for trial := 0; trial < 10; trial++ {

@@ -5,32 +5,18 @@ import (
 	"sync"
 )
 
-// LossParallel evaluates the loss function like Loss. Before the
-// compiled engine existed this was a hand-picked alternative that
-// fanned the pair scan over worker goroutines, and series/supremum
-// callers chose between Loss and LossParallel by matrix size; both
-// entry points now evaluate through the same compiled engine, whose
-// one-time compilation parallelizes automatically above the
-// compile-time size threshold (engine.go). The workers argument is
-// retained for API compatibility and ignored.
-//
-// The pre-refactor fan-out survives as LossParallelNaive, the parallel
-// counterpart of the LossNaive reference scan.
-func (qt *Quantifier) LossParallel(alpha float64, workers int) LossResult {
-	_ = workers
-	return qt.Loss(alpha)
-}
-
 // LossParallelNaive evaluates the loss function like LossNaive but fans
 // the ordered row pairs out over the given number of workers (0 means
-// GOMAXPROCS). The result is deterministic and identical to LossNaive:
+// GOMAXPROCS). Loss itself needs no such choice: the compiled engine
+// parallelizes its one-time compilation above compileThreshold
+// (engine.go). The result is deterministic and identical to LossNaive:
 // ties between equal-loss pairs are broken toward the smallest
 // (RowQ, RowD), which is also the order the sequential scan discovers
 // them in.
 //
 // Like LossNaive this is a reference implementation, kept for
 // differential tests and for the benchmarks that document what the
-// compiled engine replaced (BenchmarkLossParallel,
+// compiled engine replaced (BenchmarkLossParallelNaive,
 // BenchmarkEngineNaiveLoss).
 func (qt *Quantifier) LossParallelNaive(alpha float64, workers int) LossResult {
 	res := LossResult{RowQ: -1, RowD: -1}

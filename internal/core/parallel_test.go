@@ -1,55 +1,50 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/markov"
 )
 
+// TestLossParallelMatchesSequential checks Loss on chains around
+// compileThreshold, where engine compilation switches from one worker
+// to a fan-out over GOMAXPROCS, against the sequential reference scan.
 func TestLossParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(30)
+	for _, n := range []int{compileThreshold - 1, compileThreshold, compileThreshold + 9} {
 		c, err := markov.UniformRandom(rng, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qt := NewQuantifier(c)
-		alpha := 0.05 + rng.Float64()*5
-		seq := qt.Loss(alpha)
-		for _, workers := range []int{0, 1, 2, 3, 8} {
-			par := qt.LossParallel(alpha, workers)
-			if par.Log != seq.Log || par.RowQ != seq.RowQ || par.RowD != seq.RowD ||
-				par.QSum != seq.QSum || par.DSum != seq.DSum {
-				t.Fatalf("trial %d workers=%d: parallel %+v != sequential %+v",
-					trial, workers, par, seq)
-			}
-		}
+		diffLoss(t, c, fmt.Sprintf("n=%d", n))
 	}
 }
 
 func TestLossParallelNilAndZero(t *testing.T) {
 	var qt *Quantifier
-	if r := qt.LossParallel(1, 4); r.Log != 0 || r.RowQ != -1 {
+	if r := qt.Loss(1); r.Log != 0 || r.RowQ != -1 {
 		t.Errorf("nil quantifier: %+v", r)
 	}
 	q := NewQuantifier(markov.ModerateExample())
-	if r := q.LossParallel(0, 4); r.Log != 0 {
+	if r := q.Loss(0); r.Log != 0 {
 		t.Errorf("alpha=0: %+v", r)
 	}
 }
 
+// TestLossParallelDeterministicAcrossRuns recompiles a chain above
+// compileThreshold on every run: the fanned-out compile must give the
+// same result each time.
 func TestLossParallelDeterministicAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
-	c, err := markov.UniformRandom(rng, 25)
+	c, err := markov.UniformRandom(rng, compileThreshold+9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qt := NewQuantifier(c)
-	first := qt.LossParallel(2, 4)
+	first := NewQuantifier(c).Loss(2)
 	for i := 0; i < 10; i++ {
-		again := qt.LossParallel(2, 4)
+		again := NewQuantifier(c).Loss(2)
 		if again != first {
 			t.Fatalf("run %d: nondeterministic result %+v vs %+v", i, again, first)
 		}

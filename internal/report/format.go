@@ -51,15 +51,6 @@ func FormatNames() string {
 	return strings.Join(names, ",")
 }
 
-// ResolveFormat folds a CLI's deprecated -csv boolean into its -format
-// value: -csv means "-format csv" unless an explicit -format wins.
-func ResolveFormat(format string, csv bool) string {
-	if format == "" && csv {
-		return "csv"
-	}
-	return format
-}
-
 // ParseFormat maps a flag value to a Format. It accepts the canonical
 // spellings plus the common aliases "markdown" and "jsonl".
 func ParseFormat(s string) (Format, error) {

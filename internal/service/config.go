@@ -64,7 +64,7 @@ type PlanConfig struct {
 	Model *ModelConfig `json:"model,omitempty"`
 }
 
-// SessionConfig is the POST /v1/sessions request body. The population
+// SessionConfig is the POST /v2/sessions request body. The population
 // is declared exactly one way: Cohorts (recommended at scale), Models
 // (one per user), or bare Users (everyone a traditional DP adversary).
 type SessionConfig struct {

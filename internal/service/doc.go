@@ -7,9 +7,9 @@
 // configured stream.Server — value domain, per-user (or per-cohort)
 // adversary models, noise kind, optional release plan. Sessions live
 // in a concurrency-safe Registry and are driven over a stdlib-only
-// net/http API with two wire versions on one endpoint layer.
+// net/http API.
 //
-// # The v2 wire contract (current; see DESIGN.md §7)
+// # The wire contract (/v2; see DESIGN.md §7)
 //
 //	GET    /healthz                          liveness: version, sessions, users, uptime, persistence health
 //	GET    /v2/sessions                      list session summaries
@@ -39,26 +39,16 @@
 // automatic idempotency keys and retry-safe batching — new callers
 // should use it rather than raw HTTP.
 //
-// # The v1 wire contract (deprecated)
-//
-// The original one-request-per-step API (/v1/sessions...) remains as
-// thin shims over the same endpoint layer, parity-tested against v2
-// (an identical workload produces bit-identical reports, TPL series
-// and histograms). v1 responses carry "Deprecation: true" and a
-// successor-version Link header. Its error bodies are the same
-// problem+json documents; the legacy {"error": ...} member is kept for
-// old clients.
-//
 // # Scale
 //
 // Scale comes from the cohort-sharded accounting in internal/stream —
 // a million-user population declared as a handful of cohorts costs one
 // accountant update per distinct model per step — and from batched
-// ingestion: one v2 NDJSON request lands thousands of steps under a
+// ingestion: one NDJSON request lands thousands of steps under a
 // single lock acquisition, with a hand-rolled fast-path decoder
 // (fastpath.go) for the hot step shape and a pre-aggregated "counts"
 // form that removes the O(users) transport term entirely. BENCH_api.json
-// records the resulting v1-vs-v2 ingest throughput.
+// records the resulting ingest throughput per wire shape.
 //
 // # Durability
 //
@@ -70,5 +60,7 @@
 // last snapshot plus the journal tail, and survives SIGKILL with a
 // bit-identical leakage series; the idempotency memory survives with
 // it, so a retry of a batch that landed just before a crash is
-// replayed, not double-charged — see DESIGN.md §6 and §7.
+// replayed, not double-charged. Restore reads only the current
+// snapshot and journal schema versions and refuses any other loudly —
+// see DESIGN.md §6 and §7.
 package service

@@ -12,7 +12,6 @@ import (
 	"repro/internal/enginecache"
 	"repro/internal/persist"
 	"repro/internal/report"
-	"repro/internal/stream"
 	"repro/internal/version"
 )
 
@@ -26,14 +25,10 @@ const maxBodyBytes = 256 << 20
 // bodies (streamed report tables, batched step ingestion).
 const ndjsonContentType = "application/x-ndjson"
 
-// API is the HTTP face of a session registry. It serves two wire
-// versions over one endpoint layer (the Registry/Session methods):
-//
-//   - /v2: the current contract — batched step ingestion, idempotency
-//     keys, cursor pagination, problem+json errors, SSE watch (v2.go).
-//   - /v1: the original one-call-per-step contract, kept as thin shims
-//     for existing callers. Deprecated: v1 responses carry a
-//     "Deprecation: true" header; new clients use tpl/client against v2.
+// API is the HTTP face of a session registry: the /v2 wire contract
+// (batched step ingestion, idempotency keys, cursor pagination,
+// problem+json errors, SSE watch — v2.go) over the Registry/Session
+// methods. Go callers use tpl/client rather than raw HTTP.
 type API struct {
 	reg     *Registry
 	started time.Time
@@ -77,27 +72,15 @@ func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", a.health)
 
-	// v1 — deprecated shims (see package doc and DESIGN.md §7).
-	mux.HandleFunc("GET /v1/sessions", deprecated(a.listSessions))
-	mux.HandleFunc("POST /v1/sessions", deprecated(a.createSession))
-	mux.HandleFunc("GET /v1/sessions/{name}", deprecated(a.getSession))
-	mux.HandleFunc("DELETE /v1/sessions/{name}", deprecated(a.deleteSession))
-	mux.HandleFunc("POST /v1/sessions/{name}/steps", deprecated(a.postStep))
-	mux.HandleFunc("POST /v1/sessions/{name}/snapshot", deprecated(a.postSnapshot))
-	mux.HandleFunc("GET /v1/sessions/{name}/published", deprecated(a.getPublishedV1))
-	mux.HandleFunc("GET /v1/sessions/{name}/tpl", deprecated(a.getTPLV1))
-	mux.HandleFunc("GET /v1/sessions/{name}/wevent", deprecated(a.getWEvent))
-	mux.HandleFunc("GET /v1/sessions/{name}/report", deprecated(a.getReport))
-
-	// v2 — the current contract (v2.go).
+	// The wire contract (v2.go).
 	mux.HandleFunc("GET /v2/sessions", a.listSessions)
 	mux.HandleFunc("POST /v2/sessions", a.createSession)
 	mux.HandleFunc("GET /v2/sessions/{name}", a.getSession)
 	mux.HandleFunc("DELETE /v2/sessions/{name}", a.deleteSession)
-	mux.HandleFunc("POST /v2/sessions/{name}/steps", a.postStepsV2)
+	mux.HandleFunc("POST /v2/sessions/{name}/steps", a.postSteps)
 	mux.HandleFunc("POST /v2/sessions/{name}/snapshot", a.postSnapshot)
-	mux.HandleFunc("GET /v2/sessions/{name}/published", a.getPublishedV2)
-	mux.HandleFunc("GET /v2/sessions/{name}/tpl", a.getTPLV2)
+	mux.HandleFunc("GET /v2/sessions/{name}/published", a.getPublished)
+	mux.HandleFunc("GET /v2/sessions/{name}/tpl", a.getTPL)
 	mux.HandleFunc("GET /v2/sessions/{name}/wevent", a.getWEvent)
 	mux.HandleFunc("GET /v2/sessions/{name}/report", a.getReport)
 	mux.HandleFunc("GET /v2/sessions/{name}/watch", a.watchSession)
@@ -149,16 +132,6 @@ func (a *API) importSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.Summary())
 }
 
-// deprecated marks a v1 handler's responses (RFC 9745 header plus the
-// successor pointer) without changing its behavior.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v2>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
 // writeBody emits a response body as JSON after headers are settled.
 // The Content-Type must already be set (writeJSON and writeProblem do).
 func writeBody(w http.ResponseWriter, status int, v any) {
@@ -185,13 +158,12 @@ func (a *API) session(w http.ResponseWriter, r *http.Request) (*Session, bool) {
 }
 
 // reportFormats are the ?format= values the report-shaped endpoints
-// (tpl, wevent, report) offer, in both API versions.
+// (tpl, wevent, report) offer.
 var reportFormats = []string{"json", "jsonl"}
 
 // wantJSONLines reports whether the request asked for the report
 // JSON-lines wire format. An unknown format is rejected with an
-// unsupported_format problem listing the supported values — shared by
-// v1 and v2.
+// unsupported_format problem listing the supported values.
 func wantJSONLines(w http.ResponseWriter, r *http.Request) (jsonl, ok bool) {
 	switch f := r.URL.Query().Get("format"); f {
 	case "", "json":
@@ -349,118 +321,13 @@ func (a *API) deleteSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// stepRequest is the v1 POST steps body. Eps nil means "use the
-// attached release plan".
-type stepRequest struct {
-	Values []int    `json:"values"`
-	Eps    *float64 `json:"eps,omitempty"`
-}
-
 // stepResponse reports the step a collection landed on (one element of
-// the v2 batch response, and the whole v1 step response).
+// the batch response).
 type stepResponse struct {
 	T         int       `json:"t"`
 	Eps       float64   `json:"eps"`
 	Planned   bool      `json:"planned"`
 	Published []float64 `json:"published"`
-}
-
-// postStep is the deprecated v1 single-step shim: a one-element batch
-// through the same endpoint layer v2 uses (no idempotency key — v1
-// never had a retry contract).
-func (a *API) postStep(w http.ResponseWriter, r *http.Request) {
-	s, ok := a.session(w, r)
-	if !ok {
-		return
-	}
-	var req stepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	results, _, err := s.CollectBatch("", []stream.BatchStep{{Values: req.Values, Eps: req.Eps}})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res := results[0]
-	writeJSON(w, http.StatusOK, stepResponse{T: res.T, Eps: res.Eps, Planned: res.Planned, Published: res.Published})
-}
-
-// getPublishedV1 is the deprecated v1 history endpoint: one histogram
-// with ?t=, else the entire history in one response (v2 paginates).
-func (a *API) getPublishedV1(w http.ResponseWriter, r *http.Request) {
-	s, ok := a.session(w, r)
-	if !ok {
-		return
-	}
-	srv := s.Server()
-	if raw := r.URL.Query().Get("t"); raw != "" {
-		t, err := intQuery(r, "t")
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		hist, err := srv.Published(t)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"t": t, "published": hist})
-		return
-	}
-	// Full history: budgets first so len(budgets) <= len(published reads)
-	// even if a concurrent step lands between the two calls.
-	budgets := srv.Budgets()
-	published := make([][]float64, len(budgets))
-	for t := 1; t <= len(budgets); t++ {
-		hist, err := srv.Published(t)
-		if err != nil {
-			writeErrorStatus(w, http.StatusInternalServerError, err)
-			return
-		}
-		published[t-1] = hist
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"t":         len(budgets),
-		"budgets":   budgets,
-		"published": published,
-	})
-}
-
-// getTPLV1 is the deprecated v1 TPL endpoint: the whole series in one
-// response (v2 paginates).
-func (a *API) getTPLV1(w http.ResponseWriter, r *http.Request) {
-	s, ok := a.session(w, r)
-	if !ok {
-		return
-	}
-	jsonl, ok := wantJSONLines(w, r)
-	if !ok {
-		return
-	}
-	user, err := intQuery(r, "user")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	series, err := s.Server().UserTPLSeries(user)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !jsonl {
-		writeJSON(w, http.StatusOK, map[string]any{"user": user, "tpl": series})
-		return
-	}
-	tb := &report.Table{
-		Title:  fmt.Sprintf("TPL series for user %d (session %s)", user, s.Name()),
-		Header: []string{"t", "tpl"},
-	}
-	for t, v := range series {
-		tb.AddRow(strconv.Itoa(t+1), fmt.Sprintf("%.6f", v))
-	}
-	renderTable(w, tb)
 }
 
 func (a *API) getWEvent(w http.ResponseWriter, r *http.Request) {

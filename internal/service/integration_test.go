@@ -124,22 +124,22 @@ func TestServedMatchesDirectDrive(t *testing.T) {
 		Plan:   &PlanConfig{Kind: "quantified", Alpha: alpha, Horizon: horizon, Model: &users[0]},
 	}
 	var created Summary
-	postJSON(t, client, ts.URL+"/v1/sessions", cfg, &created)
+	postJSON(t, client, ts.URL+"/v2/sessions", cfg, &created)
 	if created.Cohorts != 4 || created.Users != 4 {
 		t.Fatalf("summary %+v: want 4 users in 4 cohorts", created)
 	}
 
-	base := ts.URL + "/v1/sessions/" + name
+	base := ts.URL + "/v2/sessions/" + name
 	values := [][]int{{0, 1, 0, 1}, {1, 1, 0, 0}, {0, 0, 0, 1}, {1, 0, 1, 0}}
 	for i := 0; i < steps; i++ {
 		req := map[string]any{"values": values[i%len(values)]}
 		if i < steps/2 {
 			req["eps"] = explicitEps
 		}
-		var step stepResponse
-		postJSON(t, client, base+"/steps", req, &step)
-		if step.T != i+1 {
-			t.Fatalf("step %d landed on t=%d", i, step.T)
+		var batch batchResponse
+		postJSON(t, client, base+"/steps", []any{req}, &batch)
+		if batch.Results[0].T != i+1 {
+			t.Fatalf("step %d landed on t=%d", i, batch.Results[0].T)
 		}
 	}
 
@@ -205,21 +205,21 @@ func TestServedMatchesDirectDrive(t *testing.T) {
 
 	// Per-user TPL series through the API match the direct drive.
 	for u := range users {
-		var series struct {
-			User int       `json:"user"`
-			TPL  []float64 `json:"tpl"`
+		var page struct {
+			User  int       `json:"user"`
+			Items []tplItem `json:"items"`
 		}
-		getJSON(t, client, fmt.Sprintf("%s/tpl?user=%d", base, u), &series)
+		getJSON(t, client, fmt.Sprintf("%s/tpl?user=%d&limit=%d", base, u, steps), &page)
 		wantSeries, err := direct.UserTPLSeries(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(series.TPL) != len(wantSeries) {
-			t.Fatalf("user %d: series length %d, want %d", u, len(series.TPL), len(wantSeries))
+		if len(page.Items) != len(wantSeries) {
+			t.Fatalf("user %d: series length %d, want %d", u, len(page.Items), len(wantSeries))
 		}
 		for i := range wantSeries {
-			if series.TPL[i] != wantSeries[i] {
-				t.Errorf("user %d TPL[%d] = %v, want %v", u, i, series.TPL[i], wantSeries[i])
+			if page.Items[i].TPL != wantSeries[i] {
+				t.Errorf("user %d TPL[%d] = %v, want %v", u, i, page.Items[i].TPL, wantSeries[i])
 			}
 		}
 	}
@@ -237,20 +237,6 @@ func TestServedMatchesDirectDrive(t *testing.T) {
 	}
 	if cell := reportTables[0].Rows[0][2]; cell != fmt.Sprintf("%.6f", want.EventLevelAlpha) {
 		t.Errorf("report table event-level cell %q, want %.6f", cell, want.EventLevelAlpha)
-	}
-
-	tplTables := getTables(t, client, base+"/tpl?user=0&format=jsonl")
-	if len(tplTables) != 1 || len(tplTables[0].Rows) != steps {
-		t.Fatalf("tpl table: %d tables, want 1 with %d rows", len(tplTables), steps)
-	}
-	wantSeries, err := direct.UserTPLSeries(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range tplTables[0].Rows {
-		if row[0] != strconv.Itoa(i+1) || row[1] != fmt.Sprintf("%.6f", wantSeries[i]) {
-			t.Errorf("tpl table row %d = %v, want [%d %.6f]", i, row, i+1, wantSeries[i])
-		}
 	}
 
 	weventTables := getTables(t, client, base+"/wevent?w=3&format=jsonl")
@@ -290,11 +276,11 @@ func TestConcurrentSessions(t *testing.T) {
 					{Users: 50, Model: ModelConfig{}},
 				},
 			}
-			postJSON(t, client, ts.URL+"/v1/sessions", cfg, nil)
-			base := ts.URL + "/v1/sessions/" + name
+			postJSON(t, client, ts.URL+"/v2/sessions", cfg, nil)
+			base := ts.URL + "/v2/sessions/" + name
 			values := make([]int, 100)
 			for i := 0; i < 10; i++ {
-				postJSON(t, client, base+"/steps", map[string]any{"values": values, "eps": 0.1}, nil)
+				postJSON(t, client, base+"/steps", []any{map[string]any{"values": values, "eps": 0.1}}, nil)
 				var rep reportResponse
 				getJSON(t, client, base+"/report", &rep)
 				if rep.T != i+1 {
@@ -309,7 +295,7 @@ func TestConcurrentSessions(t *testing.T) {
 	var listed struct {
 		Sessions []Summary `json:"sessions"`
 	}
-	getJSON(t, client, ts.URL+"/v1/sessions", &listed)
+	getJSON(t, client, ts.URL+"/v2/sessions", &listed)
 	if len(listed.Sessions) != tenants {
 		t.Fatalf("%d sessions, want %d", len(listed.Sessions), tenants)
 	}

@@ -26,10 +26,13 @@ import (
 //  2. It POSTs the envelope to the target's /v2/sessions/import; the
 //     target rebuilds and registers the session, writing its own initial
 //     snapshot before answering.
-//  3. Only after the target acknowledges does the source retire: the
-//     session leaves the registry, its files are deleted, and a durable
-//     tombstone records the new owner so every later request answers 421
-//     wrong_shard with the redirect.
+//  3. Only after the target acknowledges does the source retire: a
+//     durable tombstone records the new owner, then the local files are
+//     deleted and the session leaves the registry, so every later
+//     request answers 421 wrong_shard with the redirect. The tombstone
+//     goes first because a crash between the two steps must restart into
+//     the redirect — RestoreAll lets a tombstone win over a snapshot —
+//     and never into a second owner.
 //
 // A failure at any point before 3 leaves the source authoritative and
 // untouched (the target may hold a dead copy under a name it will refuse
@@ -84,9 +87,12 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 	}
 	// The target acknowledged: it owns the state now. Everything below
 	// only retires the local copy — failures are reported but cannot
-	// un-migrate.
+	// un-migrate. The local files are dropped even when the tombstone
+	// write fails: a lost redirect is a 404, a resurrected snapshot is a
+	// second owner.
 	s.retired = true
 	s.retiredTo = target
+	tombErr := r.saveTombstoneFile(name, target)
 	dropErr := s.dropPersistenceLocked()
 	s.stepMu.Unlock()
 	stripe := r.stripe(name)
@@ -98,12 +104,16 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 	}
 	stripe.mu.Unlock()
 	if owned {
-		// A concurrent Delete that won the map race already released the
-		// capacity (and wants no redirect left behind).
 		r.totalUsers.Add(-int64(s.srv.Users()))
-		r.saveTombstoneFile(name, target)
+	} else if tombErr == nil {
+		// A concurrent Delete that won the map race already released the
+		// capacity and wants no redirect left behind.
+		r.removeTombstoneFile(name)
 	}
 	s.watch.closeAll()
+	if tombErr != nil {
+		return target, fmt.Errorf("service: migrated %q to %s but recording its tombstone failed: %w", name, target, tombErr)
+	}
 	if dropErr != nil {
 		return target, fmt.Errorf("service: migrated %q to %s but dropping local files failed: %w", name, target, dropErr)
 	}
@@ -235,12 +245,12 @@ func (r *Registry) TombstoneLocation(name string) (string, bool) {
 	return loc, ok
 }
 
-// saveTombstoneFile persists a redirect (durable mode only; best-effort
-// — the in-memory tombstone already answers until the next restart).
-func (r *Registry) saveTombstoneFile(name, location string) {
+// saveTombstoneFile durably persists a redirect (durable mode only).
+func (r *Registry) saveTombstoneFile(name, location string) error {
 	if store := r.Store(); store != nil {
-		_ = store.SaveTombstone(name, location)
+		return store.SaveTombstone(name, location)
 	}
+	return nil
 }
 
 // removeTombstoneFile deletes a persisted redirect.

@@ -1,11 +1,16 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
+	"io/fs"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -198,6 +203,75 @@ func TestMigrateTombstoneSurvivesRestart(t *testing.T) {
 	}
 	if _, err := r2.Get("web"); err != nil {
 		t.Fatalf("get after recreate: %v", err)
+	}
+}
+
+// TestRestoreTombstoneWinsOverSnapshot is the split-brain regression: a
+// crash after Migrate wrote its tombstone but before it deleted the
+// local files leaves both on disk. The target owns the session, so the
+// restarted source must redirect, not serve a second copy.
+func TestRestoreTombstoneWinsOverSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	r1 := durableRegistry(t, dir, 100)
+	s, err := r1.Create(persistTestConfig("web", 7, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepSession(t, s, rand.New(rand.NewSource(3)), 2)
+	if _, err := r1.Create(persistTestConfig("stay", 7, false)); err != nil {
+		t.Fatal(err)
+	}
+	const owner = "http://shard-b:8344"
+	if err := r1.Store().SaveTombstone("web", owner); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := durableRegistry(t, dir, 100)
+	restored, failed := r2.RestoreAll()
+	if len(restored) != 1 || restored[0] != "stay" || len(failed) != 0 {
+		t.Fatalf("restored %v failed %v, want only stay", restored, failed)
+	}
+	_, err = r2.Get("web")
+	var ws *WrongShardError
+	if !errors.As(err, &ws) || ws.Location != owner {
+		t.Fatalf("Get(web) = %v, want WrongShardError to %s", err, owner)
+	}
+	if n, users := r2.Len(), r2.Users(); n != 1 || users != 5 {
+		t.Fatalf("registry counts %d sessions / %d users, want 1 / 5", n, users)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "web.snap")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("retired snapshot left on disk: %v", err)
+	}
+	// The redirect is durable: a second restart still answers it.
+	r3 := durableRegistry(t, dir, 100)
+	r3.RestoreAll()
+	if _, err := r3.Get("web"); !errors.As(err, &ws) || ws.Location != owner {
+		t.Fatalf("second restart: Get(web) = %v", err)
+	}
+}
+
+// TestMigrateReportsTombstoneWriteError: once the target acks, a failed
+// tombstone write is returned to the caller, and the local files are
+// still dropped so a restart cannot bring back a second owner.
+func TestMigrateReportsTombstoneWriteError(t *testing.T) {
+	h := newMigrateHarness(t)
+	if code, body := h.post(h.srvA.URL, "/v2/sessions", `{"name":"web","domain":2,"users":1}`, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	// A directory where the tombstone's temp file must go makes the
+	// write fail.
+	if err := os.Mkdir(filepath.Join(h.stateDir, "web.tomb.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, err := h.apiA.Registry().Migrate(context.Background(), "web", h.srvB.URL)
+	if err == nil || !strings.Contains(err.Error(), "tombstone") {
+		t.Fatalf("Migrate error = %v, want the tombstone write failure", err)
+	}
+	if code := h.get(h.srvB.URL, "/v2/sessions/web", nil); code != http.StatusOK {
+		t.Fatalf("target does not own the session: %d", code)
+	}
+	if _, err := os.Stat(filepath.Join(h.stateDir, "web.snap")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("source kept its snapshot: %v", err)
 	}
 }
 

@@ -13,29 +13,26 @@ import (
 
 // Durable accounting. With a store attached, every session's leakage
 // state survives process death: the registry writes an initial snapshot
-// at creation, appends one journal record per published step, coalesces
+// at creation, appends one journal record per ingestion batch, coalesces
 // full snapshots every snapshotEvery steps, and on boot restores every
 // session from last-good-snapshot + replayed journal tail. Restarting
 // tplserved therefore cannot reset anyone's privacy budget — which is
 // the whole point of the accounting.
 
 // Snapshot/journal schema versions inside the persist envelopes. Bump
-// on any change to the encodings; restores reject versions they do not
-// understand rather than guessing.
+// on any change to the encodings. Restore reads exactly these versions
+// and refuses every other one with a "not supported" error rather than
+// guessing (DESIGN.md §6).
 //
-// Snapshots: version 2 added the idempotency entries (gob tolerates the
-// absent field, so version-1 snapshots still restore — with an empty
-// key memory). Journals: version-1 records are single stream.StepRecord
-// bodies (pre-batch); version-2 records are batchRecords carrying a
-// whole ingestion batch plus its optional idempotency record, appended
-// as ONE checksummed envelope so a torn tail drops a batch and its key
+// A snapshot is a sessionState (config, server state, idempotency
+// entries). A journal record is a batchRecord carrying a whole
+// ingestion batch plus its optional idempotency record, appended as ONE
+// checksummed envelope so a torn tail drops a batch and its key
 // together — the retry-safety invariant (a key on disk implies all its
 // steps are too) depends on exactly that atomicity.
 const (
-	sessionSchemaVersion       = 2
-	sessionSchemaVersionLegacy = 1
-	stepSchemaVersion          = 1
-	batchSchemaVersion         = 2
+	sessionSchemaVersion = 2
+	batchSchemaVersion   = 2
 )
 
 // defaultSnapshotEvery is the snapshot coalescing interval in steps: a
@@ -127,8 +124,8 @@ type sessionState struct {
 	Idem       []idemRecord
 }
 
-// batchRecord is the version-2 journal body: one ingestion batch and
-// its optional idempotency record, durable or lost as a unit.
+// batchRecord is the journal body: one ingestion batch and its
+// optional idempotency record, durable or lost as a unit.
 //
 //tplvet:wire v2 schema=25063561ee9b
 type batchRecord struct {
@@ -361,7 +358,7 @@ func (s *Session) persistInfo() *PersistInfo {
 }
 
 // SnapshotNow forces an immediate snapshot (the POST
-// /v1/sessions/{name}/snapshot endpoint) and returns the resulting
+// /v2/sessions/{name}/snapshot endpoint) and returns the resulting
 // persistence info. ErrNoStore in ephemeral mode.
 func (s *Session) SnapshotNow() (*PersistInfo, error) {
 	s.stepMu.Lock()
@@ -418,6 +415,13 @@ func (s *Session) dropPersistenceLocked() error {
 // session that cannot be restored is skipped with its error reported —
 // its files stay on disk for inspection — so one corrupt tenant cannot
 // keep the rest of the fleet down.
+//
+// A tombstone wins over a snapshot of the same name: Migrate writes the
+// tombstone before it deletes the local files, so both on disk means a
+// crash interrupted a completed hand-off. The target owns the session;
+// restoring it here too would split each user's leakage across two
+// accountants. Such a session is not registered, and its leftover files
+// are removed to finish the retirement.
 func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 	failed = make(map[string]error)
 	store := r.Store()
@@ -431,17 +435,23 @@ func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 	}
 	// Reload migration tombstones first: a restarted shard must keep
 	// redirecting traffic for sessions it handed off before the crash.
-	if tombs, terr := store.LoadTombstones(); terr != nil {
+	tombs, terr := store.LoadTombstones()
+	if terr != nil {
 		failed[""] = terr
-	} else {
-		for name, loc := range tombs {
-			stripe := r.stripe(name)
-			stripe.mu.Lock()
-			stripe.tombstones[name] = loc
-			stripe.mu.Unlock()
-		}
+	}
+	for name, loc := range tombs {
+		stripe := r.stripe(name)
+		stripe.mu.Lock()
+		stripe.tombstones[name] = loc
+		stripe.mu.Unlock()
 	}
 	for _, name := range names {
+		if _, migrated := tombs[name]; migrated {
+			if err := store.Remove(name); err != nil {
+				failed[name] = err
+			}
+			continue
+		}
 		if err := r.restoreOne(store, name); err != nil {
 			failed[name] = err
 			continue
@@ -457,7 +467,7 @@ func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 // engines re-attached by content hash through the shared model cache.
 // Both boot-time restore and cross-shard import go through it.
 func (r *Registry) decodeSessionState(version uint32, body []byte) (st sessionState, cfg SessionConfig, srv *stream.Server, err error) {
-	if version != sessionSchemaVersion && version != sessionSchemaVersionLegacy {
+	if version != sessionSchemaVersion {
 		return st, cfg, nil, fmt.Errorf("service: snapshot schema version %d not supported (want %d)", version, sessionSchemaVersion)
 	}
 	if err := gobDecode(body, &st); err != nil {
@@ -503,46 +513,35 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 		return fmt.Errorf("service: snapshot file %q holds config for session %q", name, cfg.Name)
 	}
 	snapT := srv.T()
-	// Replay the journal tail: version-1 records are single steps,
-	// version-2 records whole batches (steps + idempotency record).
-	// Step records at or before the snapshot are expected (crash between
-	// snapshot and journal reset) and skipped; gaps or schema mismatches
-	// beyond it fail the session. Idempotency records are collected in
-	// journal order and layered over the snapshot's entries below.
+	// Replay the journal tail, one batch record (steps + idempotency
+	// record) at a time. Step records at or before the snapshot are
+	// expected (crash between snapshot and journal reset) and skipped;
+	// gaps or schema mismatches beyond it fail the session. Idempotency
+	// records are collected in journal order and layered over the
+	// snapshot's entries below.
 	var idemTail []idemRecord
 	replayedSteps := 0
-	applyStep := func(rec stream.StepRecord) error {
-		if rec.T <= snapT {
-			return nil
-		}
-		replayedSteps++
-		return srv.ApplyStep(rec)
-	}
 	_, err = store.ReplayJournal(name, func(version uint32, body []byte) error {
-		switch version {
-		case stepSchemaVersion:
-			var rec stream.StepRecord
-			if err := gobDecode(body, &rec); err != nil {
-				return fmt.Errorf("service: decoding journal record: %w", err)
-			}
-			return applyStep(rec)
-		case batchSchemaVersion:
-			var rec batchRecord
-			if err := gobDecode(body, &rec); err != nil {
-				return fmt.Errorf("service: decoding journal batch record: %w", err)
-			}
-			for _, st := range rec.Steps {
-				if err := applyStep(st); err != nil {
-					return err
-				}
-			}
-			if rec.Idem != nil {
-				idemTail = append(idemTail, *rec.Idem)
-			}
-			return nil
-		default:
-			return fmt.Errorf("service: journal schema version %d not supported (want %d or %d)", version, stepSchemaVersion, batchSchemaVersion)
+		if version != batchSchemaVersion {
+			return fmt.Errorf("service: journal schema version %d not supported (want %d)", version, batchSchemaVersion)
 		}
+		var rec batchRecord
+		if err := gobDecode(body, &rec); err != nil {
+			return fmt.Errorf("service: decoding journal batch record: %w", err)
+		}
+		for _, step := range rec.Steps {
+			if step.T <= snapT {
+				continue
+			}
+			replayedSteps++
+			if err := srv.ApplyStep(step); err != nil {
+				return err
+			}
+		}
+		if rec.Idem != nil {
+			idemTail = append(idemTail, *rec.Idem)
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -593,7 +592,7 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 	// acknowledged steps. The session is not yet visible, so no lock
 	// ordering concerns.
 	if err := s.snapshotLocked(); err != nil {
-		s.journalBad = true // persistStep retries the snapshot instead of appending
+		s.journalBad = true // persistBatch retries the snapshot instead of appending
 		s.latchPersistErr(err)
 	}
 	if err := r.reserveUsers(srv.Users()); err != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/persist"
+	"repro/internal/stream"
 )
 
 // durableRegistry builds a registry persisting into dir.
@@ -247,6 +248,74 @@ func TestRestoreSkipsCorruptSession(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesRetiredSchemaVersions: restore reads exactly
+// snapshot v2 and journal v2. A state dir written in an older format is
+// refused loudly — reported in failed with its files kept for
+// inspection — and never half-restored; other sessions are unaffected.
+func TestRestoreRefusesRetiredSchemaVersions(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, store *persist.Store)
+	}{
+		{"snapshot-v1", func(t *testing.T, store *persist.Store) {
+			_, body, err := store.LoadSnapshot("old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.SaveSnapshot("old", 1, body); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"journal-v1", func(t *testing.T, store *persist.Store) {
+			j, err := store.OpenJournal("old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			body, err := gobEncode(stream.StepRecord{T: 3, Eps: 0.1, Published: []float64{1, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(1, body); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r1 := durableRegistry(t, dir, 100)
+			for _, name := range []string{"old", "current"} {
+				s, err := r1.Create(persistTestConfig(name, 7, false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stepSession(t, s, rand.New(rand.NewSource(3)), 2)
+			}
+			tc.corrupt(t, r1.Store())
+
+			r2 := durableRegistry(t, dir, 100)
+			restored, failed := r2.RestoreAll()
+			if len(restored) != 1 || restored[0] != "current" {
+				t.Fatalf("restored %v", restored)
+			}
+			if err := failed["old"]; err == nil || !strings.Contains(err.Error(), "not supported") {
+				t.Fatalf("retired-format session error: %v", err)
+			}
+			if _, err := r2.Get("old"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("refused session is live: %v", err)
+			}
+			if r2.Users() != 5 {
+				t.Fatalf("Users() = %d, want only the restored session's 5", r2.Users())
+			}
+			for _, f := range []string{"old.snap", "old.journal"} {
+				if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+					t.Fatalf("refused session's %s not kept: %v", f, err)
+				}
+			}
+		})
+	}
+}
+
 // TestDeleteRemovesState: deleting a session deletes its files, and a
 // later restore does not resurrect it.
 func TestDeleteRemovesState(t *testing.T) {
@@ -298,19 +367,19 @@ func TestSnapshotEndpointAndHealth(t *testing.T) {
 		}
 		return resp
 	}
-	resp := post("/v1/sessions", `{"name":"web","domain":2,"users":3,"seed":5}`)
+	resp := post("/v2/sessions", `{"name":"web","domain":2,"users":3,"seed":5}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = post("/v1/sessions/web/steps", `{"values":[0,1,1],"eps":0.2}`)
+	resp = post("/v2/sessions/web/steps", `[{"values":[0,1,1],"eps":0.2}]`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("step: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	// Snapshot-on-demand.
-	resp = post("/v1/sessions/web/snapshot", "")
+	resp = post("/v2/sessions/web/snapshot", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: %d", resp.StatusCode)
 	}
@@ -331,7 +400,7 @@ func TestSnapshotEndpointAndHealth(t *testing.T) {
 	}
 
 	// Session summary carries persistence metadata.
-	resp, err = http.Get(ts.URL + "/v1/sessions/web")
+	resp, err = http.Get(ts.URL + "/v2/sessions/web")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,12 +449,12 @@ func TestSnapshotEndpointEphemeral(t *testing.T) {
 	api := NewAPI()
 	ts := httptest.NewServer(api.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(`{"name":"web","domain":2,"users":1}`))
+	resp, err := http.Post(ts.URL+"/v2/sessions", "application/json", strings.NewReader(`{"name":"web","domain":2,"users":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	resp, err = http.Post(ts.URL+"/v1/sessions/web/snapshot", "application/json", nil)
+	resp, err = http.Post(ts.URL+"/v2/sessions/web/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

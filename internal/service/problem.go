@@ -9,11 +9,11 @@ import (
 	"repro/internal/stream"
 )
 
-// The uniform error model of the wire API (v2, and shared with v1):
-// every error response is an RFC 7807 application/problem+json document
-// carrying a stable machine-readable code. Clients branch on Code, not
-// on error-string substrings; the human-readable Detail may change
-// between releases, the codes may not.
+// The uniform error model of the wire API: every error response is an
+// RFC 7807 application/problem+json document carrying a stable
+// machine-readable code. Clients branch on Code, not on error-string
+// substrings; the human-readable Detail may change between releases,
+// the codes may not.
 
 // problemContentType is the RFC 7807 media type.
 const problemContentType = "application/problem+json"
@@ -73,8 +73,7 @@ const (
 
 // Problem is the error response body. Type stays "about:blank" (the
 // RFC's registered default) with Title carrying the code's summary;
-// Code is the stable machine contract. Error mirrors Detail under the
-// pre-v2 key so v1 clients that read {"error": ...} keep working.
+// Code is the stable machine contract.
 type Problem struct {
 	Type      string   `json:"type"`
 	Title     string   `json:"title"`
@@ -84,7 +83,6 @@ type Problem struct {
 	Supported []string `json:"supported,omitempty"`
 	// Location carries the new owner's base URL on wrong_shard problems.
 	Location string `json:"location,omitempty"`
-	Error    string `json:"error,omitempty"`
 }
 
 // problemTitles maps codes to their RFC 7807 titles.
@@ -131,9 +129,8 @@ var ErrModelNotFound = errors.New("service: bundle model not found")
 // errIdemConflict tags idempotency-key reuse with a different body.
 var errIdemConflict = errors.New("service: idempotency key reused with a different request body")
 
-// classify maps an error to its HTTP status and problem code. It is the
-// single source of truth for both API versions (v1 reports the same
-// statuses it always has; v2 adds the codes).
+// classify maps an error to its HTTP status and problem code — the
+// single source of truth for every handler.
 func classify(err error) (status int, code string) {
 	var tooBig *http.MaxBytesError
 	var invalid *core.InvalidStateError
@@ -180,7 +177,6 @@ func newProblem(status int, code, detail string) Problem {
 		Status: status,
 		Code:   code,
 		Detail: detail,
-		Error:  detail,
 	}
 }
 

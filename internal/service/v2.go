@@ -118,10 +118,10 @@ func decodeNDJSONSlow(r io.Reader, steps *[]stream.BatchStep) error {
 	}
 }
 
-// postStepsV2 ingests a batch of steps, deduplicated by the optional
+// postSteps ingests a batch of steps, deduplicated by the optional
 // Idempotency-Key header. The batch is atomic: it lands whole or not
 // at all, so a retry after any failure is safe when keyed.
-func (a *API) postStepsV2(w http.ResponseWriter, r *http.Request) {
+func (a *API) postSteps(w http.ResponseWriter, r *http.Request) {
 	s, ok := a.session(w, r)
 	if !ok {
 		return
@@ -229,11 +229,11 @@ type publishedItem struct {
 	Published []float64 `json:"published"`
 }
 
-// getPublishedV2 pages through the release history oldest-first.
+// getPublished pages through the release history oldest-first.
 // next_cursor is present exactly when more steps were already published
 // past the page; a dashboard polls with the last cursor to tail the
 // stream (or uses /watch for push).
-func (a *API) getPublishedV2(w http.ResponseWriter, r *http.Request) {
+func (a *API) getPublished(w http.ResponseWriter, r *http.Request) {
 	s, ok := a.session(w, r)
 	if !ok {
 		return
@@ -272,8 +272,8 @@ type tplItem struct {
 	TPL float64 `json:"tpl"`
 }
 
-// getTPLV2 pages through one user's TPL series oldest-first.
-func (a *API) getTPLV2(w http.ResponseWriter, r *http.Request) {
+// getTPL pages through one user's TPL series oldest-first.
+func (a *API) getTPL(w http.ResponseWriter, r *http.Request) {
 	s, ok := a.session(w, r)
 	if !ok {
 		return

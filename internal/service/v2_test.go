@@ -63,7 +63,6 @@ func TestV2ProblemJSON(t *testing.T) {
 		{"bad step shape", "POST", "/v2/sessions/p1/steps", `[{"values":[0],"eps":0.1}]`, 400, CodeInvalidRequest},
 		{"unknown field", "POST", "/v2/sessions/p1/steps", `[{"vals":[0,1,0,1,1],"eps":0.1}]`, 400, CodeInvalidRequest},
 		{"bad format", "GET", "/v2/sessions/p1/report?format=xml", "", 400, CodeUnsupportedFormat},
-		{"v1 bad format shares the problem model", "GET", "/v1/sessions/p1/report?format=xml", "", 400, CodeUnsupportedFormat},
 		{"snapshot in ephemeral mode", "POST", "/v2/sessions/p1/snapshot", "", 409, CodeSnapshotUnavailable},
 		{"bad cursor", "GET", "/v2/sessions/p1/published?cursor=%21%21", "", 400, CodeInvalidRequest},
 		{"bad limit", "GET", "/v2/sessions/p1/published?limit=-3", "", 400, CodeInvalidRequest},
@@ -81,8 +80,12 @@ func TestV2ProblemJSON(t *testing.T) {
 			if p.Code != tc.code || p.Status != tc.status || p.Title == "" || p.Detail == "" {
 				t.Fatalf("problem %+v, want code %q", p, tc.code)
 			}
-			if p.Error != p.Detail {
-				t.Fatalf("legacy error member %q != detail %q", p.Error, p.Detail)
+			var members map[string]json.RawMessage
+			if err := json.Unmarshal(rec.Body.Bytes(), &members); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := members["error"]; ok {
+				t.Fatalf("problem body carries an %q member: %s", "error", rec.Body.String())
 			}
 			if tc.code == CodeUnsupportedFormat && len(p.Supported) == 0 {
 				t.Fatalf("unsupported_format problem lists no supported formats: %+v", p)
@@ -145,7 +148,8 @@ func TestV2BatchIngestArrayAndNDJSON(t *testing.T) {
 }
 
 func TestV2Pagination(t *testing.T) {
-	h := NewAPI().Handler()
+	api := NewAPI()
+	h := api.Handler()
 	v2Session(t, h, "pg")
 	if rec := doJSON(t, h, "POST", "/v2/sessions/pg/steps", batchBody(7, 0.1), nil); rec.Code != http.StatusOK {
 		t.Fatalf("steps: %d", rec.Code)
@@ -184,11 +188,15 @@ func TestV2Pagination(t *testing.T) {
 		}
 	}
 
-	// TPL pagination agrees with the v1 full series.
-	var v1 struct {
-		TPL []float64 `json:"tpl"`
+	// TPL pagination agrees with the server's full series.
+	sess, err := api.Registry().Get("pg")
+	if err != nil {
+		t.Fatal(err)
 	}
-	doJSON(t, h, "GET", "/v1/sessions/pg/tpl?user=0", "", &v1)
+	full, err := sess.Server().UserTPLSeries(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type tplPage struct {
 		Items      []tplItem `json:"items"`
 		NextCursor string    `json:"next_cursor"`
@@ -210,12 +218,12 @@ func TestV2Pagination(t *testing.T) {
 		}
 		cursor = p.NextCursor
 	}
-	if len(series) != len(v1.TPL) {
-		t.Fatalf("paged %d items, v1 %d", len(series), len(v1.TPL))
+	if len(series) != len(full) {
+		t.Fatalf("paged %d items, full series %d", len(series), len(full))
 	}
 	for i, it := range series {
-		if it.T != i+1 || it.TPL != v1.TPL[i] {
-			t.Fatalf("tpl item %d: %+v, want %v", i, it, v1.TPL[i])
+		if it.T != i+1 || it.TPL != full[i] {
+			t.Fatalf("tpl item %d: %+v, want %v", i, it, full[i])
 		}
 	}
 
@@ -445,17 +453,31 @@ func TestV2Watch(t *testing.T) {
 	}
 }
 
-// TestV1Deprecated checks the deprecation marking on v1 and its absence
-// on v2.
-func TestV1Deprecated(t *testing.T) {
-	h := NewAPI().Handler()
-	v2Session(t, h, "dep")
-	rec := doJSON(t, h, "GET", "/v1/sessions/dep", "", nil)
-	if rec.Header().Get("Deprecation") != "true" || !strings.Contains(rec.Header().Get("Link"), "successor-version") {
-		t.Fatalf("v1 deprecation headers missing: %v", rec.Header())
+// retiredPrefix is the path prefix of the removed one-step-per-request
+// API; nothing may answer under it any more.
+const retiredPrefix = "/v1"
+
+// TestV1RoutesGone checks that the retired API is not served: its paths
+// fall through to the mux's 404 and touch no session.
+func TestV1RoutesGone(t *testing.T) {
+	api := NewAPI()
+	h := api.Handler()
+	v2Session(t, h, "gone")
+	for _, tc := range []struct{ method, target, body string }{
+		{"GET", retiredPrefix + "/sessions", ""},
+		{"POST", retiredPrefix + "/sessions", `{"name":"x","domain":2,"users":1}`},
+		{"GET", retiredPrefix + "/sessions/gone", ""},
+		{"POST", retiredPrefix + "/sessions/gone/steps", `{"values":[0,1,0,1,1],"eps":0.1}`},
+	} {
+		if rec := doJSON(t, h, tc.method, tc.target, tc.body, nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", tc.method, tc.target, rec.Code)
+		}
 	}
-	rec = doJSON(t, h, "GET", "/v2/sessions/dep", "", nil)
-	if rec.Header().Get("Deprecation") != "" {
-		t.Fatal("v2 carries a Deprecation header")
+	s, err := api.Registry().Get("gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, T := api.Registry().Len(), s.Server().T(); n != 1 || T != 0 {
+		t.Fatalf("retired routes changed state: %d sessions, t=%d", n, T)
 	}
 }

@@ -269,12 +269,12 @@ func TestBatchWriter(t *testing.T) {
 	}
 }
 
-// TestV1V2Parity is the conformance test: an identical workload driven
-// through the deprecated v1 per-step API and through v2 batched
-// ingestion (mixed array/NDJSON/counts shapes) must produce
-// bit-identical Reports, TPL series for every user, MaxWEvent answers,
-// and published histograms.
-func TestV1V2Parity(t *testing.T) {
+// TestBatchShapeParity is the conformance test for batch shapes: an
+// identical workload driven one step per request and in mixed-shape
+// batches (NDJSON, JSON array, BatchWriter; explicit and plan-drawn
+// budgets) must produce bit-identical Reports, TPL series for every
+// user, MaxWEvent answers, and published histograms.
+func TestBatchShapeParity(t *testing.T) {
 	ctx := context.Background()
 	cfg := func(name string) client.SessionConfig {
 		return client.SessionConfig{
@@ -304,26 +304,26 @@ func TestV1V2Parity(t *testing.T) {
 		e := 0.1 + 0.05*float64(i%3)
 		return &e
 	}
-
-	// v1: one request per step.
-	_, c1 := newServerAndClient(t)
-	if _, err := c1.V1().CreateSession(ctx, cfg("parity")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= steps; i++ {
-		if _, err := c1.V1().Step(ctx, "parity", values(i), eps(i)); err != nil {
-			t.Fatalf("v1 step %d: %v", i, err)
-		}
-	}
-
-	// v2: the same steps in mixed-shape batches.
-	_, c2 := newServerAndClient(t)
-	if _, err := c2.CreateSession(ctx, cfg("parity")); err != nil {
-		t.Fatal(err)
-	}
 	var batch []client.Step
 	for i := 1; i <= steps; i++ {
 		batch = append(batch, client.Step{Values: values(i), Eps: eps(i)})
+	}
+
+	// Reference: one single-step request per step.
+	_, c1 := newServerAndClient(t)
+	if _, err := c1.CreateSession(ctx, cfg("parity")); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range batch {
+		if _, err := c1.Steps(ctx, "parity", []client.Step{st}); err != nil {
+			t.Fatalf("single step %d: %v", i+1, err)
+		}
+	}
+
+	// The same steps in mixed-shape batches.
+	_, c2 := newServerAndClient(t)
+	if _, err := c2.CreateSession(ctx, cfg("parity")); err != nil {
+		t.Fatal(err)
 	}
 	// First third over NDJSON, second third as an array, final third via
 	// the BatchWriter.
@@ -344,8 +344,8 @@ func TestV1V2Parity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bit-identical accounting across the two wire contracts.
-	rep1, err := c1.V1().Report(ctx, "parity")
+	// Bit-identical accounting across the two ingestion shapes.
+	rep1, err := c1.Report(ctx, "parity")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,10 +354,10 @@ func TestV1V2Parity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep1 != rep2 {
-		t.Fatalf("reports diverge:\n  v1 %+v\n  v2 %+v", rep1, rep2)
+		t.Fatalf("reports diverge:\n  single %+v\n  batched %+v", rep1, rep2)
 	}
 	for u := 0; u < 5; u++ {
-		s1, err := c1.V1().TPLSeries(ctx, "parity", u)
+		s1, err := c1.TPLSeries(ctx, "parity", u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,11 +370,11 @@ func TestV1V2Parity(t *testing.T) {
 		}
 		for i := range s1 {
 			if s1[i] != s2[i] {
-				t.Fatalf("user %d TPL[%d]: v1 %v != v2 %v", u, i, s1[i], s2[i])
+				t.Fatalf("user %d TPL[%d]: single %v != batched %v", u, i, s1[i], s2[i])
 			}
 		}
 	}
-	w1, err := c1.V1().WEvent(ctx, "parity", 3)
+	w1, err := c1.WEvent(ctx, "parity", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,26 +383,26 @@ func TestV1V2Parity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w1 != w2 {
-		t.Fatalf("wevent diverges: v1 %+v, v2 %+v", w1, w2)
+		t.Fatalf("wevent diverges: single %+v, batched %+v", w1, w2)
 	}
-	h1, err := c1.V1().Published(ctx, "parity")
+	h1, err := c1.PublishedAll(ctx, "parity")
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := c2.PublishedAll(ctx, "parity")
+	h2, err := c2.PublishedAll(ctx, "parity")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h1.Published) != steps || len(items) != steps {
-		t.Fatalf("history lengths %d/%d", len(h1.Published), len(items))
+	if len(h1) != steps || len(h2) != steps {
+		t.Fatalf("history lengths %d/%d", len(h1), len(h2))
 	}
-	for i := range items {
-		if h1.Budgets[i] != items[i].Eps {
-			t.Fatalf("budget %d diverges: %v vs %v", i, h1.Budgets[i], items[i].Eps)
+	for i := range h2 {
+		if h1[i].T != h2[i].T || h1[i].Eps != h2[i].Eps || len(h1[i].Published) != len(h2[i].Published) {
+			t.Fatalf("history item %d diverges: single %+v, batched %+v", i, h1[i], h2[i])
 		}
-		for j := range items[i].Published {
-			if h1.Published[i][j] != items[i].Published[j] {
-				t.Fatalf("published[%d][%d]: v1 %v != v2 %v", i, j, h1.Published[i][j], items[i].Published[j])
+		for j := range h2[i].Published {
+			if h1[i].Published[j] != h2[i].Published[j] {
+				t.Fatalf("published[%d][%d]: single %v != batched %v", i, j, h1[i].Published[j], h2[i].Published[j])
 			}
 		}
 	}

@@ -25,8 +25,7 @@
 // a generated Idempotency-Key to every batch by default: a retry of a
 // batch the server already applied is replayed from its history, never
 // double-charged. This is the property that makes retrying a POST safe
-// at all; the deprecated V1 facade has no such key, so its Step is
-// retried only when the request demonstrably never reached the server.
+// at all.
 //
 // # Streaming ingestion
 //
