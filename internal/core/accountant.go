@@ -290,24 +290,46 @@ func (a *Accountant) checkT(t int) error {
 // backward from the new tail; as soon as a freshly computed FPL(t+1)
 // is bit-identical to the cached value for the same t+1, every earlier
 // point must agree too (same successor, same budget, same deterministic
-// loss function), and the cached prefix is copied over wholesale. Every
-// budget was validated by Observe, so unlike the batch FPLSeries there
-// is no input to reject; the error return is kept for symmetry with the
-// other accessors.
+// loss function), and the cached prefix is kept. Every budget was
+// validated by Observe, so unlike the batch FPLSeries there is no input
+// to reject; the error return is kept for symmetry with the other
+// accessors.
+//
+// The refresh rewrites the changed suffix in place (growing the slice
+// with headroom when the horizon outgrows it), so a read after a few
+// new steps costs the suffix, not a copy of the whole history.
 func (a *Accountant) refreshFPL() error {
 	T := a.eps.Len()
 	if a.fplT == T {
 		return nil
 	}
 	old, oldT := a.fpl, a.fplT
-	fpl := make([]float64, T)
-	fpl[T-1] = a.eps.At(T - 1)
-	for t := T - 2; t >= 0; t-- {
-		if t+1 < oldT && fpl[t+1] == old[t+1] {
-			copy(fpl[:t+1], old[:t+1])
+	inPlace := cap(old) >= T
+	var fpl []float64
+	if inPlace {
+		fpl = old[:T]
+	} else {
+		fpl = make([]float64, T, T+T/4)
+	}
+	// next is the recomputed FPL(t+1); nextOld its cached value, read
+	// before an in-place write replaces it (hasOld: t+1 < oldT).
+	next := a.eps.At(T - 1)
+	fpl[T-1] = next
+	var nextOld float64
+	hasOld := false
+	t := T - 2
+	for ; t >= 0; t-- {
+		if hasOld && next == nextOld {
 			break
 		}
-		fpl[t] = a.qf.LossValue(fpl[t+1]) + a.eps.At(t)
+		if hasOld = t < oldT; hasOld {
+			nextOld = old[t]
+		}
+		next = a.qf.LossValue(next) + a.eps.At(t)
+		fpl[t] = next
+	}
+	if !inPlace {
+		copy(fpl[:t+1], old[:t+1])
 	}
 	a.fpl, a.fplT = fpl, T
 	return nil

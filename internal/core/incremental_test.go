@@ -143,3 +143,68 @@ func TestAccountantLongHorizonSaturates(t *testing.T) {
 		t.Fatalf("worst per-append refresh cost %d loss calls, want flat in T", worstDelta)
 	}
 }
+
+// TestFPLSinceFindsTheChangedSuffix: between captures the cached
+// forward series is refreshed in place, and FPLSince, given only an
+// earlier capture's tail, finds exactly where the series changed when
+// the two rejoin inside that tail (and falls back to 0 otherwise), so
+// the earlier series' prefix plus the returned suffix is the current
+// series. Every refresh equals the batch FPLSeries bit for bit.
+func TestFPLSinceFindsTheChangedSuffix(t *testing.T) {
+	pf, err := markov.New(markov.Fig7Forward().P())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tailLen := range []int{2, 8, 1024} {
+		acc := NewAccountant(nil, pf)
+		var eps, prev []float64
+		off, tail := acc.FPLTail(tailLen)
+		for round := 0; round < 80; round++ {
+			for i := 0; i < 1+round%5; i++ {
+				e := 0.05 + 0.01*float64((round*7+i)%9)
+				eps = append(eps, e)
+				if _, err := acc.Observe(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if round%4 != 3 {
+				if _, err := acc.FPL(1); err != nil { // refresh
+					t.Fatal(err)
+				}
+				want, err := FPLSeries(NewQuantifier(pf), eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got, _ := acc.FPL(i + 1); math.Float64bits(got) != math.Float64bits(want[i]) {
+						t.Fatalf("tail %d round %d: FPL(%d) = %v, batch series says %v", tailLen, round, i+1, got, want[i])
+					}
+				}
+			}
+			cur := acc.Snapshot().FPL
+			fplT, from, suffix := acc.FPLSince(len(prev), off, tail)
+			exact := 0 // the first index where prev and cur differ
+			for exact < min(len(prev), len(cur)) && math.Float64bits(prev[exact]) == math.Float64bits(cur[exact]) {
+				exact++
+			}
+			want := 0
+			if exact > off {
+				want = exact // the rejoin point lies inside the tail
+			}
+			if fplT != len(cur) || from != want {
+				t.Fatalf("tail %d round %d: FPLSince = (%d, %d), want (%d, %d)", tailLen, round, fplT, from, len(cur), want)
+			}
+			rebuilt := append(append([]float64(nil), prev[:from]...), suffix...)
+			if len(rebuilt) != len(cur) {
+				t.Fatalf("tail %d round %d: prefix + suffix has %d values, series %d", tailLen, round, len(rebuilt), len(cur))
+			}
+			for i := range cur {
+				if math.Float64bits(rebuilt[i]) != math.Float64bits(cur[i]) {
+					t.Fatalf("tail %d round %d: prefix + suffix differs at %d", tailLen, round, i)
+				}
+			}
+			prev = cur
+			off, tail = acc.FPLTail(tailLen)
+		}
+	}
+}

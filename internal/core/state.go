@@ -115,6 +115,43 @@ func (a *Accountant) Snapshot() *AccountantState {
 	}
 }
 
+// BPLSince returns a copy of the backward series from 0-based step
+// fromT onward — Snapshot's BPL without the prefix an earlier capture
+// already holds.
+func (a *Accountant) BPLSince(fromT int) []float64 {
+	return a.bpl.AppendRange(nil, fromT, a.bpl.Len())
+}
+
+// FPLSince compares the cached forward series with an earlier one of
+// horizon prevT, given that series' values from index off onward (as
+// FPLTail returned them). It returns the current horizon, the first
+// index at which the two differ, and a copy of the current series from
+// that index on — what a capture must add to the earlier one.
+//
+// The scan runs backward from the shorter horizon and stops at the
+// first bit-equal point: both series satisfy FPL(t) = L(FPL(t+1)) +
+// eps_t below their horizons, so once they agree at t they agree at
+// every earlier point — the same rejoin argument refreshFPL keeps the
+// old prefix by. The cost is the length of the changed suffix, not T.
+// When the series do not rejoin inside the earlier tail, from is 0:
+// the whole series may have changed.
+func (a *Accountant) FPLSince(prevT, off int, tail []float64) (fplT, from int, suffix []float64) {
+	for i := min(prevT, a.fplT) - 1; i >= off; i-- {
+		if math.Float64bits(tail[i-off]) == math.Float64bits(a.fpl[i]) {
+			from = i + 1
+			break
+		}
+	}
+	return a.fplT, from, append([]float64(nil), a.fpl[from:a.fplT]...)
+}
+
+// FPLTail returns a copy of the last n values of the cached forward
+// series (fewer when the series is shorter) and the index of the first.
+func (a *Accountant) FPLTail(n int) (off int, tail []float64) {
+	off = max(0, a.fplT-n)
+	return off, append([]float64(nil), a.fpl[off:a.fplT]...)
+}
+
 // Validate checks every structural invariant a well-formed accountant
 // maintains. It returns a *InvalidStateError describing the first
 // violation, or nil. Restores always validate: a lenient restore would

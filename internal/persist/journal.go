@@ -2,11 +2,14 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // The journal is the write-ahead half of recovery: snapshots are
@@ -31,15 +34,29 @@ type Journal struct {
 // OpenJournal opens (creating if needed) the session's journal for
 // appending.
 func (s *Store) OpenJournal(name string) (*Journal, error) {
+	return s.openLog(name, s.journalPath)
+}
+
+// OpenDeltaLog opens (creating if needed) the session's delta log: a
+// second append-only log of the same envelopes, holding incremental
+// snapshots layered on <name>.snap. It is a Journal in every respect —
+// Append, Sync, Reset (truncate after a fresh full snapshot) — only
+// under another file name, so the service can keep two logs per
+// session without a second reader.
+func (s *Store) OpenDeltaLog(name string) (*Journal, error) {
+	return s.openLog(name, s.deltaPath)
+}
+
+func (s *Store) openLog(name string, path func(string) string) (*Journal, error) {
 	if err := checkSessionName(name); err != nil {
 		return nil, err
 	}
-	path := s.journalPath(name)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	p := path(name)
+	f, err := os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("persist: opening journal: %w", err)
+		return nil, fmt.Errorf("persist: opening %s: %w", filepath.Base(p), err)
 	}
-	return &Journal{f: f, path: path}, nil
+	return &Journal{f: f, path: p}, nil
 }
 
 // Append writes one record (an envelope framing body) to the journal.
@@ -63,7 +80,7 @@ func (j *Journal) Close() error { return j.f.Close() }
 // position, which the service does by skipping records by step index.
 func (j *Journal) Reset() error {
 	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("persist: truncating journal: %w", err)
+		return fmt.Errorf("persist: truncating %s: %w", filepath.Base(j.path), err)
 	}
 	// O_APPEND writes position themselves at the (now zero) end; no seek
 	// is needed, and the file offset staying large is harmless.
@@ -77,6 +94,11 @@ type ReplayResult struct {
 	// Torn reports whether the journal ended in a torn or corrupt
 	// record (ignored — the expected shape after a crash mid-append).
 	Torn bool
+	// Corrupt refines Torn: the unverifiable record's header is intact
+	// and declares an extent that ends before the file does, so more
+	// data follows it. A crash mid-append tears only the final record,
+	// so this is damage to the middle of the log, not a torn tail.
+	Corrupt bool
 }
 
 // ReplayJournal streams every intact record of the session's journal to
@@ -86,19 +108,30 @@ type ReplayResult struct {
 // journal file replays zero records: a session that never stepped has
 // nothing to recover. An error from fn aborts the replay.
 func (s *Store) ReplayJournal(name string, fn func(version uint32, body []byte) error) (ReplayResult, error) {
+	return s.replayLog(name, s.journalPath, fn)
+}
+
+// ReplayDeltaLog is ReplayJournal over the session's delta log.
+func (s *Store) ReplayDeltaLog(name string, fn func(version uint32, body []byte) error) (ReplayResult, error) {
+	return s.replayLog(name, s.deltaPath, fn)
+}
+
+func (s *Store) replayLog(name string, path func(string) string, fn func(version uint32, body []byte) error) (ReplayResult, error) {
 	var res ReplayResult
 	if err := checkSessionName(name); err != nil {
 		return res, err
 	}
-	f, err := os.Open(s.journalPath(name))
+	p := path(name)
+	f, err := os.Open(p)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return res, nil
 		}
-		return res, fmt.Errorf("persist: opening journal: %w", err)
+		return res, fmt.Errorf("persist: opening %s: %w", filepath.Base(p), err)
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
+	var off int64 // start of the next record
 	for {
 		if _, err := br.Peek(1); errors.Is(err, io.EOF) {
 			return res, nil // file ends exactly on a record boundary
@@ -107,6 +140,7 @@ func (s *Store) ReplayJournal(name string, fn func(version uint32, body []byte) 
 		if err != nil {
 			if isTornTail(err) {
 				res.Torn = true
+				res.Corrupt = followedByData(f, off)
 				return res, nil
 			}
 			return res, err
@@ -115,7 +149,24 @@ func (s *Store) ReplayJournal(name string, fn func(version uint32, body []byte) 
 			return res, err
 		}
 		res.Records++
+		off += envelopeHeaderSize + int64(len(body))
 	}
+}
+
+// followedByData reports whether the record starting at off has an
+// intact magic and a declared extent ending before the end of f — the
+// signature of a damaged middle record rather than a torn final one.
+func followedByData(f *os.File, off int64) bool {
+	info, err := f.Stat()
+	if err != nil {
+		return false
+	}
+	hdr := make([]byte, envelopeHeaderSize)
+	if _, err := f.ReadAt(hdr, off); err != nil || !bytes.Equal(hdr[:8], envelopeMagic[:]) {
+		return false
+	}
+	n := binary.LittleEndian.Uint64(hdr[12:])
+	return n <= maxBodyBytes && off+envelopeHeaderSize+int64(n) < info.Size()
 }
 
 // isTornTail classifies a decode failure as an ignorable tail. Torn

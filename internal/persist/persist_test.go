@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -250,6 +251,9 @@ func TestJournalTornTail(t *testing.T) {
 		if res.Torn == onBoundary {
 			t.Fatalf("cut %d: torn=%v on boundary=%v", cut, res.Torn, onBoundary)
 		}
+		if res.Corrupt {
+			t.Fatalf("cut %d: a torn tail reported as mid-log damage", cut)
+		}
 	}
 }
 
@@ -287,7 +291,81 @@ func TestJournalCorruptMiddleStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Records != 1 || !res.Torn {
+	if res.Records != 1 || !res.Torn || !res.Corrupt {
 		t.Fatalf("replay after mid-corruption: %+v", res)
+	}
+}
+
+// TestDeltaLogIsASecondJournal: the delta log is a journal under its
+// own file name — its records replay through ReplayDeltaLog only, Reset
+// empties it, and Remove deletes it with the session's other files.
+func TestDeltaLogIsASecondJournal(t *testing.T) {
+	s := testStore(t)
+	j, err := s.OpenJournal("sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	d, err := s.OpenDeltaLog("sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := j.Append(2, []byte("step")); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{"delta-1", "delta-2"} {
+		if err := d.Append(1, []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	res, err := s.ReplayDeltaLog("sess", func(version uint32, body []byte) error {
+		if version != 1 {
+			t.Fatalf("delta record version %d", version)
+		}
+		got = append(got, string(body))
+		return nil
+	})
+	if err != nil || res.Records != 2 || res.Torn || strings.Join(got, ",") != "delta-1,delta-2" {
+		t.Fatalf("delta replay %+v %q, %v", res, got, err)
+	}
+	if res, err := s.ReplayJournal("sess", func(uint32, []byte) error { return nil }); err != nil || res.Records != 1 {
+		t.Fatalf("journal replay %+v, %v", res, err)
+	}
+	if err := d.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.ReplayDeltaLog("sess", func(uint32, []byte) error { return nil }); err != nil || res.Records != 0 {
+		t.Fatalf("delta replay after reset %+v, %v", res, err)
+	}
+	if err := s.SaveSnapshot("sess", 2, []byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove("sess"); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("Remove left %s", e.Name())
+	}
+}
+
+// TestSyncDirReportsErrors: a directory fsync that cannot happen is an
+// error, not a silent success — compaction relies on the rename it
+// makes durable.
+func TestSyncDirReportsErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir on a real directory: %v", err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncDir on a missing directory succeeded")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -16,6 +17,7 @@ const (
 	snapSuffix    = ".snap"
 	snapTmpSuffix = ".snap.tmp"
 	journalSuffix = ".journal"
+	deltaSuffix   = ".delta"
 	tombSuffix    = ".tomb"
 	tombTmpSuffix = ".tomb.tmp"
 )
@@ -24,7 +26,9 @@ const (
 // no snapshot on disk.
 var ErrNoSnapshot = errors.New("persist: no snapshot")
 
-// Store is a directory of per-session snapshots and journals. Snapshot
+// Store is a directory of per-session snapshots, journals and delta
+// logs (a delta log is a journal of incremental snapshots layered on
+// the snapshot; see OpenDeltaLog). Snapshot
 // writes are atomic (write temp, fsync, rename), so the file named
 // <session>.snap is always the last good snapshot: a crash mid-write
 // leaves at worst an ignorable .snap.tmp next to it.
@@ -69,11 +73,15 @@ func checkSessionName(name string) error {
 
 func (s *Store) snapPath(name string) string    { return filepath.Join(s.dir, name+snapSuffix) }
 func (s *Store) journalPath(name string) string { return filepath.Join(s.dir, name+journalSuffix) }
+func (s *Store) deltaPath(name string) string   { return filepath.Join(s.dir, name+deltaSuffix) }
 
 // SaveSnapshot atomically replaces the session's snapshot: the envelope
 // is written to a temp file, fsynced, and renamed over the previous
 // snapshot, then the directory entry is fsynced. At no point does a
-// crash leave the store without the last good snapshot.
+// crash leave the store without the last good snapshot. An error from
+// the directory fsync is returned even though the new snapshot is
+// already visible: the caller must not rely on the rename surviving a
+// power loss.
 func (s *Store) SaveSnapshot(name string, version uint32, body []byte) error {
 	if err := checkSessionName(name); err != nil {
 		return err
@@ -101,18 +109,24 @@ func (s *Store) SaveSnapshot(name string, version uint32, body []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("persist: publishing snapshot: %w", err)
 	}
-	syncDir(s.dir)
-	return nil
+	return syncDir(s.dir)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power
-// loss. Errors are ignored: not every filesystem supports it, and the
-// rename itself already happened.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+// loss. EINVAL is the one tolerated failure: it is how a filesystem
+// that cannot fsync a directory at all says so, and on such a
+// filesystem there is no stronger barrier to ask for.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("persist: opening state dir for fsync: %w", err)
 	}
+	err = d.Sync()
+	d.Close()
+	if err != nil && !errors.Is(err, syscall.EINVAL) {
+		return fmt.Errorf("persist: syncing state dir: %w", err)
+	}
+	return nil
 }
 
 // LoadSnapshot reads and verifies the session's snapshot, returning its
@@ -173,14 +187,15 @@ func (s *Store) List() ([]string, error) {
 	return names, nil
 }
 
-// Remove deletes the session's snapshot and journal (missing files are
-// fine: Remove is how Delete cleans up half-created sessions too).
+// Remove deletes the session's snapshot, journal and delta log (missing
+// files are fine: Remove is how Delete cleans up half-created sessions
+// too).
 func (s *Store) Remove(name string) error {
 	if err := checkSessionName(name); err != nil {
 		return err
 	}
 	var firstErr error
-	for _, p := range []string{s.snapPath(name), s.journalPath(name), filepath.Join(s.dir, name+snapTmpSuffix)} {
+	for _, p := range []string{s.snapPath(name), s.journalPath(name), s.deltaPath(name), filepath.Join(s.dir, name+snapTmpSuffix)} {
 		if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) && firstErr == nil {
 			firstErr = fmt.Errorf("persist: removing %s: %w", p, err)
 		}
@@ -221,8 +236,7 @@ func (s *Store) SaveTombstone(name, location string) error {
 		os.Remove(tmp)
 		return fmt.Errorf("persist: publishing tombstone: %w", err)
 	}
-	syncDir(s.dir)
-	return nil
+	return syncDir(s.dir)
 }
 
 // LoadTombstones returns every persisted session -> new-owner redirect.

@@ -3,13 +3,17 @@ package service
 import (
 	"net/http"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // TestDeletePurgesPersistedState is the resurrection regression test:
 // DELETE /v2/sessions/{name} on a durable registry must remove the
-// session's snapshot AND journal from the state dir, so a process
+// session's snapshot, journal AND delta log from the state dir, so a process
 // restart on the same directory does not bring the deleted tenant (and
 // its privacy accounting) back from the dead.
 func TestDeletePurgesPersistedState(t *testing.T) {
@@ -44,6 +48,9 @@ func TestDeletePurgesPersistedState(t *testing.T) {
 		if found == 0 {
 			t.Fatal("no persisted files before delete — test is vacuous")
 		}
+		if info, err := os.Stat(filepath.Join(dir, name+".delta")); err != nil || info.Size() == 0 {
+			t.Fatalf("no delta record before delete (%v) — the delta log is not covered", err)
+		}
 
 		if rec = doJSON(t, h, "DELETE", "/v2/sessions/"+name, "", nil); rec.Code != http.StatusNoContent {
 			t.Fatalf("delete: %d %s", rec.Code, rec.Body.String())
@@ -74,4 +81,37 @@ func TestDeletePurgesPersistedState(t *testing.T) {
 			t.Fatalf("deleted session %q is live after restart", name)
 		}
 	})
+}
+
+// TestDeleteReturnsHistoryMemory: deleting a session frees its history
+// at once — the heap does not keep holding it until allocation pressure
+// happens to trigger a collection.
+func TestDeleteReturnsHistoryMemory(t *testing.T) {
+	r := NewRegistry()
+	s, err := r.Create(&SessionConfig{Name: "big", Domain: 256, Users: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]stream.BatchStep, 256)
+	for i := range steps {
+		eps := 0.1
+		steps[i] = stream.BatchStep{Counts: make([]int, 256), Eps: &eps}
+		steps[i].Counts[i] = 1
+	}
+	for i := 0; i < 40; i++ { // 10240 steps of 2 KiB published rows: ~20 MiB
+		if _, _, err := s.CollectBatch("", steps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := r.Delete("big"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if freed := int64(before.HeapAlloc) - int64(after.HeapAlloc); freed < 10<<20 {
+		t.Fatalf("deleting a ~20 MiB session freed %d bytes of heap", freed)
+	}
 }

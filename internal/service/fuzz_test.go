@@ -3,9 +3,13 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/persist"
 	"repro/internal/stream"
 )
 
@@ -170,4 +174,89 @@ func TestArenaDecodeRecyclingSeeds(t *testing.T) {
 				bytes.TrimSpace(raw), snapshotSteps(wantSteps), wantErr, snapshotSteps(gotSteps), gotErr)
 		}
 	}
+}
+
+// FuzzRestoreDeltaRecord feeds arbitrary bytes as the body of a
+// checksum-valid delta-log record behind a real base: decoding and
+// applying it must never panic, a body that does not decode to a delta
+// must never restore, and a session that does restore must hold exactly
+// the base's steps (a record naming another base is skipped) or the
+// record's, and answer its reads.
+func FuzzRestoreDeltaRecord(f *testing.F) {
+	template := f.TempDir()
+	r := durableRegistry(f, template, 1<<20)
+	s, err := r.Create(deltaTestConfig("sess"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 6; i++ {
+		if _, _, err := s.CollectBatch(fmt.Sprintf("k%d", i), randomBatch(rng, 5, 4)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	s.cursor = nil // the next snapshot compacts: the base, at T > 0
+	if _, err := s.SnapshotNow(); err != nil {
+		f.Fatal(err)
+	}
+	base, err := os.ReadFile(filepath.Join(template, "sess.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	baseT, baseID := s.Server().T(), s.baseID
+	for i := 0; i < 3; i++ {
+		if _, _, err := s.CollectBatch(fmt.Sprintf("d%d", i), randomBatch(rng, 5, 4)); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := s.SnapshotNow(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	_, err = r.Store().ReplayDeltaLog("sess", func(_ uint32, body []byte) error {
+		f.Add(body)
+		return nil
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("not a delta"))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "sess.snap"), base, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		if err := persist.EncodeEnvelope(&log, deltaSchemaVersion, body); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "sess.delta"), log.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := durableRegistry(t, dir, 1<<20)
+		defer r.Close()
+		restored, _ := r.RestoreAll()
+		if len(restored) == 0 {
+			return
+		}
+		var rec sessionDelta
+		if err := gobDecode(body, &rec); err != nil || rec.Server == nil {
+			t.Fatalf("restored from a body that is not a delta (%v)", err)
+		}
+		s, err := r.Get("sess")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := baseT
+		if rec.BaseID == baseID {
+			want = rec.Server.ToT
+		}
+		if T := s.Server().T(); T != want {
+			t.Fatalf("restored T=%d, want %d (base at %d, delta to %d)", T, want, baseT, rec.Server.ToT)
+		}
+		if _, err := s.Server().Report(); err != nil {
+			t.Fatalf("restored session cannot report: %v", err)
+		}
+	})
 }

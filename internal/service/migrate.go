@@ -76,7 +76,7 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 		s.stepMu.Unlock()
 		return "", &WrongShardError{Name: name, Location: loc}
 	}
-	body, err := s.encodeStateLocked(s.srv.Snapshot())
+	body, err := s.encodeStateLocked(s.srv.Snapshot(), 0)
 	if err != nil {
 		s.stepMu.Unlock()
 		return "", err
@@ -159,7 +159,11 @@ func pushSessionState(ctx context.Context, target string, body []byte) error {
 // (durable mode) before this returns, so the acknowledgment the source
 // retires on implies the state is safe here.
 func (r *Registry) ImportSession(version uint32, body []byte) (*Session, error) {
-	st, cfg, srv, err := r.decodeSessionState(version, body)
+	st, err := decodeSessionState(version, body)
+	if err != nil {
+		return nil, err
+	}
+	cfg, srv, err := r.restoreSessionServer(st)
 	if err != nil {
 		return nil, err
 	}

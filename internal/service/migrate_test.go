@@ -116,10 +116,21 @@ func TestMigrateMovesSession(t *testing.T) {
 	if code := h.get(h.srvA.URL, "/v2/sessions/web/report", &before); code != http.StatusOK {
 		t.Fatalf("report before: %d", code)
 	}
+	if code, body = h.post(h.srvA.URL, "/v2/sessions/web/snapshot", "", nil); code != http.StatusOK {
+		t.Fatalf("snapshot: %d %s", code, body)
+	}
+	if info, err := os.Stat(filepath.Join(h.stateDir, "web.delta")); err != nil || info.Size() == 0 {
+		t.Fatalf("no delta record before the migration (%v): the test does not cover the delta log", err)
+	}
 
 	code, body = h.post(h.srvA.URL, "/v2/sessions/web/migrate", `{"target":"`+h.srvB.URL+`"}`, nil)
 	if code != http.StatusOK {
 		t.Fatalf("migrate: %d %s", code, body)
+	}
+	for _, f := range []string{"web.snap", "web.journal", "web.delta"} {
+		if _, err := os.Stat(filepath.Join(h.stateDir, f)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("migrated session left %s at the source: %v", f, err)
+		}
 	}
 	var mig struct {
 		Name     string `json:"name"`

@@ -13,32 +13,44 @@ import (
 
 // Durable accounting. With a store attached, every session's leakage
 // state survives process death: the registry writes an initial snapshot
-// at creation, appends one journal record per ingestion batch, coalesces
-// full snapshots every snapshotEvery steps, and on boot restores every
-// session from last-good-snapshot + replayed journal tail. Restarting
-// tplserved therefore cannot reset anyone's privacy budget — which is
-// the whole point of the accounting.
+// at creation, appends one journal record per ingestion batch,
+// coalesces a snapshot every snapshotEvery steps, and on boot restores
+// every session from last-good-snapshot + delta log + replayed journal
+// tail. Restarting tplserved therefore cannot reset anyone's privacy
+// budget — which is the whole point of the accounting.
+//
+// A coalesced snapshot is incremental: <name>.snap holds a full base,
+// and each later snapshot appends only what changed since the previous
+// one (a sessionDelta) to <name>.delta. When the delta log would grow
+// past the base, the next snapshot compacts instead — a fresh base,
+// then an emptied delta log — so the bytes written stay amortised O(1)
+// per step rather than O(T).
 
-// Snapshot/journal schema versions inside the persist envelopes. Bump
+// Snapshot, delta-log and journal schema versions inside the persist
+// envelopes. Bump
 // on any change to the encodings. Restore reads exactly these versions
 // and refuses every other one with a "not supported" error rather than
 // guessing (DESIGN.md §6).
 //
 // A snapshot is a sessionState (config, server state, idempotency
-// entries). A journal record is a batchRecord carrying a whole
-// ingestion batch plus its optional idempotency record, appended as ONE
+// entries). A delta-log record is a sessionDelta. A journal record is
+// a batchRecord carrying a whole ingestion batch plus its optional
+// idempotency record, appended as ONE
 // checksummed envelope so a torn tail drops a batch and its key
 // together — the retry-safety invariant (a key on disk implies all its
 // steps are too) depends on exactly that atomicity.
 const (
 	sessionSchemaVersion = 2
 	batchSchemaVersion   = 2
+	deltaSchemaVersion   = 1
 )
 
-// defaultSnapshotEvery is the snapshot coalescing interval in steps: a
-// full snapshot costs O(users + cohorts·T), a journal record O(domain),
-// so snapshots ride along only every N steps and recovery replays at
-// most N records.
+// defaultSnapshotEvery is the snapshot coalescing interval in steps. A
+// journal record costs O(domain) per step; a coalesced snapshot costs
+// O((domain + cohorts)·N) for the N steps since the previous one plus
+// the idempotency memory, with the O(users + (domain + 3·cohorts)·T)
+// base rewrite amortised over the deltas that outgrow it. Recovery
+// replays at most N journal steps behind the last snapshot.
 const defaultSnapshotEvery = 64
 
 // JournalSyncMode selects how journal appends reach stable storage.
@@ -114,14 +126,44 @@ func (r *Registry) SetJournalSync(mode JournalSyncMode, window time.Duration) er
 // config (JSON, exactly as submitted — plans and noise modes are
 // rebuilt from it rather than serialized), the creation time, the full
 // server state, and the idempotency-key memory (oldest-first, so the
-// LRU order survives the restart).
+// LRU order survives the restart). BaseID is a random nonzero tag
+// naming this base to the delta records layered on it; a migration
+// body, which has none, and every snapshot written before delta logs
+// existed decode it as zero (an additive field: still schema v2).
 //
-//tplvet:wire v2 schema=9bd3818beedc
+//tplvet:wire v2 schema=8e65de803f9a
 type sessionState struct {
 	ConfigJSON []byte
 	Created    time.Time
 	Server     *stream.ServerState
 	Idem       []idemRecord
+	BaseID     uint64
+}
+
+// sessionDelta is the body of a delta-log record: the base it extends,
+// what changed in the server since the previous snapshot, and the whole
+// idempotency memory (at most idemCacheSize entries, oldest-first, so
+// restore reproduces the LRU eviction order exactly).
+//
+//tplvet:wire v1 schema=3d2ef11ebb0c
+type sessionDelta struct {
+	BaseID uint64
+	Server *stream.ServerDelta
+	Idem   []idemRecord
+}
+
+// deltaHead decodes a sessionDelta without its idempotency memory (gob
+// skips the field): every record carries the whole LRU, so restore
+// needs only the last applied record's, and skipping the others keeps
+// replaying a delta log cheap.
+type deltaHead struct {
+	BaseID uint64
+	Server *stream.ServerDelta
+}
+
+// deltaIdem decodes only a sessionDelta's idempotency memory.
+type deltaIdem struct {
+	Idem []idemRecord
 }
 
 // batchRecord is the journal body: one ingestion batch and its
@@ -201,19 +243,15 @@ func (s *Session) initPersistenceLocked(store *persist.Store, snapshotEvery int)
 	return nil
 }
 
-// snapshotLocked captures and durably writes the session's full state,
-// then resets the journal (snapshot first, reset second: a crash
-// between the two leaves journal records the snapshot already covers,
-// which replay skips by step index). A successful snapshot also heals
-// a poisoned journal — the reset truncates whatever partial record a
+// snapshotLocked makes the session's current state durable — as a delta
+// record when the delta log can take one, otherwise as a compaction —
+// then resets the journal (state first, reset second: a crash between
+// the two leaves journal records the snapshot already covers, which
+// replay skips by step index). A successful snapshot also heals a
+// poisoned journal — the reset truncates whatever partial record a
 // failed append left behind. Caller holds s.stepMu.
 func (s *Session) snapshotLocked() error {
-	st := s.srv.Snapshot()
-	body, err := s.encodeStateLocked(st)
-	if err != nil {
-		return err
-	}
-	if err := s.store.SaveSnapshot(s.name, sessionSchemaVersion, body); err != nil {
+	if err := s.writeStateLocked(); err != nil {
 		return err
 	}
 	if s.journal != nil {
@@ -223,7 +261,7 @@ func (s *Session) snapshotLocked() error {
 	}
 	s.journalBad = false
 	s.persistMu.Lock()
-	s.lastSnapT = st.T()
+	s.lastSnapT = s.cursor.T()
 	s.lastSnapAt = s.now()
 	s.journalRecords = 0
 	s.persistErr = nil
@@ -231,11 +269,101 @@ func (s *Session) snapshotLocked() error {
 	return nil
 }
 
+// writeStateLocked appends what changed since the last snapshot to the
+// delta log (append, then fsync). It compacts instead when there is no
+// cursor (first snapshot, after restore, or after a failed write) or
+// when the delta log would outgrow the base. A failed append drops the
+// cursor and the log's handle, so the next snapshot compacts past
+// whatever partial record it left, through a freshly opened file (a
+// retried write or fsync on a handle that already failed can claim
+// success for data the kernel dropped). Caller holds s.stepMu.
+func (s *Session) writeStateLocked() error {
+	if s.cursor == nil {
+		return s.compactLocked()
+	}
+	d, next := s.srv.SnapshotDelta(s.cursor)
+	body, err := gobEncode(sessionDelta{BaseID: s.baseID, Server: d, Idem: s.idem.entries()})
+	if err != nil {
+		return fmt.Errorf("service: encoding snapshot delta: %w", err)
+	}
+	if s.deltaBytes+len(body) > s.baseBytes {
+		return s.compactLocked()
+	}
+	err = s.deltaLog.Append(deltaSchemaVersion, body)
+	if err == nil {
+		err = s.deltaLog.Sync()
+	}
+	if err != nil {
+		s.dropDeltaLogLocked()
+		return fmt.Errorf("service: appending snapshot delta at step %d: %w", d.ToT, err)
+	}
+	s.cursor = next
+	s.deltaBytes += len(body)
+	return nil
+}
+
+// compactLocked writes a fresh base under a new BaseID and empties the
+// delta log (base first, truncate second: a crash between the two
+// leaves delta records the base already covers, which restore skips
+// because they name an earlier base). The cursor is set only once both
+// landed, so any failure leaves the next snapshot to compact again.
+// Caller holds s.stepMu.
+func (s *Session) compactLocked() error {
+	s.cursor = nil
+	id, err := newBaseID()
+	if err != nil {
+		return err
+	}
+	st, cur := s.srv.Checkpoint()
+	body, err := s.encodeStateLocked(st, id)
+	if err != nil {
+		return err
+	}
+	if err := s.store.SaveSnapshot(s.name, sessionSchemaVersion, body); err != nil {
+		return err
+	}
+	if s.deltaLog == nil {
+		if s.deltaLog, err = s.store.OpenDeltaLog(s.name); err != nil {
+			return err
+		}
+	}
+	if err := s.deltaLog.Reset(); err != nil {
+		s.dropDeltaLogLocked()
+		return err
+	}
+	s.cursor, s.baseID, s.baseBytes, s.deltaBytes = cur, id, len(body), 0
+	return nil
+}
+
+// newBaseID draws a random nonzero base tag. Random rather than counted,
+// so a delta log left behind by an earlier session of the same name can
+// never match a new session's base.
+func newBaseID() (uint64, error) {
+	for {
+		seed, err := randomSeed()
+		if err != nil {
+			return 0, err
+		}
+		if seed != 0 {
+			return uint64(seed), nil
+		}
+	}
+}
+
+// dropDeltaLogLocked closes the delta log after a failed write and
+// drops the cursor, so the next snapshot compacts and reopens the log.
+// Caller holds s.stepMu.
+func (s *Session) dropDeltaLogLocked() {
+	s.deltaLog.Close()
+	s.deltaLog, s.cursor = nil, nil
+}
+
 // encodeStateLocked gob-encodes the session's full portable state (the
-// same body snapshots persist; migration ships it over the wire). Caller
-// holds s.stepMu; st is a fresh s.srv.Snapshot().
-func (s *Session) encodeStateLocked(st *stream.ServerState) ([]byte, error) {
-	body, err := gobEncode(sessionState{ConfigJSON: s.cfgJSON, Created: s.created, Server: st, Idem: s.idem.entries()})
+// same body snapshots persist, tagged baseID; migration ships it over
+// the wire untagged). Caller holds s.stepMu; st is a fresh
+// s.srv.Snapshot().
+func (s *Session) encodeStateLocked(st *stream.ServerState, baseID uint64) ([]byte, error) {
+	body, err := gobEncode(sessionState{ConfigJSON: s.cfgJSON, Created: s.created, Server: st, Idem: s.idem.entries(), BaseID: baseID})
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding snapshot: %w", err)
 	}
@@ -374,32 +502,44 @@ func (s *Session) SnapshotNow() (*PersistInfo, error) {
 }
 
 // closePersistenceLocked finishes a session's durability: one final
-// snapshot (so a clean restart replays nothing) and journal close.
+// snapshot (so a clean restart replays no journal) and log close.
 // Caller holds s.stepMu.
 func (s *Session) closePersistenceLocked() error {
 	if s.store == nil {
 		return nil
 	}
 	err := s.snapshotLocked()
-	if s.journal != nil {
-		if cerr := s.journal.Close(); err == nil {
-			err = cerr
-		}
-		s.journal = nil
+	if cerr := s.closeLogsLocked(); err == nil {
+		err = cerr
 	}
 	return err
 }
 
-// dropPersistenceLocked closes the journal and deletes the session's
-// files (session deletion, not shutdown). Caller holds s.stepMu.
+// closeLogsLocked closes the journal and the delta log. Caller holds
+// s.stepMu.
+func (s *Session) closeLogsLocked() error {
+	var err error
+	if s.journal != nil {
+		err = s.journal.Close()
+		s.journal = nil
+	}
+	if s.deltaLog != nil {
+		if cerr := s.deltaLog.Close(); err == nil {
+			err = cerr
+		}
+		s.deltaLog = nil
+	}
+	s.cursor = nil
+	return err
+}
+
+// dropPersistenceLocked closes the logs and deletes the session's files
+// (session deletion, not shutdown). Caller holds s.stepMu.
 func (s *Session) dropPersistenceLocked() error {
 	if s.store == nil {
 		return nil
 	}
-	if s.journal != nil {
-		s.journal.Close()
-		s.journal = nil
-	}
+	s.closeLogsLocked()
 	store := s.store
 	s.persistMu.Lock()
 	s.store = nil
@@ -461,42 +601,101 @@ func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 	return restored, failed
 }
 
-// decodeSessionState verifies a snapshot envelope body and rebuilds the
-// portable session value it carries: the stored config, and a live
-// server with its plan and noise mode reconstructed and its compiled
-// engines re-attached by content hash through the shared model cache.
-// Both boot-time restore and cross-shard import go through it.
-func (r *Registry) decodeSessionState(version uint32, body []byte) (st sessionState, cfg SessionConfig, srv *stream.Server, err error) {
+// decodeSessionState verifies a snapshot envelope body and decodes the
+// portable session value it carries.
+func decodeSessionState(version uint32, body []byte) (st sessionState, err error) {
 	if version != sessionSchemaVersion {
-		return st, cfg, nil, fmt.Errorf("service: snapshot schema version %d not supported (want %d)", version, sessionSchemaVersion)
+		return st, fmt.Errorf("service: snapshot schema version %d not supported (want %d)", version, sessionSchemaVersion)
 	}
 	if err := gobDecode(body, &st); err != nil {
-		return st, cfg, nil, fmt.Errorf("service: decoding snapshot: %w", err)
+		return st, fmt.Errorf("service: decoding snapshot: %w", err)
 	}
 	if st.Server == nil {
-		return st, cfg, nil, fmt.Errorf("service: snapshot has no server state")
+		return st, fmt.Errorf("service: snapshot has no server state")
 	}
+	return st, nil
+}
+
+// restoreSessionServer rebuilds a decoded session value into its stored
+// config and a live server, with its plan and noise mode reconstructed
+// and its compiled engines re-attached by content hash through the
+// shared model cache. Both boot-time restore and cross-shard import go
+// through it.
+func (r *Registry) restoreSessionServer(st sessionState) (cfg SessionConfig, srv *stream.Server, err error) {
 	if err := json.Unmarshal(st.ConfigJSON, &cfg); err != nil {
-		return st, cfg, nil, fmt.Errorf("service: decoding stored config: %w", err)
+		return cfg, nil, fmt.Errorf("service: decoding stored config: %w", err)
 	}
 	opts := stream.RestoreOptions{Cache: r.models}
 	if cfg.Plan != nil {
 		plan, err := cfg.Plan.buildPlan(cfg.firstModel())
 		if err != nil {
-			return st, cfg, nil, fmt.Errorf("service: rebuilding plan: %w", err)
+			return cfg, nil, fmt.Errorf("service: rebuilding plan: %w", err)
 		}
 		opts.Plan = plan
 	}
 	if st.Server.RNG.Provenance != stream.NoiseSeeded {
 		if opts.ReseedSeed, err = randomSeed(); err != nil {
-			return st, cfg, nil, err
+			return cfg, nil, err
 		}
 	}
 	srv, err = stream.RestoreServer(st.Server, opts)
 	if err != nil {
-		return st, cfg, nil, err
+		return cfg, nil, err
 	}
-	return st, cfg, srv, nil
+	return cfg, srv, nil
+}
+
+// applyDeltaLog layers the session's delta log onto a decoded base.
+// Records naming an earlier base are already covered by this one (a
+// crash between a compaction's rename and its truncate leaves them) and
+// are skipped — by BaseID, since a record that added no step has the
+// same FromT/ToT whichever side of the compaction wrote it. Every other
+// record must continue the state exactly (FromT at the state's step),
+// or the restore fails. A torn final record ends the log cleanly — the
+// journal was not reset past it, so it still holds those steps — but
+// damage followed by more records fails the session loudly rather than
+// silently restoring a shorter history.
+//
+// It reports the bytes of record bodies the log holds and whether it
+// ended on a record boundary: only then can new records be appended
+// behind it.
+func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logBytes int, clean bool, err error) {
+	var last []byte // the last applied record: its Idem is the LRU to restore
+	res, err := store.ReplayDeltaLog(name, func(version uint32, body []byte) error {
+		logBytes += len(body)
+		if version != deltaSchemaVersion {
+			return fmt.Errorf("service: delta schema version %d not supported (want %d)", version, deltaSchemaVersion)
+		}
+		var rec deltaHead
+		if err := gobDecode(body, &rec); err != nil {
+			return fmt.Errorf("service: decoding snapshot delta: %w", err)
+		}
+		if rec.Server == nil {
+			return fmt.Errorf("service: snapshot delta has no server state")
+		}
+		if rec.BaseID != st.BaseID {
+			return nil
+		}
+		if err := st.Server.Extend(rec.Server); err != nil {
+			return fmt.Errorf("service: applying snapshot delta: %w", err)
+		}
+		last = body
+		return nil
+	})
+	if err != nil {
+		return 0, false, err
+	}
+	if res.Corrupt {
+		return 0, false, fmt.Errorf("service: delta log is damaged after %d intact records", res.Records)
+	}
+	if last != nil {
+		var rec deltaIdem
+		if err := gobDecode(last, &rec); err != nil {
+			return 0, false, fmt.Errorf("service: decoding snapshot delta: %w", err)
+		}
+		st.Idem = rec.Idem
+	}
+	return logBytes, !res.Torn, nil
 }
 
 // restoreOne loads, verifies, replays and registers one session.
@@ -505,7 +704,15 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 	if err != nil {
 		return err
 	}
-	st, cfg, srv, err := r.decodeSessionState(version, body)
+	st, err := decodeSessionState(version, body)
+	if err != nil {
+		return err
+	}
+	logBytes, clean, err := applyDeltaLog(store, name, &st)
+	if err != nil {
+		return err
+	}
+	cfg, srv, err := r.restoreSessionServer(st)
 	if err != nil {
 		return err
 	}
@@ -513,6 +720,14 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 		return fmt.Errorf("service: snapshot file %q holds config for session %q", name, cfg.Name)
 	}
 	snapT := srv.T()
+	// When the delta log ended cleanly, what is on disk is exactly the
+	// state restored so far, and new deltas can extend it; otherwise (a
+	// torn tail, or a base from before delta logs) the first snapshot
+	// compacts.
+	var cursor *stream.DeltaCursor
+	if clean && st.BaseID != 0 {
+		cursor = srv.Cursor()
+	}
 	// Replay the journal tail, one batch record (steps + idempotency
 	// record) at a time. Step records at or before the snapshot are
 	// expected (crash between snapshot and journal reset) and skipped;
@@ -568,6 +783,9 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 		lastSnapT:      snapT,
 		lastSnapAt:     snapAt,
 		journalRecords: replayedSteps,
+		baseID:         st.BaseID,
+		baseBytes:      len(body),
+		deltaBytes:     logBytes,
 	}
 	// Rebuild the idempotency memory: snapshot entries first (their
 	// stored order is the LRU order), then the journal tail's. Entries
@@ -583,20 +801,27 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 		return err
 	}
 	s.journal = j
-	// Bake the replayed tail into a fresh snapshot and reset the
-	// journal before accepting new steps. Without this, the journal is
-	// reopened in append mode behind whatever the crash left — and if
-	// that includes a torn record, everything appended after it would
-	// be unreachable by the next recovery (replay stops at the first
-	// unverifiable record): a second crash would then silently lose
-	// acknowledged steps. The session is not yet visible, so no lock
-	// ordering concerns.
+	if cursor != nil {
+		if s.deltaLog, err = store.OpenDeltaLog(name); err == nil {
+			s.cursor = cursor
+		}
+	}
+	// Bake the replayed tail into a snapshot and reset the journal
+	// before accepting new steps. Behind a clean delta log this is one
+	// more delta record; otherwise it is a compaction: a new base, and a
+	// delta log emptied of whatever the crash left (a torn final
+	// record). Without it, the logs are reopened in append mode behind
+	// that debris — and since replay stops at the first unverifiable
+	// record, everything appended after a torn one would be
+	// unreachable: a second crash would then silently lose acknowledged
+	// steps. The session is not yet visible, so no lock ordering
+	// concerns.
 	if err := s.snapshotLocked(); err != nil {
 		s.journalBad = true // persistBatch retries the snapshot instead of appending
 		s.latchPersistErr(err)
 	}
 	if err := r.reserveUsers(srv.Users()); err != nil {
-		j.Close()
+		s.closeLogsLocked()
 		return err
 	}
 	stripe := r.stripe(name)
@@ -604,7 +829,7 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 	if _, taken := stripe.sessions[name]; taken {
 		stripe.mu.Unlock()
 		r.totalUsers.Add(-int64(srv.Users()))
-		j.Close()
+		s.closeLogsLocked()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	stripe.sessions[name] = s

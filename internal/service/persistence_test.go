@@ -17,7 +17,7 @@ import (
 )
 
 // durableRegistry builds a registry persisting into dir.
-func durableRegistry(t *testing.T, dir string, every int) *Registry {
+func durableRegistry(t testing.TB, dir string, every int) *Registry {
 	t.Helper()
 	store, err := persist.NewStore(dir)
 	if err != nil {

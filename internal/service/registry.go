@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -62,6 +63,16 @@ type Session struct {
 	snapshotEvery int
 	syncMode      JournalSyncMode         // how appends reach stable storage
 	committer     *persist.GroupCommitter // shared group-commit leader (JournalSyncGroup)
+
+	// The delta log and what the snapshot files hold (guarded by stepMu;
+	// see writeStateLocked): cursor marks the state base + delta log
+	// cover (nil: the next snapshot compacts); baseID and baseBytes
+	// describe the base, deltaBytes the delta-log records appended since.
+	deltaLog   *persist.Journal
+	cursor     *stream.DeltaCursor
+	baseID     uint64
+	baseBytes  int
+	deltaBytes int
 
 	// persistMu guards only the bookkeeping below, so health and
 	// summary reads never block behind an in-flight collect or an
@@ -428,6 +439,12 @@ func (r *Registry) Get(name string) (*Session, error) {
 // happens first (under the stripe lock alone — taking stepMu under it
 // would invert Create's lock order), so the file cleanup races no new
 // steps.
+//
+// A session's history (published rows, leakage series) can run to
+// hundreds of megabytes, all of it garbage once the session is gone.
+// Delete returns it to the operating system right away: left to the
+// collector's pacing, the heap would keep the size it reached while the
+// session lived until allocation caught up with it.
 func (r *Registry) Delete(name string) error {
 	stripe := r.stripe(name)
 	stripe.mu.Lock()
@@ -445,6 +462,7 @@ func (r *Registry) Delete(name string) error {
 	// Disconnect live watchers — their session no longer exists, and a
 	// silently idle stream would hide that until a write timeout.
 	s.watch.closeAll()
+	debug.FreeOSMemory()
 	return err
 }
 

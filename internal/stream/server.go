@@ -186,8 +186,16 @@ func NewServerCached(domain, users int, models []AdversaryModel, rng *rand.Rand,
 		s.noiseProvenance = NoiseExternal
 	}
 	byKey := make(map[string]int) // model fingerprint -> cohort index
+	// A population shares chain pointers, so the cohort index is
+	// memoised per (backward, forward) pointer pair: the O(domain²) key
+	// is built once per distinct pair, not once per user.
+	byPair := make(map[AdversaryModel]int)
 	fps := make(map[*markov.Chain]string)
 	for i, m := range models {
+		if ci, ok := byPair[m]; ok {
+			s.userCohort[i] = ci
+			continue
+		}
 		// Length-prefix the backward fingerprint so the concatenation of
 		// two variable-length byte strings stays unambiguous.
 		bfp := chainFingerprint(m.Backward, fps)
@@ -205,6 +213,7 @@ func NewServerCached(domain, users int, models []AdversaryModel, rng *rand.Rand,
 			acc := core.NewAccountantFromQuantifiers(cache.quantifier(m.Backward, bfp), cache.quantifier(m.Forward, ffp))
 			s.cohorts = append(s.cohorts, &cohort{acc: acc, firstUser: i, backward: m.Backward, forward: m.Forward})
 		}
+		byPair[m] = ci
 		s.userCohort[i] = ci
 	}
 	return s, nil

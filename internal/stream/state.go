@@ -76,6 +76,19 @@ func chainRows(c *markov.Chain) [][]float64 {
 // stream position. Safe to call concurrently with readers; it takes the
 // same locks a Report does.
 func (s *Server) Snapshot() *ServerState {
+	st, _ := s.capture(false)
+	return st
+}
+
+// Checkpoint is Snapshot plus the cursor describing it, captured under
+// the same locks, so a later SnapshotDelta extends exactly this state.
+func (s *Server) Checkpoint() (*ServerState, *DeltaCursor) {
+	return s.capture(true)
+}
+
+// capture takes a snapshot and, when withCursor is set, the cursor
+// describing it.
+func (s *Server) capture(withCursor bool) (*ServerState, *DeltaCursor) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := &ServerState{
@@ -95,9 +108,18 @@ func (s *Server) Snapshot() *ServerState {
 		st.Published[i] = append([]float64(nil), s.published.At(i)...)
 	}
 	st.Cohorts = make([]CohortState, len(s.cohorts))
+	var cur *DeltaCursor
+	if withCursor {
+		cur = &DeltaCursor{t: st.T(), fpl: make([]fplTail, len(s.cohorts))}
+	}
 	for i, c := range s.cohorts {
+		// The cursor must describe the series this capture copies: a
+		// reader may refresh it as soon as the cohort lock drops.
 		c.mu.Lock()
 		acc := c.acc.Snapshot()
+		if withCursor {
+			cur.fpl[i] = captureFPLTail(c.acc)
+		}
 		c.mu.Unlock()
 		st.Cohorts[i] = CohortState{
 			FirstUser:  c.firstUser,
@@ -106,7 +128,7 @@ func (s *Server) Snapshot() *ServerState {
 			Accountant: acc,
 		}
 	}
-	return st
+	return st, cur
 }
 
 // RestoreOptions parameterizes RestoreServer.
