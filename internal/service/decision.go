@@ -15,7 +15,7 @@ import (
 // counter — see internal/plugins/logs).
 
 // Decision is one audited accounting decision. One record covers one
-// CollectBatch call — the unit both API versions and the SDK ingest by
+// CollectBatch call — the unit the steps endpoint and the SDK ingest by
 // — so decision volume scales with requests, not steps.
 type Decision struct {
 	// Time is the server-side decision time.

@@ -141,8 +141,8 @@ func batchHash(steps []stream.BatchStep) [32]byte {
 	return out
 }
 
-// CollectBatch is the unified ingestion endpoint both API versions
-// call: it applies a validated-atomic batch of steps (stream.Server's
+// CollectBatch is the unified ingestion endpoint the steps handler
+// calls: it applies a validated-atomic batch of steps (stream.Server's
 // contract), persists it as one journal record, remembers it under the
 // idempotency key (when one is given), and notifies live watchers. A
 // replayed batch — same key, same content — re-answers from history

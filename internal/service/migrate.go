@@ -71,18 +71,19 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 		return "", err
 	}
 	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	if s.retired {
-		loc := s.retiredTo
-		s.stepMu.Unlock()
-		return "", &WrongShardError{Name: name, Location: loc}
+		return "", &WrongShardError{Name: name, Location: s.retiredTo}
+	}
+	// A session deleted since the lookup must not reach the target.
+	if !r.owns(s) {
+		return "", fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	body, err := s.encodeStateLocked(s.srv.Snapshot(), 0)
 	if err != nil {
-		s.stepMu.Unlock()
 		return "", err
 	}
 	if err := pushSessionState(ctx, target, body); err != nil {
-		s.stepMu.Unlock()
 		return "", fmt.Errorf("%w: %v", ErrMigrateFailed, err)
 	}
 	// The target acknowledged: it owns the state now. Everything below
@@ -92,30 +93,8 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 	// second owner.
 	s.retired = true
 	s.retiredTo = target
-	tombErr := r.saveTombstoneFile(name, target)
-	dropErr := s.dropPersistenceLocked()
-	s.stepMu.Unlock()
-	stripe := r.stripe(name)
-	stripe.mu.Lock()
-	owned := stripe.sessions[name] == s
-	if owned {
-		delete(stripe.sessions, name)
-		stripe.tombstones[name] = target
-	}
-	stripe.mu.Unlock()
-	if owned {
-		r.totalUsers.Add(-int64(s.srv.Users()))
-	} else if tombErr == nil {
-		// A concurrent Delete that won the map race already released the
-		// capacity and wants no redirect left behind.
-		r.removeTombstoneFile(name)
-	}
-	s.watch.closeAll()
-	if tombErr != nil {
-		return target, fmt.Errorf("service: migrated %q to %s but recording its tombstone failed: %w", name, target, tombErr)
-	}
-	if dropErr != nil {
-		return target, fmt.Errorf("service: migrated %q to %s but dropping local files failed: %w", name, target, dropErr)
+	if err := r.retireLocked(s, target); err != nil {
+		return target, fmt.Errorf("service: migrated %q to %s but %w", name, target, err)
 	}
 	return target, nil
 }
@@ -163,78 +142,15 @@ func (r *Registry) ImportSession(version uint32, body []byte) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	cfg, srv, err := r.restoreSessionServer(st)
+	s, err := r.sessionFromState(st)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkName(cfg.Name); err != nil {
-		return nil, err
-	}
-	name := cfg.Name
-	stripe := r.stripe(name)
-	stripe.mu.RLock()
-	_, taken := stripe.sessions[name]
-	stripe.mu.RUnlock()
-	if taken {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	r.pmu.Lock()
-	store, every, mode, committer := r.store, r.snapshotEvery, r.syncMode, r.committer
-	r.pmu.Unlock()
-	s := &Session{
-		name:          name,
-		created:       st.Created,
-		srv:           srv,
-		now:           r.now,
-		sink:          &r.decisions,
-		modelRevision: cfg.ModelRevision,
-		cfgJSON:       st.ConfigJSON,
-		syncMode:      mode,
-		committer:     committer,
-	}
 	// The idempotency memory travels with the session: a client retrying
 	// a batch across the migration replays instead of double-applying.
-	for _, rec := range st.Idem {
-		if rec.FirstT >= 1 && rec.lastT() <= srv.T() {
-			s.idem.put(rec)
-		}
-	}
-	s.stepMu.Lock()
-	defer s.stepMu.Unlock()
-	if err := r.reserveUsers(srv.Users()); err != nil {
+	s.adoptIdem(st.Idem)
+	if err := r.admit(s, false); err != nil {
 		return nil, err
-	}
-	stripe.mu.Lock()
-	if _, taken := stripe.sessions[name]; taken {
-		stripe.mu.Unlock()
-		r.totalUsers.Add(-int64(srv.Users()))
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	stripe.sessions[name] = s
-	// A session migrating back under a previously handed-off name
-	// supersedes the old redirect.
-	hadTomb := false
-	if _, hadTomb = stripe.tombstones[name]; hadTomb {
-		delete(stripe.tombstones, name)
-	}
-	stripe.mu.Unlock()
-	if hadTomb {
-		r.removeTombstoneFile(name)
-	}
-	if store != nil {
-		if err := s.initPersistenceLocked(store, every); err != nil {
-			stripe.mu.Lock()
-			owned := stripe.sessions[name] == s
-			if owned {
-				delete(stripe.sessions, name)
-			}
-			stripe.mu.Unlock()
-			if owned {
-				r.totalUsers.Add(-int64(srv.Users()))
-				store.Remove(name)
-			}
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -247,19 +163,4 @@ func (r *Registry) TombstoneLocation(name string) (string, bool) {
 	loc, ok := stripe.tombstones[name]
 	stripe.mu.RUnlock()
 	return loc, ok
-}
-
-// saveTombstoneFile durably persists a redirect (durable mode only).
-func (r *Registry) saveTombstoneFile(name, location string) error {
-	if store := r.Store(); store != nil {
-		return store.SaveTombstone(name, location)
-	}
-	return nil
-}
-
-// removeTombstoneFile deletes a persisted redirect.
-func (r *Registry) removeTombstoneFile(name string) {
-	if store := r.Store(); store != nil {
-		_ = store.RemoveTombstone(name)
-	}
 }

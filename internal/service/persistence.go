@@ -221,25 +221,35 @@ func (r *Registry) snapEvery() int {
 	return r.snapshotEvery
 }
 
-// initPersistenceLocked writes the session's initial snapshot and opens
-// its journal. Caller holds s.stepMu; the session may already be
-// visible in the registry, so holding stepMu is what keeps any early
-// step from slipping past the journal.
-func (s *Session) initPersistenceLocked(store *persist.Store, snapshotEvery int) error {
-	// store doubles as persistInfo's "is persistence on" flag and is
-	// read under persistMu there, so its writes hold both mutexes.
-	s.persistMu.Lock()
-	s.store = store
-	s.persistMu.Unlock()
-	s.snapshotEvery = snapshotEvery
-	if err := s.snapshotLocked(); err != nil {
-		return err
-	}
-	j, err := store.OpenJournal(s.name)
+// initPersistenceLocked opens the session's journal (and its delta log,
+// when restore left a cursor to extend) and writes its first snapshot,
+// which also truncates whatever the journal held. Behind a clean delta
+// log a restored session's snapshot is one more delta record; otherwise
+// it is a compaction that empties the delta log of whatever a crash left
+// (a torn final record). Without it, the logs would reopen in append
+// mode behind that debris — and since replay stops at the first
+// unverifiable record, everything appended after it would be lost to
+// the next crash. For a recovered session a failed snapshot is latched,
+// not returned: its files already hold its state, and persistBatch
+// retries the snapshot instead of appending. Caller holds s.stepMu.
+func (s *Session) initPersistenceLocked(recovered bool) error {
+	j, err := s.store.OpenJournal(s.name)
 	if err != nil {
 		return err
 	}
 	s.journal = j
+	if s.cursor != nil {
+		if s.deltaLog, err = s.store.OpenDeltaLog(s.name); err != nil {
+			s.cursor = nil // the snapshot compacts, which reopens the log
+		}
+	}
+	if err := s.snapshotLocked(); err != nil {
+		if !recovered {
+			return err
+		}
+		s.journalBad = true
+		s.latchPersistErr(err)
+	}
 	return nil
 }
 
@@ -533,18 +543,16 @@ func (s *Session) closeLogsLocked() error {
 	return err
 }
 
-// dropPersistenceLocked closes the logs and deletes the session's files
-// (session deletion, not shutdown). Caller holds s.stepMu.
-func (s *Session) dropPersistenceLocked() error {
-	if s.store == nil {
-		return nil
-	}
+// detachPersistenceLocked closes the logs and turns the session's
+// persistence off, returning the store its files live in (nil in
+// ephemeral mode) for the caller to remove them. Caller holds s.stepMu.
+func (s *Session) detachPersistenceLocked() *persist.Store {
 	s.closeLogsLocked()
-	store := s.store
 	s.persistMu.Lock()
+	store := s.store
 	s.store = nil
 	s.persistMu.Unlock()
-	return store.Remove(s.name)
+	return store
 }
 
 // RestoreAll rebuilds every session found in the attached store: for
@@ -616,33 +624,50 @@ func decodeSessionState(version uint32, body []byte) (st sessionState, err error
 	return st, nil
 }
 
-// restoreSessionServer rebuilds a decoded session value into its stored
-// config and a live server, with its plan and noise mode reconstructed
-// and its compiled engines re-attached by content hash through the
+// sessionFromState rebuilds a decoded session value into a session: its
+// stored config, its server with the plan and noise mode reconstructed
+// and the compiled engines re-attached by content hash through the
 // shared model cache. Both boot-time restore and cross-shard import go
 // through it.
-func (r *Registry) restoreSessionServer(st sessionState) (cfg SessionConfig, srv *stream.Server, err error) {
+func (r *Registry) sessionFromState(st sessionState) (*Session, error) {
+	var cfg SessionConfig
 	if err := json.Unmarshal(st.ConfigJSON, &cfg); err != nil {
-		return cfg, nil, fmt.Errorf("service: decoding stored config: %w", err)
+		return nil, fmt.Errorf("service: decoding stored config: %w", err)
+	}
+	if err := checkName(cfg.Name); err != nil {
+		return nil, err
 	}
 	opts := stream.RestoreOptions{Cache: r.models}
 	if cfg.Plan != nil {
 		plan, err := cfg.Plan.buildPlan(cfg.firstModel())
 		if err != nil {
-			return cfg, nil, fmt.Errorf("service: rebuilding plan: %w", err)
+			return nil, fmt.Errorf("service: rebuilding plan: %w", err)
 		}
 		opts.Plan = plan
 	}
 	if st.Server.RNG.Provenance != stream.NoiseSeeded {
+		var err error
 		if opts.ReseedSeed, err = randomSeed(); err != nil {
-			return cfg, nil, err
+			return nil, err
 		}
 	}
-	srv, err = stream.RestoreServer(st.Server, opts)
+	srv, err := stream.RestoreServer(st.Server, opts)
 	if err != nil {
-		return cfg, nil, err
+		return nil, err
 	}
-	return cfg, srv, nil
+	return r.newSession(&cfg, st.ConfigJSON, st.Created, srv), nil
+}
+
+// adoptIdem rebuilds the idempotency memory from stored entries, oldest
+// first (their order is the LRU order). Entries naming steps beyond the
+// restored history are dropped — their batch never fully landed, so a
+// retry must be applied, not replayed.
+func (s *Session) adoptIdem(recs []idemRecord) {
+	for _, rec := range recs {
+		if rec.FirstT >= 1 && rec.lastT() <= s.srv.T() {
+			s.idem.put(rec)
+		}
+	}
 }
 
 // applyDeltaLog layers the session's delta log onto a decoded base.
@@ -712,21 +737,20 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 	if err != nil {
 		return err
 	}
-	cfg, srv, err := r.restoreSessionServer(st)
+	s, err := r.sessionFromState(st)
 	if err != nil {
 		return err
 	}
-	if cfg.Name != name {
-		return fmt.Errorf("service: snapshot file %q holds config for session %q", name, cfg.Name)
+	if s.name != name {
+		return fmt.Errorf("service: snapshot file %q holds config for session %q", name, s.name)
 	}
-	snapT := srv.T()
+	snapT := s.srv.T()
 	// When the delta log ended cleanly, what is on disk is exactly the
 	// state restored so far, and new deltas can extend it; otherwise (a
 	// torn tail, or a base from before delta logs) the first snapshot
 	// compacts.
-	var cursor *stream.DeltaCursor
 	if clean && st.BaseID != 0 {
-		cursor = srv.Cursor()
+		s.cursor = s.srv.Cursor()
 	}
 	// Replay the journal tail, one batch record (steps + idempotency
 	// record) at a time. Step records at or before the snapshot are
@@ -749,7 +773,7 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 				continue
 			}
 			replayedSteps++
-			if err := srv.ApplyStep(step); err != nil {
+			if err := s.srv.ApplyStep(step); err != nil {
 				return err
 			}
 		}
@@ -761,80 +785,15 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 	if err != nil {
 		return err
 	}
-	snapAt := r.now()
+	s.adoptIdem(append(st.Idem, idemTail...))
+	// The health bookkeeping describes the files as found, until the
+	// post-recovery snapshot admit writes replaces them.
+	s.lastSnapT, s.lastSnapAt, s.journalRecords = snapT, r.now(), replayedSteps
 	if mod, _, err := store.SnapshotStat(name); err == nil {
-		snapAt = mod
+		s.lastSnapAt = mod
 	}
-	r.pmu.Lock()
-	every, mode, committer := r.snapshotEvery, r.syncMode, r.committer
-	r.pmu.Unlock()
-	s := &Session{
-		name:           name,
-		created:        st.Created,
-		srv:            srv,
-		now:            r.now,
-		sink:           &r.decisions,
-		modelRevision:  cfg.ModelRevision,
-		store:          store,
-		cfgJSON:        st.ConfigJSON,
-		snapshotEvery:  every,
-		syncMode:       mode,
-		committer:      committer,
-		lastSnapT:      snapT,
-		lastSnapAt:     snapAt,
-		journalRecords: replayedSteps,
-		baseID:         st.BaseID,
-		baseBytes:      len(body),
-		deltaBytes:     logBytes,
-	}
-	// Rebuild the idempotency memory: snapshot entries first (their
-	// stored order is the LRU order), then the journal tail's. Entries
-	// naming steps beyond the restored history are dropped — their batch
-	// never fully landed, so a retry must be applied, not replayed.
-	for _, rec := range append(append([]idemRecord(nil), st.Idem...), idemTail...) {
-		if rec.FirstT >= 1 && rec.lastT() <= srv.T() {
-			s.idem.put(rec)
-		}
-	}
-	j, err := store.OpenJournal(name)
-	if err != nil {
-		return err
-	}
-	s.journal = j
-	if cursor != nil {
-		if s.deltaLog, err = store.OpenDeltaLog(name); err == nil {
-			s.cursor = cursor
-		}
-	}
-	// Bake the replayed tail into a snapshot and reset the journal
-	// before accepting new steps. Behind a clean delta log this is one
-	// more delta record; otherwise it is a compaction: a new base, and a
-	// delta log emptied of whatever the crash left (a torn final
-	// record). Without it, the logs are reopened in append mode behind
-	// that debris — and since replay stops at the first unverifiable
-	// record, everything appended after a torn one would be
-	// unreachable: a second crash would then silently lose acknowledged
-	// steps. The session is not yet visible, so no lock ordering
-	// concerns.
-	if err := s.snapshotLocked(); err != nil {
-		s.journalBad = true // persistBatch retries the snapshot instead of appending
-		s.latchPersistErr(err)
-	}
-	if err := r.reserveUsers(srv.Users()); err != nil {
-		s.closeLogsLocked()
-		return err
-	}
-	stripe := r.stripe(name)
-	stripe.mu.Lock()
-	if _, taken := stripe.sessions[name]; taken {
-		stripe.mu.Unlock()
-		r.totalUsers.Add(-int64(srv.Users()))
-		s.closeLogsLocked()
-		return fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	stripe.sessions[name] = s
-	stripe.mu.Unlock()
-	return nil
+	s.baseID, s.baseBytes, s.deltaBytes = st.BaseID, len(body), logBytes
+	return r.admit(s, true)
 }
 
 // Close finishes every session's durability (final snapshot + journal

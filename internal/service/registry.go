@@ -117,7 +117,7 @@ func (s *Session) Server() *stream.Server { return s.srv }
 
 // Collect runs one explicit-budget step and returns the published
 // histogram together with the 1-based step index it landed on. It is a
-// one-element CollectBatch (idempotency.go) — both API versions and
+// one-element CollectBatch (idempotency.go) — the steps endpoint and
 // embedding callers share that endpoint.
 func (s *Session) Collect(values []int, eps float64) ([]float64, int, float64, error) {
 	results, _, err := s.CollectBatch("", []stream.BatchStep{{Values: values, Eps: &eps}})
@@ -315,13 +315,15 @@ func checkName(name string) error {
 
 // Create builds the configured server and registers it under the
 // config's name. The build happens outside the registry lock, so a
-// slow plan construction does not block the store; only the final
-// insert is serialized, and a name collision discovered then returns
-// ErrExists with the freshly built session discarded.
+// slow plan construction does not block the store; a name collision
+// discovered at the insert returns ErrExists with the freshly built
+// session discarded.
 func (r *Registry) Create(cfg *SessionConfig) (*Session, error) {
 	if err := checkName(cfg.Name); err != nil {
 		return nil, err
 	}
+	// Advisory checks before the expensive build; the binding ones are
+	// admit's.
 	stripe := r.stripe(cfg.Name)
 	stripe.mu.RLock()
 	_, taken := stripe.sessions[cfg.Name]
@@ -329,8 +331,6 @@ func (r *Registry) Create(cfg *SessionConfig) (*Session, error) {
 	if taken {
 		return nil, fmt.Errorf("%w: %q", ErrExists, cfg.Name)
 	}
-	// Advisory capacity check before the expensive build; the binding
-	// check is the CAS reservation below.
 	if pop := cfg.population(); r.totalUsers.Load()+int64(pop) > int64(r.capacity) {
 		return nil, fmt.Errorf("%w: %d users in use, %d requested, limit %d", ErrCapacity, r.Users(), pop, r.capacity)
 	}
@@ -354,57 +354,143 @@ func (r *Registry) Create(cfg *SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: serializing session config: %w", err)
 	}
-	s := &Session{name: cfg.Name, created: r.now(), srv: srv, now: r.now, sink: &r.decisions, modelRevision: cfg.ModelRevision, cfgJSON: cfgJSON}
-	// The session is inserted before its persistence is initialized, so
-	// a concurrent create of the same name loses cleanly at the map —
-	// never by overwriting the winner's files. Holding stepMu across the
-	// initialization keeps any early step from slipping past the
-	// journal; a persist failure rolls the insert back.
-	s.stepMu.Lock()
-	defer s.stepMu.Unlock()
-	if err := r.reserveUsers(srv.Users()); err != nil {
+	s := r.newSession(cfg, cfgJSON, r.now(), srv)
+	if err := r.admit(s, false); err != nil {
 		return nil, err
 	}
-	stripe.mu.Lock()
-	if _, taken := stripe.sessions[cfg.Name]; taken {
-		stripe.mu.Unlock()
-		r.totalUsers.Add(-int64(srv.Users()))
-		return nil, fmt.Errorf("%w: %q", ErrExists, cfg.Name)
+	return s, nil
+}
+
+// newSession wires a built server into a session: the registry's clock
+// and decision sink, and its durability settings, read once.
+func (r *Registry) newSession(cfg *SessionConfig, cfgJSON []byte, created time.Time, srv *stream.Server) *Session {
+	r.pmu.Lock()
+	defer r.pmu.Unlock()
+	return &Session{
+		name:          cfg.Name,
+		created:       created,
+		srv:           srv,
+		now:           r.now,
+		sink:          &r.decisions,
+		modelRevision: cfg.ModelRevision,
+		cfgJSON:       cfgJSON,
+		store:         r.store,
+		snapshotEvery: r.snapshotEvery,
+		syncMode:      r.syncMode,
+		committer:     r.committer,
 	}
-	stripe.sessions[cfg.Name] = s
-	// A fresh session under a migrated-away name supersedes the redirect.
-	hadTomb := false
-	if _, hadTomb = stripe.tombstones[cfg.Name]; hadTomb {
-		delete(stripe.tombstones, cfg.Name)
+}
+
+// admit is the one way a session enters the registry (Create,
+// ImportSession and restoreOne): it reserves the session's users, inserts
+// it under its name, supersedes a migration tombstone of that name, and
+// initialises its persistence, undoing all of it if that fails.
+//
+// The insert comes before the persistence, so a concurrent admit of the
+// same name loses cleanly at the map — never by overwriting the winner's
+// files. stepMu is held throughout (lock order stepMu → stripe.mu), so
+// no early step slips past the journal, and no retire can take the
+// session out from under the rollback: only admit and retire change the
+// map, both under the session's stepMu. The tombstone file goes before
+// the first snapshot — a crash between the two must not restart into a
+// redirect that deletes the new session — and a rollback puts it back,
+// in memory and on disk, before the name is free again.
+//
+// recovered marks a session rebuilt from its own files: its state is
+// already durable, so a failed first snapshot is latched into its health
+// (persistBatch retries it) instead of refusing the session, and a
+// rollback keeps its files.
+func (r *Registry) admit(s *Session, recovered bool) error {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
+	users := s.srv.Users()
+	if err := r.reserveUsers(users); err != nil {
+		return err
+	}
+	stripe := r.stripe(s.name)
+	stripe.mu.Lock()
+	if _, taken := stripe.sessions[s.name]; taken {
+		stripe.mu.Unlock()
+		r.totalUsers.Add(-int64(users))
+		return fmt.Errorf("%w: %q", ErrExists, s.name)
+	}
+	stripe.sessions[s.name] = s
+	tomb, hadTomb := stripe.tombstones[s.name]
+	delete(stripe.tombstones, s.name)
+	stripe.mu.Unlock()
+	if s.store == nil {
+		return nil
+	}
+	if hadTomb {
+		_ = s.store.RemoveTombstone(s.name)
+	}
+	err := s.initPersistenceLocked(recovered)
+	if err == nil {
+		return nil
+	}
+	store := s.detachPersistenceLocked()
+	if hadTomb {
+		_ = store.SaveTombstone(s.name, tomb) // first: a tombstone wins on restore
+	}
+	if !recovered {
+		_ = store.Remove(s.name)
+	}
+	stripe.mu.Lock()
+	delete(stripe.sessions, s.name)
+	if hadTomb {
+		stripe.tombstones[s.name] = tomb
 	}
 	stripe.mu.Unlock()
-	if hadTomb {
-		r.removeTombstoneFile(cfg.Name)
+	r.totalUsers.Add(-int64(users))
+	return err
+}
+
+// owns reports whether s is the session registered under its name. Only
+// admit and retireLocked change that, both under s.stepMu, so the answer
+// holds for as long as the caller holds s.stepMu.
+func (r *Registry) owns(s *Session) bool {
+	stripe := r.stripe(s.name)
+	stripe.mu.RLock()
+	defer stripe.mu.RUnlock()
+	return stripe.sessions[s.name] == s
+}
+
+// retireLocked is the one way a session leaves the registry (Delete and
+// Migrate): if s is still the session registered under its name, it
+// drops s's files, replaces it in the map with a tombstone to location
+// (none when location is empty), releases its users and disconnects its
+// watchers. The files go first, while the name is still taken, so they
+// can never be a re-created session's; a tombstone is fsynced before
+// them, so a crash in between restarts into the redirect. A session
+// already retired reports ErrNotFound. Caller holds s.stepMu.
+func (r *Registry) retireLocked(s *Session, location string) error {
+	if !r.owns(s) {
+		return fmt.Errorf("%w: %q", ErrNotFound, s.name)
 	}
-	r.pmu.Lock()
-	store, every := r.store, r.snapshotEvery
-	s.syncMode, s.committer = r.syncMode, r.committer
-	r.pmu.Unlock()
-	if store != nil {
-		if err := s.initPersistenceLocked(store, every); err != nil {
-			stripe.mu.Lock()
-			owned := stripe.sessions[cfg.Name] == s
-			if owned {
-				delete(stripe.sessions, cfg.Name)
+	var err error
+	if store := s.detachPersistenceLocked(); store != nil {
+		if location != "" {
+			if err = store.SaveTombstone(s.name, location); err != nil {
+				err = fmt.Errorf("recording its tombstone: %w", err)
 			}
-			stripe.mu.Unlock()
-			// Only release capacity and clean up files while the name is
-			// still ours: if a concurrent Delete already freed the slot
-			// (and the reservation), a re-created session of the same
-			// name may own the files by now.
-			if owned {
-				r.totalUsers.Add(-int64(srv.Users()))
-				store.Remove(cfg.Name)
-			}
-			return nil, err
+		}
+		if rerr := store.Remove(s.name); rerr != nil && err == nil {
+			err = fmt.Errorf("dropping its files: %w", rerr)
 		}
 	}
-	return s, nil
+	stripe := r.stripe(s.name)
+	stripe.mu.Lock()
+	delete(stripe.sessions, s.name)
+	if location != "" {
+		stripe.tombstones[s.name] = location
+	}
+	stripe.mu.Unlock()
+	r.totalUsers.Add(-int64(s.srv.Users()))
+	// Live watchers are disconnected: their session no longer exists
+	// here, and a silently idle stream would hide that until a write
+	// timeout.
+	s.watch.closeAll()
+	return err
 }
 
 // Users returns the aggregate declared population across all sessions.
@@ -435,10 +521,9 @@ func (r *Registry) Get(name string) (*Session, error) {
 }
 
 // Delete removes the named session, releasing its population from the
-// aggregate capacity and deleting its persisted state. The map removal
-// happens first (under the stripe lock alone — taking stepMu under it
-// would invert Create's lock order), so the file cleanup races no new
-// steps.
+// aggregate capacity and deleting its persisted state. It waits for a
+// step or migration in flight on the session; if a migration retired
+// the session first, Delete reports ErrNotFound.
 //
 // A session's history (published rows, leakage series) can run to
 // hundreds of megabytes, all of it garbage once the session is gone.
@@ -447,23 +532,23 @@ func (r *Registry) Get(name string) (*Session, error) {
 // session lived until allocation caught up with it.
 func (r *Registry) Delete(name string) error {
 	stripe := r.stripe(name)
-	stripe.mu.Lock()
+	stripe.mu.RLock()
 	s, ok := stripe.sessions[name]
+	stripe.mu.RUnlock()
 	if !ok {
-		stripe.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	delete(stripe.sessions, name)
-	stripe.mu.Unlock()
-	r.totalUsers.Add(-int64(s.srv.Users()))
 	s.stepMu.Lock()
-	err := s.dropPersistenceLocked()
+	err := r.retireLocked(s, "")
 	s.stepMu.Unlock()
-	// Disconnect live watchers — their session no longer exists, and a
-	// silently idle stream would hide that until a write timeout.
-	s.watch.closeAll()
+	if errors.Is(err, ErrNotFound) {
+		return err
+	}
 	debug.FreeOSMemory()
-	return err
+	if err != nil {
+		return fmt.Errorf("service: deleted %q but %w", name, err)
+	}
+	return nil
 }
 
 // List returns all sessions sorted by name.

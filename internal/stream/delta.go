@@ -43,7 +43,7 @@ type ServerDelta struct {
 	Budgets     []float64
 	Published   [][]float64
 	Cohorts     []CohortDelta
-	Workers     int
+	Workers     int // unused and written as zero, like ServerState.Workers
 	Sensitivity float64
 	Noise       int // release.Noise
 	HasPlan     bool
@@ -114,7 +114,6 @@ func (s *Server) SnapshotDelta(from *DeltaCursor) (*ServerDelta, *DeltaCursor) {
 		Budgets:     s.budgets.AppendRange(nil, from.t, T),
 		Published:   make([][]float64, 0, T-from.t),
 		Cohorts:     make([]CohortDelta, len(s.cohorts)),
-		Workers:     s.workers,
 		Sensitivity: s.sensitivity,
 		Noise:       int(s.noise),
 		HasPlan:     s.plan != nil,

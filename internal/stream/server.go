@@ -83,9 +83,8 @@ type cohort struct {
 // time step and maintains one TPL accountant per cohort of users with
 // identical adversary models.
 type Server struct {
-	domain  int
-	users   int
-	workers int // observe fan-out; 0 = GOMAXPROCS
+	domain int
+	users  int
 
 	mu          sync.RWMutex
 	sensitivity float64
@@ -266,17 +265,6 @@ func (s *Server) Users() int { return s.users }
 // Domain returns the value-domain size.
 func (s *Server) Domain() int { return s.domain }
 
-// SetWorkers bounds the goroutines Collect fans per-cohort accountant
-// updates over. Zero (the default) means GOMAXPROCS.
-func (s *Server) SetWorkers(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	s.workers = n
-}
-
 // SetSensitivity overrides the query sensitivity (default: 1, the
 // paper's per-count convention). Use mechanism.HistogramL1Sensitivity
 // for the strict joint-histogram calibration. When geometric noise is
@@ -356,7 +344,7 @@ func (s *Server) collectLocked(values []int, eps float64) ([]float64, error) {
 
 // observeAll charges a sequence of budgets (one per batch step, in
 // step order) to every cohort accountant, adaptively fanning the
-// per-cohort work out over the configured worker count — one fan-out
+// per-cohort work out over up to GOMAXPROCS workers — one fan-out
 // decision per batch, not per step. Every eps has already passed
 // core.CheckBudget — the only error Observe can return — so an error
 // here is a core invariant violation, not an input problem, and panics
@@ -381,13 +369,7 @@ func (s *Server) observeAll(epsSeq []float64) {
 	if len(s.cohorts) == 0 {
 		return
 	}
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(s.cohorts) {
-		workers = len(s.cohorts)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	observeCohort := func(c *cohort) error {
 		for _, eps := range epsSeq {
 			if _, err := c.acc.Observe(eps); err != nil {

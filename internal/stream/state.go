@@ -47,7 +47,7 @@ type CohortState struct {
 type ServerState struct {
 	Domain      int
 	Users       int
-	Workers     int
+	Workers     int // unused and written as zero: the observe fan-out follows GOMAXPROCS
 	Sensitivity float64
 	Noise       int // release.Noise
 	UserCohort  []int
@@ -94,7 +94,6 @@ func (s *Server) capture(withCursor bool) (*ServerState, *DeltaCursor) {
 	st := &ServerState{
 		Domain:      s.domain,
 		Users:       s.users,
-		Workers:     s.workers,
 		Sensitivity: s.sensitivity,
 		Noise:       int(s.noise),
 		UserCohort:  append([]int(nil), s.userCohort...),
@@ -278,7 +277,6 @@ func RestoreServer(st *ServerState, opts RestoreOptions) (*Server, error) {
 	s := &Server{
 		domain:      st.Domain,
 		users:       st.Users,
-		workers:     st.Workers,
 		sensitivity: st.Sensitivity,
 		noise:       release.Noise(st.Noise),
 		userCohort:  append([]int(nil), st.UserCohort...),
