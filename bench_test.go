@@ -189,11 +189,10 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-// BenchmarkLossParallelNaive compares the naive sequential and parallel
-// full-matrix quantification at n = 100 against the compiled engine
-// (the Fig. 5(a) regime). The naive fan-out used to be the fast path;
-// the engine makes both reference scans look stationary.
-func BenchmarkLossParallelNaive(b *testing.B) {
+// BenchmarkLossNaive compares the naive full-matrix quantification
+// (Algorithm 1's pair scan) at n = 100 against the compiled engine (the
+// Fig. 5(a) regime).
+func BenchmarkLossNaive(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c, err := markov.UniformRandom(rng, 100)
 	if err != nil {
@@ -203,11 +202,6 @@ func BenchmarkLossParallelNaive(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = qt.LossNaive(10)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = qt.LossParallelNaive(10, 0)
 		}
 	})
 	b.Run("engine", func(b *testing.B) {

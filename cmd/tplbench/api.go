@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/loadgen"
 	"repro/internal/plugins/logs"
+	"repro/internal/plugins/manager"
 	"repro/internal/report"
 	"repro/internal/service"
 	"repro/tpl/client"
@@ -349,7 +350,11 @@ func runAPIBench(wr *report.Writer, seed int64, full bool, jsonPath string) erro
 	if err != nil {
 		return err
 	}
-	if err := lp.Start(ctx); err != nil {
+	logsMgr := manager.New()
+	if err := logsMgr.Register(lp); err != nil {
+		return err
+	}
+	if err := logsMgr.Start(ctx); err != nil {
 		return err
 	}
 	api.Registry().SetDecisionSink(lp)
@@ -362,7 +367,7 @@ func runAPIBench(wr *report.Writer, seed int64, full bool, jsonPath string) erro
 		return dPost.post(cBodies[i])
 	})
 	api.Registry().SetDecisionSink(nil)
-	lp.Stop(ctx)
+	logsMgr.Stop(ctx)
 	if err != nil {
 		return fmt.Errorf("v2 counts declog batch: %w", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -281,23 +282,45 @@ func TestEngineSharedConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLossNaiveParallelMatchesSequential keeps the reference fan-out
-// honest against the reference scan (the engine's own parallel compile
-// is checked in TestLossParallelMatchesSequential).
-func TestLossNaiveParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(909))
-	for trial := 0; trial < 10; trial++ {
-		c, err := markov.UniformRandom(rng, 2+rng.Intn(20))
+// TestLossParallelMatchesSequential checks Loss on chains around
+// compileThreshold, where engine compilation switches from one worker
+// to a fan-out over GOMAXPROCS, against the sequential reference scan.
+func TestLossParallelMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(301))
+	for _, n := range []int{compileThreshold - 1, compileThreshold, compileThreshold + 9} {
+		c, err := markov.UniformRandom(rng, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qt := NewQuantifier(c)
-		alpha := 0.05 + rng.Float64()*5
-		seq := qt.LossNaive(alpha)
-		for _, workers := range []int{0, 2, 5} {
-			if par := qt.LossParallelNaive(alpha, workers); par != seq {
-				t.Fatalf("trial %d workers=%d: %+v != %+v", trial, workers, par, seq)
-			}
+		diffLoss(t, c, fmt.Sprintf("n=%d", n))
+	}
+}
+
+func TestLossParallelNilAndZero(t *testing.T) {
+	var qt *Quantifier
+	if r := qt.Loss(1); r.Log != 0 || r.RowQ != -1 {
+		t.Errorf("nil quantifier: %+v", r)
+	}
+	q := NewQuantifier(markov.ModerateExample())
+	if r := q.Loss(0); r.Log != 0 {
+		t.Errorf("alpha=0: %+v", r)
+	}
+}
+
+// TestLossParallelDeterministicAcrossRuns recompiles a chain above
+// compileThreshold on every run: the fanned-out compile must give the
+// same result each time.
+func TestLossParallelDeterministicAcrossRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(302))
+	c, err := markov.UniformRandom(rng, compileThreshold+9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := NewQuantifier(c).Loss(2)
+	for i := 0; i < 10; i++ {
+		again := NewQuantifier(c).Loss(2)
+		if again != first {
+			t.Fatalf("run %d: nondeterministic result %+v vs %+v", i, again, first)
 		}
 	}
 }

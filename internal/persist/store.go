@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -86,28 +87,37 @@ func (s *Store) SaveSnapshot(name string, version uint32, body []byte) error {
 	if err := checkSessionName(name); err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, name+snapTmpSuffix)
+	return s.replaceFile(filepath.Join(s.dir, name+snapTmpSuffix), s.snapPath(name), "snapshot", func(w io.Writer) error {
+		return EncodeEnvelope(w, version, body)
+	})
+}
+
+// replaceFile atomically replaces final with what write produces: the
+// bytes go to tmp, which is fsynced, closed and renamed over final, and
+// then the directory entry is fsynced. Every failure before the rename
+// removes tmp. what names the file in errors.
+func (s *Store) replaceFile(tmp, final, what string, write func(io.Writer) error) error {
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("persist: creating snapshot temp: %w", err)
+		return fmt.Errorf("persist: creating %s temp: %w", what, err)
 	}
-	if err := EncodeEnvelope(f, version, body); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("persist: writing snapshot: %w", err)
+		return fmt.Errorf("persist: writing %s: %w", what, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("persist: syncing snapshot: %w", err)
+		return fmt.Errorf("persist: syncing %s: %w", what, err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("persist: closing snapshot: %w", err)
+		return fmt.Errorf("persist: closing %s: %w", what, err)
 	}
-	if err := os.Rename(tmp, s.snapPath(name)); err != nil {
+	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("persist: publishing snapshot: %w", err)
+		return fmt.Errorf("persist: publishing %s: %w", what, err)
 	}
 	return syncDir(s.dir)
 }
@@ -213,30 +223,10 @@ func (s *Store) SaveTombstone(name, location string) error {
 	if err := checkSessionName(name); err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, name+tombTmpSuffix)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: creating tombstone temp: %w", err)
-	}
-	if _, err := f.WriteString(location + "\n"); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("persist: writing tombstone: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("persist: syncing tombstone: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: closing tombstone: %w", err)
-	}
-	if err := os.Rename(tmp, s.tombPath(name)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: publishing tombstone: %w", err)
-	}
-	return syncDir(s.dir)
+	return s.replaceFile(filepath.Join(s.dir, name+tombTmpSuffix), s.tombPath(name), "tombstone", func(w io.Writer) error {
+		_, err := io.WriteString(w, location+"\n")
+		return err
+	})
 }
 
 // LoadTombstones returns every persisted session -> new-owner redirect.

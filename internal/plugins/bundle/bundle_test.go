@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/markov"
+	"repro/internal/plugins/manager"
 	"repro/internal/stream"
 )
 
@@ -223,22 +224,19 @@ func TestPluginHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := p.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop(ctx)
+	m := startPlugin(t, p)
+	defer m.Stop(context.Background())
 
 	waitRevision := func(want string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if cache.NamedRevision() == want && p.Revision() == want {
+			if cache.NamedRevision() == want && p.Status().Detail["revision"] == want {
 				return
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		t.Fatalf("revision never reached %s (cache %s, plugin %s)", want, cache.NamedRevision(), p.Revision())
+		t.Fatalf("revision never reached %s (cache %s, plugin %s)", want, cache.NamedRevision(), p.Status().Detail["revision"])
 	}
 	waitRevision(b1.Revision)
 	if _, _, missing := cache.ResolveNamed([]string{"road", "none"}); missing != nil {
@@ -254,7 +252,7 @@ func TestPluginHotSwap(t *testing.T) {
 	if _, _, missing := cache.ResolveNamed([]string{"none"}); missing == nil {
 		t.Fatal("old revision's model still resolves after the swap")
 	}
-	st := p.Status()
+	st := m.StatusAll()["bundle"]
 	if st.State != "running" || st.Detail["activations"].(int) != 2 {
 		t.Fatalf("plugin status %+v", st)
 	}
@@ -282,11 +280,7 @@ func TestPluginRejectsBadBundles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := p.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop(ctx)
+	defer startPlugin(t, p).Stop(context.Background())
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if st := p.Status(); st.State == "error" && st.Message != "" {
@@ -298,4 +292,17 @@ func TestPluginRejectsBadBundles(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("plugin never reported the bad bundle")
+}
+
+// startPlugin runs p under a manager; the manager's Stop ends it.
+func startPlugin(t *testing.T, p manager.Plugin) *manager.Manager {
+	t.Helper()
+	m := manager.New()
+	if err := m.Register(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -63,17 +63,13 @@ func (c Config) withDefaults() Config {
 // request ever sees half a bundle.
 type Plugin struct {
 	cache *stream.ModelCache
+	cfg   Config
 
 	mu          sync.Mutex
-	cfg         Config
-	state       string
 	lastErr     string
 	revision    string // last revision this plugin activated
 	activations int
 	lastSuccess time.Time
-
-	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // NewPlugin creates the bundle plugin activating into cache.
@@ -81,107 +77,53 @@ func NewPlugin(cache *stream.ModelCache, cfg Config) (*Plugin, error) {
 	if cfg.URL == "" {
 		return nil, fmt.Errorf("bundle: plugin needs a bundle URL")
 	}
-	return &Plugin{cache: cache, cfg: cfg.withDefaults(), state: "registered"}, nil
+	return &Plugin{cache: cache, cfg: cfg.withDefaults()}, nil
 }
 
 // Name implements manager.Plugin.
 func (p *Plugin) Name() string { return "bundle" }
 
-// Start launches the polling loop.
-func (p *Plugin) Start(ctx context.Context) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cancel != nil {
-		return fmt.Errorf("bundle: already started")
-	}
-	ctx, p.cancel = context.WithCancel(ctx)
-	p.done = make(chan struct{})
-	p.state = "running"
-	go p.loop(ctx, p.done)
-	return nil
-}
-
-// Stop ends the polling loop, waiting for it (bounded by ctx).
-func (p *Plugin) Stop(ctx context.Context) {
-	p.mu.Lock()
-	cancel, done := p.cancel, p.done
-	p.cancel, p.done = nil, nil
-	if p.state == "running" {
-		p.state = "stopped"
-	}
-	p.mu.Unlock()
-	if cancel == nil {
-		return
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-}
-
-// Reconfigure accepts a new Config (URL, key, intervals) and applies
-// it to the next poll. Implements manager.Reconfigurable.
-func (p *Plugin) Reconfigure(cfg any) error {
-	c, ok := cfg.(Config)
-	if !ok {
-		return fmt.Errorf("bundle: reconfigure wants a bundle.Config, got %T", cfg)
-	}
-	if c.URL == "" {
-		return fmt.Errorf("bundle: plugin needs a bundle URL")
-	}
-	p.mu.Lock()
-	p.cfg = c.withDefaults()
-	p.mu.Unlock()
-	return nil
-}
-
-// Status implements manager.Plugin.
+// Status implements manager.Plugin: "error" while fetches fail.
 func (p *Plugin) Status() manager.Status {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := manager.Status{State: p.state, Message: p.lastErr, Detail: map[string]any{
+	st := manager.Status{Message: p.lastErr, Detail: map[string]any{
 		"url":         p.cfg.URL,
 		"revision":    p.revision,
 		"activations": p.activations,
 		"signed":      p.cfg.PublicKey != nil,
 	}}
+	if p.lastErr != "" {
+		st.State = "error"
+	}
 	if !p.lastSuccess.IsZero() {
 		st.Detail["last_success"] = p.lastSuccess.UTC().Format(time.RFC3339Nano)
 	}
 	return st
 }
 
-// Revision returns the last revision the plugin activated.
-func (p *Plugin) Revision() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.revision
-}
-
-// loop is the polling goroutine: fetch (long-polling once a revision
-// is cached), verify, activate; jittered exponential backoff on any
-// failure so a broken bundle server sees a trickle, not a stampede.
-func (p *Plugin) loop(ctx context.Context, done chan struct{}) {
-	defer close(done)
+// Run implements manager.Plugin. It is the polling loop: fetch
+// (long-polling once a revision is cached), verify, activate; jittered
+// exponential backoff on any failure so a broken bundle server sees a
+// trickle, not a stampede.
+func (p *Plugin) Run(ctx context.Context) {
 	backoff := time.Duration(0)
 	for {
 		p.mu.Lock()
-		cfg, etag := p.cfg, p.revision
+		etag := p.revision
 		p.mu.Unlock()
-		changed, err := p.fetchOnce(ctx, cfg, etag)
+		changed, err := p.fetchOnce(ctx, etag)
 		switch {
 		case ctx.Err() != nil:
 			return
 		case err != nil:
 			if backoff == 0 {
-				backoff = cfg.MinBackoff
+				backoff = p.cfg.MinBackoff
 			} else {
-				backoff = min(backoff*2, cfg.MaxBackoff)
+				backoff = min(backoff*2, p.cfg.MaxBackoff)
 			}
 			p.mu.Lock()
 			p.lastErr = err.Error()
-			p.state = "error"
 			p.mu.Unlock()
 			// Full jitter: sleep U(0, backoff]. Decorrelates a fleet of
 			// pollers recovering from one server outage.
@@ -195,14 +137,13 @@ func (p *Plugin) loop(ctx context.Context, done chan struct{}) {
 			backoff = 0
 			p.mu.Lock()
 			p.lastErr = ""
-			p.state = "running"
 			p.lastSuccess = time.Now()
 			p.mu.Unlock()
 			if !changed && etag == "" {
 				// Nothing published yet and no long-poll hold happened
 				// (no ETag to wait on): pace the retry.
 				select {
-				case <-time.After(cfg.MinBackoff):
+				case <-time.After(p.cfg.MinBackoff):
 				case <-ctx.Done():
 					return
 				}
@@ -213,9 +154,10 @@ func (p *Plugin) loop(ctx context.Context, done chan struct{}) {
 
 // fetchOnce performs one conditional GET. With a cached revision it
 // long-polls (the server holds the request until the bundle changes or
-// cfg.Poll lapses); a 200 verifies and activates. changed reports
-// whether a new revision was activated.
-func (p *Plugin) fetchOnce(ctx context.Context, cfg Config, etag string) (changed bool, err error) {
+// the configured Poll lapses); a 200 verifies and activates. changed
+// reports whether a new revision was activated.
+func (p *Plugin) fetchOnce(ctx context.Context, etag string) (changed bool, err error) {
+	cfg := p.cfg
 	url := cfg.URL
 	if etag != "" {
 		sep := "?"

@@ -73,20 +73,16 @@ func (c Config) validate() error {
 // Plugin is the decision-log sink. It implements service.DecisionSink
 // (Record) and manager.Plugin; wire it with Registry.SetDecisionSink.
 type Plugin struct {
+	cfg      Config
 	ch       chan service.Decision
 	recorded atomic.Int64
 	dropped  atomic.Int64
 
 	mu       sync.Mutex
-	cfg      Config
-	state    string
 	lastErr  string
 	batches  int64 // flushed batches
 	shipped  int64 // records in them
 	failures int64 // failed flushes (their records are lost and counted dropped)
-
-	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // NewPlugin creates the decision-log plugin.
@@ -95,7 +91,7 @@ func NewPlugin(cfg Config) (*Plugin, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return &Plugin{ch: make(chan service.Decision, cfg.Buffer), cfg: cfg, state: "registered"}, nil
+	return &Plugin{cfg: cfg, ch: make(chan service.Decision, cfg.Buffer)}, nil
 }
 
 // Record implements service.DecisionSink: one non-blocking channel
@@ -111,40 +107,6 @@ func (p *Plugin) Record(d service.Decision) {
 
 // Name implements manager.Plugin.
 func (p *Plugin) Name() string { return "decision_logs" }
-
-// Start launches the batching loop.
-func (p *Plugin) Start(ctx context.Context) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cancel != nil {
-		return fmt.Errorf("logs: already started")
-	}
-	ctx, p.cancel = context.WithCancel(ctx)
-	p.done = make(chan struct{})
-	p.state = "running"
-	go p.loop(ctx, p.done)
-	return nil
-}
-
-// Stop ends the loop, flushing everything already buffered (bounded by
-// ctx).
-func (p *Plugin) Stop(ctx context.Context) {
-	p.mu.Lock()
-	cancel, done := p.cancel, p.done
-	p.cancel, p.done = nil, nil
-	if p.state == "running" {
-		p.state = "stopped"
-	}
-	p.mu.Unlock()
-	if cancel == nil {
-		return
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-}
 
 // Status implements manager.Plugin.
 func (p *Plugin) Status() manager.Status {
@@ -164,41 +126,16 @@ func (p *Plugin) Status() manager.Status {
 	if p.cfg.SpoolPath != "" {
 		detail["spool_path"] = p.cfg.SpoolPath
 	}
-	return manager.Status{State: p.state, Message: p.lastErr, Detail: detail}
+	return manager.Status{Message: p.lastErr, Detail: detail}
 }
 
-// Dropped returns the count of decisions lost to a full buffer.
-func (p *Plugin) Dropped() int64 { return p.dropped.Load() }
-
-// Reconfigure accepts a new Config. The buffer capacity is fixed at
-// construction (records in flight must not be lost to a resize);
-// destination, batch size and flush interval apply to the next flush.
-func (p *Plugin) Reconfigure(cfg any) error {
-	c, ok := cfg.(Config)
-	if !ok {
-		return fmt.Errorf("logs: reconfigure wants a logs.Config, got %T", cfg)
-	}
-	if err := c.validate(); err != nil {
-		return err
-	}
-	c = c.withDefaults()
-	p.mu.Lock()
-	c.Buffer = p.cfg.Buffer
-	p.cfg = c
-	p.mu.Unlock()
-	return nil
-}
-
-// loop drains the channel into batches and flushes on size or timer.
-// On cancellation it drains whatever is already buffered and flushes
-// once more, so a graceful stop loses nothing that Record accepted.
-func (p *Plugin) loop(ctx context.Context, done chan struct{}) {
-	defer close(done)
+// Run implements manager.Plugin. It drains the channel into batches
+// and flushes on size or timer. On cancellation it drains whatever is
+// already buffered and flushes once more, so a graceful stop loses
+// nothing that Record accepted.
+func (p *Plugin) Run(ctx context.Context) {
 	var batch []service.Decision
-	p.mu.Lock()
-	interval := p.cfg.FlushInterval
-	p.mu.Unlock()
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(p.cfg.FlushInterval)
 	defer ticker.Stop()
 	flush := func() {
 		if len(batch) == 0 {
@@ -208,13 +145,10 @@ func (p *Plugin) loop(ctx context.Context, done chan struct{}) {
 		batch = batch[:0]
 	}
 	for {
-		p.mu.Lock()
-		size := p.cfg.Batch
-		p.mu.Unlock()
 		select {
 		case d := <-p.ch:
 			batch = append(batch, d)
-			if len(batch) >= size {
+			if len(batch) >= p.cfg.Batch {
 				flush()
 			}
 		case <-ticker.C:
@@ -239,9 +173,6 @@ func (p *Plugin) loop(ctx context.Context, done chan struct{}) {
 // flush loses the batch: its records move to the dropped count so the
 // totals stay honest.
 func (p *Plugin) flush(batch []service.Decision) {
-	p.mu.Lock()
-	cfg := p.cfg
-	p.mu.Unlock()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	enc := json.NewEncoder(zw) // Encode appends the newline: NDJSON
@@ -255,10 +186,10 @@ func (p *Plugin) flush(batch []service.Decision) {
 		err = cerr
 	}
 	if err == nil {
-		if cfg.UploadURL != "" {
-			err = upload(cfg, buf.Bytes())
+		if p.cfg.UploadURL != "" {
+			err = upload(p.cfg, buf.Bytes())
 		} else {
-			err = spool(cfg.SpoolPath, buf.Bytes())
+			err = spool(p.cfg.SpoolPath, buf.Bytes())
 		}
 	}
 	p.mu.Lock()

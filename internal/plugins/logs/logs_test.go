@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/plugins/manager"
 	"repro/internal/service"
 )
 
@@ -54,10 +55,7 @@ func TestSpoolFlushOnStopAndBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := p.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
+	m := startPlugin(t, p)
 	// Three records hit the batch threshold and flush without waiting
 	// for the (hour-long) timer.
 	for i := 1; i <= 3; i++ {
@@ -76,7 +74,7 @@ func TestSpoolFlushOnStopAndBatch(t *testing.T) {
 	// Two more stay buffered until the graceful stop flushes them.
 	p.Record(service.Decision{Session: "s", Kind: "refusal", Code: "budget_exhausted"})
 	p.Record(service.Decision{Session: "s", Kind: "replay", FirstT: 1, LastT: 1})
-	p.Stop(ctx)
+	m.Stop(context.Background())
 	recs := readSpool(t, path)
 	if len(recs) != 5 {
 		t.Fatalf("%d spooled decisions, want 5", len(recs))
@@ -87,8 +85,8 @@ func TestSpoolFlushOnStopAndBatch(t *testing.T) {
 	if recs[3].Kind != "refusal" || recs[3].Code != "budget_exhausted" || recs[4].Kind != "replay" {
 		t.Fatalf("stop-flushed records %+v", recs[3:])
 	}
-	if p.Dropped() != 0 {
-		t.Fatalf("dropped %d", p.Dropped())
+	if d := p.Status().Detail["dropped"].(int64); d != 0 {
+		t.Fatalf("dropped %d", d)
 	}
 }
 
@@ -120,14 +118,11 @@ func TestUploadEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := p.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
+	m := startPlugin(t, p)
 	for i := 1; i <= 5; i++ {
 		p.Record(service.Decision{Session: "u", Kind: "steps", FirstT: i})
 	}
-	p.Stop(ctx)
+	m.Stop(context.Background())
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 5 {
@@ -163,7 +158,7 @@ func TestOverflowDropsAndCounts(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Record blocked on a full buffer")
 	}
-	if d := p.Dropped(); d != 96 {
+	if d := p.Status().Detail["dropped"].(int64); d != 96 {
 		t.Fatalf("dropped %d, want 96", d)
 	}
 }
@@ -175,17 +170,20 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewPlugin(Config{UploadURL: "http://x", SpoolPath: "/tmp/y"}); err == nil {
 		t.Fatal("two destinations accepted")
 	}
-	p, err := NewPlugin(Config{SpoolPath: filepath.Join(t.TempDir(), "s.gz")})
-	if err != nil {
+	if _, err := NewPlugin(Config{SpoolPath: filepath.Join(t.TempDir(), "s.gz")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Reconfigure(42); err == nil {
-		t.Fatal("bad reconfigure type accepted")
-	}
-	if err := p.Reconfigure(Config{}); err == nil {
-		t.Fatal("bad reconfigure config accepted")
-	}
-	if err := p.Reconfigure(Config{UploadURL: "http://x"}); err != nil {
+}
+
+// startPlugin runs p under a manager; the manager's Stop ends it.
+func startPlugin(t *testing.T, p manager.Plugin) *manager.Manager {
+	t.Helper()
+	m := manager.New()
+	if err := m.Register(p); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

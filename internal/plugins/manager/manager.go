@@ -1,10 +1,10 @@
 // Package manager hosts the service's management-plane plugins: small
 // background components (bundle polling, decision logging, status
-// reporting) with a shared lifecycle — init → start → reconfigure →
-// graceful stop — driven by the declarative config file tplserved
-// loads at boot. The manager is deliberately ignorant of what a plugin
-// does; it owns ordering, failure unwinding, and the aggregated status
-// the healthz endpoint reports.
+// reporting) built once at boot from the declarative config file
+// tplserved loads. A plugin is a run loop; the manager owns everything
+// around it — the goroutines, start order, bounded reverse-order stop,
+// the lifecycle state — and the aggregated status the healthz endpoint
+// reports. It is deliberately ignorant of what a plugin does.
 package manager
 
 import (
@@ -13,28 +13,19 @@ import (
 	"sync"
 )
 
-// Plugin is one managed component. Implementations must make Start
-// non-blocking (spawn goroutines, return), Stop idempotent and bounded
-// by the context, and Status safe to call from any goroutine at any
-// lifecycle stage.
+// Plugin is one managed component. Its config is fixed at construction.
 type Plugin interface {
-	// Name identifies the plugin in status reports and reconfiguration.
+	// Name identifies the plugin in status reports.
 	Name() string
-	// Start begins background work. An error fails the whole manager
-	// start (already-started plugins are stopped).
-	Start(ctx context.Context) error
-	// Stop gracefully ends background work, flushing whatever the
-	// plugin buffers, bounded by ctx.
-	Stop(ctx context.Context)
-	// Status reports the plugin's current state.
+	// Run does the plugin's background work and blocks until ctx is
+	// cancelled; before returning it flushes whatever the plugin
+	// buffers.
+	Run(ctx context.Context)
+	// Status reports the plugin's detail. It must be safe to call from
+	// any goroutine, whether or not Run is executing. The plugin leaves
+	// State empty, or sets "error" while its work is failing; the
+	// manager fills in the lifecycle state.
 	Status() Status
-}
-
-// Reconfigurable is implemented by plugins that accept runtime
-// reconfiguration. The config value's concrete type is plugin-specific;
-// a plugin rejects types it does not understand.
-type Reconfigurable interface {
-	Reconfigure(cfg any) error
 }
 
 // Status is one plugin's health digest, embedded in the healthz
@@ -42,11 +33,26 @@ type Reconfigurable interface {
 type Status struct {
 	// State is "registered", "running", "stopped" or "error".
 	State string `json:"state"`
-	// Message carries the last error in state "error".
+	// Message carries the last error.
 	Message string `json:"message,omitempty"`
 	// Detail is plugin-specific (bundle revision, dropped decisions,
 	// last report time, ...).
 	Detail map[string]any `json:"detail,omitempty"`
+}
+
+// Lifecycle states the manager assigns.
+const (
+	stateRegistered = "registered"
+	stateRunning    = "running"
+	stateStopped    = "stopped"
+)
+
+// entry is one registered plugin and the goroutine running it.
+type entry struct {
+	p      Plugin
+	state  string
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
 // Manager owns an ordered set of plugins. Registration happens before
@@ -54,14 +60,15 @@ type Status struct {
 // throughout.
 type Manager struct {
 	mu      sync.Mutex
-	order   []Plugin
-	byName  map[string]Plugin
+	entries []*entry
 	started bool
+	// spawn launches one Run goroutine (tests observe launch order).
+	spawn func(run func())
 }
 
 // New creates an empty manager.
 func New() *Manager {
-	return &Manager{byName: make(map[string]Plugin)}
+	return &Manager{spawn: func(run func()) { go run() }}
 }
 
 // Register adds a plugin. Registration order is start order (and the
@@ -73,91 +80,82 @@ func (m *Manager) Register(p Plugin) error {
 	if m.started {
 		return fmt.Errorf("plugins: cannot register %q after start", p.Name())
 	}
-	if _, dup := m.byName[p.Name()]; dup {
-		return fmt.Errorf("plugins: duplicate plugin %q", p.Name())
+	for _, e := range m.entries {
+		if e.p.Name() == p.Name() {
+			return fmt.Errorf("plugins: duplicate plugin %q", p.Name())
+		}
 	}
-	m.byName[p.Name()] = p
-	m.order = append(m.order, p)
+	m.entries = append(m.entries, &entry{p: p, state: stateRegistered})
 	return nil
 }
 
-// Plugin returns a registered plugin by name.
-func (m *Manager) Plugin(name string) (Plugin, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.byName[name]
-	return p, ok
-}
-
-// Names lists the registered plugins in start order.
-func (m *Manager) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.order))
-	for i, p := range m.order {
-		out[i] = p.Name()
-	}
-	return out
-}
-
-// Start starts every plugin in registration order. The first failure
-// stops the already-started plugins in reverse order and reports which
-// plugin failed; the manager is then restartable.
+// Start launches every plugin's Run on its own goroutine, in
+// registration order, under a context derived from ctx. A manager
+// starts once.
 func (m *Manager) Start(ctx context.Context) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.started {
 		return fmt.Errorf("plugins: already started")
 	}
-	for i, p := range m.order {
-		if err := p.Start(ctx); err != nil {
-			for j := i - 1; j >= 0; j-- {
-				m.order[j].Stop(ctx)
-			}
-			return fmt.Errorf("plugins: starting %q: %w", p.Name(), err)
-		}
-	}
 	m.started = true
+	for _, e := range m.entries {
+		runCtx, cancel := context.WithCancel(ctx)
+		e.cancel, e.done, e.state = cancel, make(chan struct{}), stateRunning
+		p, done := e.p, e.done
+		m.spawn(func() {
+			defer close(done)
+			p.Run(runCtx)
+		})
+	}
 	return nil
 }
 
-// Stop stops every plugin in reverse registration order, bounded by
-// ctx. Idempotent.
+// Stop cancels the plugins in reverse registration order, waiting for
+// each Run to return before cancelling the next. ctx bounds the whole
+// stop: once it is done, the remaining plugins are cancelled without
+// waiting. The lock is not held while waiting, so StatusAll keeps
+// answering during a slow flush. Idempotent.
 func (m *Manager) Stop(ctx context.Context) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.started {
-		return
+	entries := m.entries
+	m.mu.Unlock()
+	for i := len(entries) - 1; i >= 0; i-- {
+		e := entries[i]
+		m.mu.Lock()
+		running := e.state == stateRunning
+		m.mu.Unlock()
+		if !running {
+			continue
+		}
+		e.cancel()
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+		}
+		m.mu.Lock()
+		e.state = stateStopped
+		m.mu.Unlock()
 	}
-	for i := len(m.order) - 1; i >= 0; i-- {
-		m.order[i].Stop(ctx)
-	}
-	m.started = false
-}
-
-// Reconfigure hands a new config value to the named plugin. Unknown
-// names and plugins without runtime reconfiguration are errors.
-func (m *Manager) Reconfigure(name string, cfg any) error {
-	p, ok := m.Plugin(name)
-	if !ok {
-		return fmt.Errorf("plugins: no plugin %q", name)
-	}
-	rc, ok := p.(Reconfigurable)
-	if !ok {
-		return fmt.Errorf("plugins: plugin %q does not support reconfiguration", name)
-	}
-	return rc.Reconfigure(cfg)
 }
 
 // StatusAll aggregates every plugin's status, keyed by name — the
 // healthz "plugins" block.
 func (m *Manager) StatusAll() map[string]Status {
 	m.mu.Lock()
-	plugins := append([]Plugin(nil), m.order...)
+	plugins := make([]Plugin, len(m.entries))
+	states := make([]string, len(m.entries))
+	for i, e := range m.entries {
+		plugins[i], states[i] = e.p, e.state
+	}
 	m.mu.Unlock()
 	out := make(map[string]Status, len(plugins))
-	for _, p := range plugins {
-		out[p.Name()] = p.Status()
+	for i, p := range plugins {
+		st := p.Status()
+		if st.State == "" || states[i] != stateRunning {
+			st.State = states[i]
+		}
+		out[p.Name()] = st
 	}
 	return out
 }

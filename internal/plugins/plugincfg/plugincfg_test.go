@@ -171,9 +171,9 @@ func TestBuildPlugins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := m.Names()
-	if len(names) != 3 || names[0] != "bundle" || names[1] != "decision_logs" || names[2] != "status" {
-		t.Fatalf("registered plugins %v", names)
+	st := m.StatusAll()
+	if len(st) != 3 || st["bundle"].State != "registered" || st["decision_logs"].State != "registered" || st["status"].State != "registered" {
+		t.Fatalf("registered plugins %v", st)
 	}
 
 	// The decision-log plugin is attached as the registry's sink: an
@@ -189,11 +189,11 @@ func TestBuildPlugins(t *testing.T) {
 	if _, _, err := s.CollectBatch("", []stream.BatchStep{{Values: []int{0}, Eps: &eps}}); err != nil {
 		t.Fatal(err)
 	}
-	lp, ok := m.Plugin("decision_logs")
+	lp, ok := m.StatusAll()["decision_logs"]
 	if !ok {
 		t.Fatal("decision_logs not registered")
 	}
-	if got := lp.Status().Detail["recorded"].(int64); got != 1 {
+	if got := lp.Detail["recorded"].(int64); got != 1 {
 		t.Fatalf("sink recorded %d decisions, want 1", got)
 	}
 
@@ -201,8 +201,8 @@ func TestBuildPlugins(t *testing.T) {
 	empty := Default()
 	if m, err = empty.BuildPlugins(service.NewRegistry()); err != nil {
 		t.Fatal(err)
-	} else if len(m.Names()) != 0 {
-		t.Fatalf("empty config registered %v", m.Names())
+	} else if st := m.StatusAll(); len(st) != 0 {
+		t.Fatalf("empty config registered %v", st)
 	}
 
 	// A bad public key surfaces at build time.

@@ -71,71 +71,21 @@ type Report struct {
 // Plugin periodically builds and (optionally) uploads reports.
 type Plugin struct {
 	reg *service.Registry
+	cfg Config
 
 	mu      sync.Mutex
-	cfg     Config
-	state   string
 	lastErr string
 	last    *Report
 	reports int64
-
-	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // NewPlugin creates the status plugin over a registry.
 func NewPlugin(reg *service.Registry, cfg Config) *Plugin {
-	return &Plugin{reg: reg, cfg: cfg.withDefaults(), state: "registered"}
+	return &Plugin{reg: reg, cfg: cfg.withDefaults()}
 }
 
 // Name implements manager.Plugin.
 func (p *Plugin) Name() string { return "status" }
-
-// Start launches the reporting loop.
-func (p *Plugin) Start(ctx context.Context) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cancel != nil {
-		return fmt.Errorf("status: already started")
-	}
-	ctx, p.cancel = context.WithCancel(ctx)
-	p.done = make(chan struct{})
-	p.state = "running"
-	go p.loop(ctx, p.done)
-	return nil
-}
-
-// Stop ends the loop (bounded by ctx).
-func (p *Plugin) Stop(ctx context.Context) {
-	p.mu.Lock()
-	cancel, done := p.cancel, p.done
-	p.cancel, p.done = nil, nil
-	if p.state == "running" {
-		p.state = "stopped"
-	}
-	p.mu.Unlock()
-	if cancel == nil {
-		return
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-}
-
-// Reconfigure accepts a new Config; the interval applies from the next
-// tick. Implements manager.Reconfigurable.
-func (p *Plugin) Reconfigure(cfg any) error {
-	c, ok := cfg.(Config)
-	if !ok {
-		return fmt.Errorf("status: reconfigure wants a status.Config, got %T", cfg)
-	}
-	p.mu.Lock()
-	p.cfg = c.withDefaults()
-	p.mu.Unlock()
-	return nil
-}
 
 // Status implements manager.Plugin: the latest report is the detail.
 func (p *Plugin) Status() manager.Status {
@@ -148,27 +98,18 @@ func (p *Plugin) Status() manager.Status {
 	if p.cfg.UploadURL != "" {
 		detail["upload_url"] = p.cfg.UploadURL
 	}
-	return manager.Status{State: p.state, Message: p.lastErr, Detail: detail}
+	return manager.Status{Message: p.lastErr, Detail: detail}
 }
 
-// Last returns the most recent report (nil before the first tick).
-func (p *Plugin) Last() *Report {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last
-}
-
-// loop emits one report immediately (so healthz shows data right after
-// boot) and then one per interval.
-func (p *Plugin) loop(ctx context.Context, done chan struct{}) {
-	defer close(done)
+// Run implements manager.Plugin. It emits one report immediately (so
+// healthz shows data right after boot) and then one per interval.
+func (p *Plugin) Run(ctx context.Context) {
 	p.report()
+	ticker := time.NewTicker(p.cfg.Interval)
+	defer ticker.Stop()
 	for {
-		p.mu.Lock()
-		interval := p.cfg.Interval
-		p.mu.Unlock()
 		select {
-		case <-time.After(interval):
+		case <-ticker.C:
 			p.report()
 		case <-ctx.Done():
 			return
@@ -201,15 +142,14 @@ func (p *Plugin) report() {
 		rep.Budgets = append(rep.Budgets, bp)
 	}
 	p.mu.Lock()
-	cfg := p.cfg
 	p.last = rep
 	p.reports++
 	p.mu.Unlock()
-	if cfg.UploadURL == "" {
+	if p.cfg.UploadURL == "" {
 		return
 	}
 	var errStr string
-	if err := uploadReport(cfg, rep); err != nil {
+	if err := uploadReport(p.cfg, rep); err != nil {
 		errStr = err.Error()
 	}
 	p.mu.Lock()

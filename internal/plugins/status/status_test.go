@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/markov"
+	"repro/internal/plugins/manager"
 	"repro/internal/service"
 	"repro/internal/stream"
 )
@@ -54,18 +55,15 @@ func TestReportContents(t *testing.T) {
 	defer ts.Close()
 
 	p := NewPlugin(reg, Config{Interval: time.Hour, UploadURL: ts.URL})
-	ctx := context.Background()
-	if err := p.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop(ctx)
+	m := startPlugin(t, p)
+	defer m.Stop(context.Background())
 
 	// The first report fires immediately on start.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Last() == nil && time.Now().Before(deadline) {
+	for p.Status().Detail["last_report"] == nil && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	rep := p.Last()
+	rep, _ := p.Status().Detail["last_report"].(*Report)
 	if rep == nil {
 		t.Fatal("no report after start")
 	}
@@ -94,8 +92,21 @@ func TestReportContents(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("%d uploads, want 1", n)
 	}
-	st := p.Status()
+	st := m.StatusAll()["status"]
 	if st.State != "running" || st.Detail["reports"].(int64) != 1 {
 		t.Fatalf("status %+v", st)
 	}
+}
+
+// startPlugin runs p under a manager; the manager's Stop ends it.
+func startPlugin(t *testing.T, p manager.Plugin) *manager.Manager {
+	t.Helper()
+	m := manager.New()
+	if err := m.Register(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

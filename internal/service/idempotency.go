@@ -151,12 +151,11 @@ func batchHash(steps []stream.BatchStep) [32]byte {
 func (s *Session) CollectBatch(key string, steps []stream.BatchStep) (results []stream.StepResult, replayed bool, err error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
-	// A writer that raced a migration and still holds this pointer is
-	// refused before touching any accountant: the state left with the
-	// export, so applying here would acknowledge a lost write. The 421
-	// redirect tells the client where to resend (migrate.go).
-	if s.retired {
-		return nil, false, &WrongShardError{Name: s.name, Location: s.retiredTo}
+	// A writer that raced a delete or a migration and still holds this
+	// pointer is refused before touching any accountant: the session's
+	// files are gone, so applying here would acknowledge a lost write.
+	if err := s.retiredErr(); err != nil {
+		return nil, false, err
 	}
 	// One atomic load decides whether this batch is audited; the
 	// disabled path pays nothing else (decision.go).

@@ -246,3 +246,57 @@ func TestDeleteKeepsNameUntilFilesDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeleteFencesHeldSession: a writer that looked a session up before
+// a Delete and still holds the pointer must be refused with
+// ErrNotFound. Applying the step would acknowledge it on a server whose
+// journal is gone, so no restart could bring it back.
+func TestDeleteFencesHeldSession(t *testing.T) {
+	r := durableRegistry(t, t.TempDir(), 4)
+	s, err := r.Create(&SessionConfig{Name: "x", Domain: 2, Users: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete("x"); err != nil {
+		t.Fatal(err)
+	}
+	eps := 0.5
+	res, _, err := s.CollectBatch("", []stream.BatchStep{{Values: []int{0}, Eps: &eps}})
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("step on a deleted session: results %v, err %v; want ErrNotFound", res, err)
+	}
+	if got := s.Server().T(); got != 0 {
+		t.Fatalf("deleted session advanced to T=%d", got)
+	}
+}
+
+// TestFailedAdmitFencesHeldSession: a writer can look a session up
+// between admit's insert and its rollback. Once the rollback detached
+// the session's files, that writer must be refused like one that raced
+// a Delete.
+func TestFailedAdmitFencesHeldSession(t *testing.T) {
+	dir := t.TempDir()
+	r := durableRegistry(t, dir, 4)
+	// A non-empty directory where x.snap goes makes the first
+	// snapshot's rename fail.
+	if err := os.MkdirAll(filepath.Join(dir, "x.snap", "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := &SessionConfig{Name: "x", Domain: 2, Users: 1, Seed: 1}
+	srv, err := cfg.BuildCached(r.models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.newSession(cfg, []byte("{}"), r.now(), srv)
+	if err := r.admit(s, false); err == nil {
+		t.Fatal("admit succeeded although its first snapshot cannot be written")
+	}
+	eps := 0.5
+	res, _, err := s.CollectBatch("", []stream.BatchStep{{Values: []int{0}, Eps: &eps}})
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("step on a rolled-back session: results %v, err %v; want ErrNotFound", res, err)
+	}
+	if got := s.Server().T(); got != 0 {
+		t.Fatalf("rolled-back session advanced to T=%d", got)
+	}
+}

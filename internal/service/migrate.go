@@ -72,12 +72,9 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 	}
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
-	if s.retired {
-		return "", &WrongShardError{Name: name, Location: s.retiredTo}
-	}
-	// A session deleted since the lookup must not reach the target.
-	if !r.owns(s) {
-		return "", fmt.Errorf("%w: %q", ErrNotFound, name)
+	// A session retired since the lookup must not reach the target.
+	if err := s.retiredErr(); err != nil {
+		return "", err
 	}
 	body, err := s.encodeStateLocked(s.srv.Snapshot(), 0)
 	if err != nil {
@@ -91,8 +88,6 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 	// un-migrate. The local files are dropped even when the tombstone
 	// write fails: a lost redirect is a 404, a resurrected snapshot is a
 	// second owner.
-	s.retired = true
-	s.retiredTo = target
 	if err := r.retireLocked(s, target); err != nil {
 		return target, fmt.Errorf("service: migrated %q to %s but %w", name, target, err)
 	}

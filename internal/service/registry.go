@@ -83,11 +83,11 @@ type Session struct {
 	journalRecords int
 	persistErr     error
 
-	// retired marks a session whose state was migrated to another shard
-	// (guarded by stepMu): any write that raced the migration and still
-	// holds this pointer is refused with WrongShardError pointing at
-	// retiredTo, so no step can land on the orphaned server after its
-	// state left the process. See migrate.go.
+	// retired marks a session that left the registry, deleted or
+	// migrated to the shard at retiredTo (guarded by stepMu): any write
+	// that raced the retirement and still holds this pointer is refused
+	// (retiredErr), so no step can be acknowledged on a server whose
+	// files are gone. See retireLocked and migrate.go.
 	retired   bool
 	retiredTo string
 
@@ -428,6 +428,8 @@ func (r *Registry) admit(s *Session, recovered bool) error {
 	if err == nil {
 		return nil
 	}
+	// A writer that looked s up meanwhile must not step it.
+	s.retired, s.retiredTo = true, tomb
 	store := s.detachPersistenceLocked()
 	if hadTomb {
 		_ = store.SaveTombstone(s.name, tomb) // first: a tombstone wins on restore
@@ -457,16 +459,18 @@ func (r *Registry) owns(s *Session) bool {
 
 // retireLocked is the one way a session leaves the registry (Delete and
 // Migrate): if s is still the session registered under its name, it
-// drops s's files, replaces it in the map with a tombstone to location
-// (none when location is empty), releases its users and disconnects its
-// watchers. The files go first, while the name is still taken, so they
-// can never be a re-created session's; a tombstone is fsynced before
-// them, so a crash in between restarts into the redirect. A session
-// already retired reports ErrNotFound. Caller holds s.stepMu.
+// fences s against writers that still hold the pointer, drops s's
+// files, replaces it in the map with a tombstone to location (none when
+// location is empty), releases its users and disconnects its watchers.
+// The files go first, while the name is still taken, so they can never
+// be a re-created session's; a tombstone is fsynced before them, so a
+// crash in between restarts into the redirect. A session already
+// retired reports ErrNotFound. Caller holds s.stepMu.
 func (r *Registry) retireLocked(s *Session, location string) error {
 	if !r.owns(s) {
 		return fmt.Errorf("%w: %q", ErrNotFound, s.name)
 	}
+	s.retired, s.retiredTo = true, location
 	var err error
 	if store := s.detachPersistenceLocked(); store != nil {
 		if location != "" {
@@ -491,6 +495,20 @@ func (r *Registry) retireLocked(s *Session, location string) error {
 	// timeout.
 	s.watch.closeAll()
 	return err
+}
+
+// retiredErr refuses a retired session: ErrNotFound when it was
+// deleted, a WrongShardError redirect when it migrated. Caller holds
+// s.stepMu.
+func (s *Session) retiredErr() error {
+	switch {
+	case !s.retired:
+		return nil
+	case s.retiredTo == "":
+		return fmt.Errorf("%w: %q", ErrNotFound, s.name)
+	default:
+		return &WrongShardError{Name: s.name, Location: s.retiredTo}
+	}
 }
 
 // Users returns the aggregate declared population across all sessions.
