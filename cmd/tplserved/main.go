@@ -54,12 +54,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -76,58 +74,33 @@ import (
 const pluginStopGrace = 10 * time.Second
 
 func main() {
-	// Flag defaults come from plugincfg.Default() — the single source
-	// of tplserved defaults. Precedence: defaults < config file <
-	// explicitly-set flags (plugincfg.ApplyFlags).
-	def := plugincfg.Default()
-	var (
-		configPath     = flag.String("config", "", "JSON config file (schema: internal/plugins/plugincfg); explicitly-set flags override it")
-		validateOnly   = flag.Bool("validate-config", false, "parse and validate -config, print every problem, and exit (non-zero when invalid)")
-		addr           = flag.String("addr", def.Addr, "listen address (host:port; port 0 picks a free port)")
-		quiet          = flag.Bool("quiet", def.Quiet, "suppress serving logs")
-		stateDir       = flag.String("state-dir", def.StateDir, "directory for durable session state (snapshots + step journals); empty = ephemeral, state dies with the process")
-		snapshotEvery  = flag.Int("snapshot-every", def.SnapshotEvery, "steps between coalesced session snapshots (0 = default; journal records are appended every step regardless)")
-		journalSync    = flag.String("journal-sync", def.JournalSync, "journal durability: none (page-cache only), group (one fsync per commit group, bounded latency) or step (fsync every batch)")
-		journalWindow  = flag.Duration("journal-window", time.Duration(def.JournalWindow), "group-commit latency window: how long an append may wait for companions before its fsync (0 = default)")
-		engineCacheDir = flag.String("engine-cache-dir", def.EngineCacheDir, "directory for the on-disk compiled-engine cache: adversary models seen by any previous process warm-start instead of recompiling; empty = compile fresh every boot")
-		role           = flag.String("role", def.Role, "process role: serve (one ingest shard, the default) or router (cluster front door proxying to -shards by consistent hashing)")
-		shards         = flag.String("shards", "", "comma-separated shard list (role router): bare base URLs (order fixes IDs shard-0,shard-1,...) or id=addr pairs, e.g. a=http://h1:8344,b=http://h2:8344")
-		ringSize       = flag.Int("ring-size", def.RingSize, "consistent-hash ring slots (role router; 0 = default)")
-		showVer        = flag.Bool("version", false, "print the build version and exit")
-	)
-	flag.Parse()
+	validateOnly := flag.Bool("validate-config", false, "parse and validate -config, print every problem, and exit (non-zero when invalid)")
+	showVer := flag.Bool("version", false, "print the build version and exit")
+	// The setting flags and -config belong to plugincfg, which applies
+	// the precedence: defaults < config file < explicitly-set flags.
+	cfg, configPath, err := plugincfg.Parse(flag.CommandLine, os.Args[1:])
 	if *showVer {
 		fmt.Println("tplserved", version.String())
 		return
 	}
-	cfg := def
-	if *configPath != "" {
-		var err error
-		if cfg, err = plugincfg.Load(*configPath); err != nil {
-			fmt.Fprintf(os.Stderr, "tplserved: %v\n", err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tplserved: %v\n", err)
+		os.Exit(1)
+	}
+	if *validateOnly && configPath == "" {
+		fmt.Fprintln(os.Stderr, "tplserved: -validate-config requires -config")
+		os.Exit(2)
+	}
+	problems := cfg.Validate()
+	for _, p := range problems {
+		fmt.Fprintf(os.Stderr, "tplserved: config: %s\n", p)
+	}
+	if len(problems) > 0 {
+		os.Exit(1)
 	}
 	if *validateOnly {
-		if *configPath == "" {
-			fmt.Fprintln(os.Stderr, "tplserved: -validate-config requires -config")
-			os.Exit(2)
-		}
-		if problems := cfg.Validate(); len(problems) > 0 {
-			for _, p := range problems {
-				fmt.Fprintf(os.Stderr, "tplserved: config: %s\n", p)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("tplserved: %s: config ok\n", *configPath)
+		fmt.Printf("tplserved: %s: config ok\n", configPath)
 		return
-	}
-	cfg.ApplyFlags(flag.CommandLine, addr, quiet, stateDir, snapshotEvery, journalSync, journalWindow, engineCacheDir, role, shards, ringSize)
-	if problems := cfg.Validate(); len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintf(os.Stderr, "tplserved: config: %s\n", p)
-		}
-		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -171,59 +144,17 @@ func run(ctx context.Context, cfg plugincfg.File, ready func(net.Addr)) error {
 	return srv.Run(ctx, ready)
 }
 
-// routerShutdownGrace bounds the in-flight drain of a stopping router.
-const routerShutdownGrace = 10 * time.Second
-
 // runRouter serves the cluster front door: no sessions, no durability —
 // just the topology document and the consistent-hash proxy over the
-// configured shards (internal/cluster).
+// configured shards (internal/cluster), with the shards' HTTP bounds
+// and drain.
 func runRouter(ctx context.Context, cfg plugincfg.File, logger *log.Logger, ready func(net.Addr)) error {
 	topo, err := cfg.Topology()
 	if err != nil {
 		return err
 	}
-	rt := cluster.NewRouter(topo)
-	hs := &http.Server{
-		Addr:              cfg.Addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		// Same bounds the shards use: honest traffic fits easily, a
-		// byte-trickling client cannot pin a proxy goroutine forever.
-		ReadTimeout:  5 * time.Minute,
-		WriteTimeout: 5 * time.Minute,
-		IdleTimeout:  2 * time.Minute,
-	}
 	if logger != nil {
-		hs.ErrorLog = logger
-	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready(ln.Addr())
-	}
-	if logger != nil {
-		logger.Printf("tplserved: listening on %s", ln.Addr())
 		logger.Printf("tplserved: router over %d shard(s), ring size %d, topology v%d", len(topo.Shards), topo.RingSize, topo.Version)
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	if logger != nil {
-		logger.Printf("tplserved: shutting down")
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), routerShutdownGrace)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return service.Serve(ctx, service.NewHTTPServer(cfg.Addr, cluster.NewRouter(topo).Handler(), logger), ready)
 }

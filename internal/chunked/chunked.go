@@ -15,8 +15,6 @@
 // under their own locks, exactly as they did for the plain slices.
 package chunked
 
-import "sync/atomic"
-
 // shift sets the chunk size: 1<<shift elements per chunk. 4096 elements
 // is 32 KiB of float64s — big enough that the spine stays tiny (one
 // pointer per chunk), small enough that a short-lived session does not
@@ -27,26 +25,6 @@ const shift = 12
 const Size = 1 << shift
 
 const mask = Size - 1
-
-// elementCopies counts element re-copies performed by log growth since
-// process start. Growth never needs one by construction — growCopy is
-// the single routing point any future copying growth strategy would
-// have to use — so the soak-style regression tests assert this counter
-// stays exactly zero across million-step runs.
-var elementCopies atomic.Int64
-
-// ElementCopies reports how many settled elements log growth has
-// re-copied process-wide. Structurally zero; exposed as the testing
-// hook that keeps it that way.
-func ElementCopies() int64 { return elementCopies.Load() }
-
-// growCopy is the only sanctioned way for growth to move element data.
-// Nothing calls it; it exists so that a future "compact the chunks"
-// change cannot dodge the zero-copy regression tests.
-func growCopy[T any](dst, src []T) { //nolint:unused
-	elementCopies.Add(int64(len(src)))
-	copy(dst, src)
-}
 
 // Log is an append-only chunked sequence. Indexing is O(1) (a shift, a
 // mask and two loads); appends are O(1) with no amortization debt on
@@ -78,16 +56,6 @@ func (l *Log[T]) At(i int) T {
 		panic("chunked: index out of range")
 	}
 	return l.spine[i>>shift][i&mask]
-}
-
-// SetAt replaces the element at index i (0-based). The history logs
-// never rewrite settled entries; this exists for completeness of the
-// slice semantics the log replaces and for tests.
-func (l *Log[T]) SetAt(i int, v T) {
-	if i < 0 || i >= l.n {
-		panic("chunked: index out of range")
-	}
-	l.spine[i>>shift][i&mask] = v
 }
 
 // AppendRange appends the elements with indices [from, to) to dst and
@@ -148,8 +116,7 @@ func (l *Log[T]) Chunks() int {
 }
 
 // FromSlice builds a log holding a copy of s — the bulk-load path of
-// Snapshot/Restore round-trips. (The copy is a load, not growth;
-// ElementCopies is about re-copying elements the log already holds.)
+// Snapshot/Restore round-trips.
 func FromSlice[T any](s []T) Log[T] {
 	var l Log[T]
 	l.spine = make([][]T, 0, (len(s)+Size-1)>>shift)

@@ -112,17 +112,6 @@ func TestChunkPointerStability(t *testing.T) {
 	}
 }
 
-func TestElementCopiesStaysZero(t *testing.T) {
-	before := ElementCopies()
-	var l Log[int]
-	for i := 0; i < 3*Size; i++ {
-		l.Append(i)
-	}
-	if d := ElementCopies() - before; d != 0 {
-		t.Fatalf("growth re-copied %d elements", d)
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	var l Log[int]
 	l.Append(1)

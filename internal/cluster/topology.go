@@ -12,7 +12,6 @@ package cluster
 import (
 	"fmt"
 	"net/url"
-	"sort"
 	"strings"
 )
 
@@ -299,14 +298,4 @@ func (t *Topology) SlotCounts() map[string]int {
 		counts[t.slotOwner(slot).ID]++
 	}
 	return counts
-}
-
-// ShardIDs returns the shard IDs in stable (sorted) order.
-func (t *Topology) ShardIDs() []string {
-	ids := make([]string, 0, len(t.Shards))
-	for _, s := range t.Shards {
-		ids = append(ids, s.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -19,11 +19,13 @@ import (
 // its own checksum; a SIGKILL mid-append leaves a torn final record,
 // which Replay detects and ignores — everything before it is intact.
 //
-// Appends are plain writes (no per-record fsync): process death never
-// loses page-cache data, so the kill-and-recover contract holds without
-// paying an fsync per step; only a whole-machine power loss can lose
-// the un-synced tail. Sync is exposed for callers that want a stronger
-// barrier at checkpoints.
+// Append is a plain write; durability against power loss comes from
+// Sync, which the caller's journal-sync mode decides when to call:
+// "group" (tplserved's default) acks an append only after a group
+// fsync covers it (GroupCommitter), "step" fsyncs after every append,
+// and "none" never fsyncs. Process death never loses page-cache data,
+// so the kill-and-recover contract holds in every mode; only in "none"
+// can a whole-machine power loss take the un-synced tail.
 
 // Journal is an append-only record log for one session.
 type Journal struct {

@@ -3,6 +3,7 @@ package bundle
 import (
 	"context"
 	"crypto/ed25519"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -220,7 +221,7 @@ func TestPluginHotSwap(t *testing.T) {
 	}
 
 	cache := stream.NewModelCache()
-	p, err := NewPlugin(cache, Config{URL: ts.URL, PublicKey: pub, Poll: 10 * time.Second, MinBackoff: 10 * time.Millisecond})
+	p, err := NewPlugin(cache, Config{URL: ts.URL, PublicKey: hex.EncodeToString(pub), Poll: manager.Duration(10 * time.Second), MinBackoff: manager.Duration(10 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestPluginRejectsBadBundles(t *testing.T) {
 	defer ts.Close()
 
 	cache := stream.NewModelCache()
-	p, err := NewPlugin(cache, Config{URL: ts.URL, PublicKey: pub, MinBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	p, err := NewPlugin(cache, Config{URL: ts.URL, PublicKey: hex.EncodeToString(pub), MinBackoff: manager.Duration(5 * time.Millisecond), MaxBackoff: manager.Duration(20 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,13 @@ package bundle
 import (
 	"context"
 	"crypto/ed25519"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,39 +22,75 @@ import (
 // not a model set).
 const maxBundleBytes = 64 << 20
 
-// Config drives the polling plugin.
+// Config drives the polling plugin. It is also the "plugins.bundle"
+// section of the tplserved config file.
 type Config struct {
 	// URL is the bundle endpoint (required).
-	URL string
-	// PublicKey, when non-nil, requires every fetched bundle to carry a
-	// valid Ed25519 signature. Without it only content hashes are
-	// checked.
-	PublicKey ed25519.PublicKey
+	URL string `json:"url"`
+	// PublicKey is the hex Ed25519 verification key; when set, every
+	// fetched bundle must carry a valid signature. Without it only
+	// content hashes are checked.
+	PublicKey string `json:"public_key,omitempty"`
 	// Poll is the long-poll hold time sent as ?timeout= once a revision
 	// is cached (default 30s).
-	Poll time.Duration
+	Poll manager.Duration `json:"poll,omitempty"`
 	// MinBackoff/MaxBackoff bound the jittered exponential backoff
 	// after fetch failures (defaults 500ms / 30s).
-	MinBackoff time.Duration
-	MaxBackoff time.Duration
+	MinBackoff manager.Duration `json:"min_backoff,omitempty"`
+	MaxBackoff manager.Duration `json:"max_backoff,omitempty"`
 	// Client overrides the HTTP client (tests; default has a timeout
 	// comfortably above Poll).
-	Client *http.Client
+	Client *http.Client `json:"-"`
+}
+
+// Problems returns every problem with the config, each prefixed with
+// prefix (the section's path in the config file); nil means valid.
+func (c *Config) Problems(prefix string) []string {
+	var problems []string
+	if c.URL == "" {
+		problems = append(problems, prefix+".url: required")
+	}
+	if c.PublicKey != "" {
+		if _, err := parsePublicKey(c.PublicKey); err != nil {
+			problems = append(problems, fmt.Sprintf("%s.public_key: %v", prefix, err))
+		}
+	}
+	for _, d := range []struct {
+		name string
+		v    manager.Duration
+	}{{"poll", c.Poll}, {"min_backoff", c.MinBackoff}, {"max_backoff", c.MaxBackoff}} {
+		if d.v < 0 {
+			problems = append(problems, prefix+"."+d.name+": must not be negative")
+		}
+	}
+	return problems
+}
+
+// parsePublicKey decodes a hex Ed25519 public key.
+func parsePublicKey(s string) (ed25519.PublicKey, error) {
+	key, err := hex.DecodeString(s)
+	if err != nil {
+		return nil, fmt.Errorf("not hex: %v", err)
+	}
+	if len(key) != ed25519.PublicKeySize {
+		return nil, fmt.Errorf("want %d bytes, got %d", ed25519.PublicKeySize, len(key))
+	}
+	return ed25519.PublicKey(key), nil
 }
 
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
 	if c.Poll <= 0 {
-		c.Poll = 30 * time.Second
+		c.Poll = manager.Duration(30 * time.Second)
 	}
 	if c.MinBackoff <= 0 {
-		c.MinBackoff = 500 * time.Millisecond
+		c.MinBackoff = manager.Duration(500 * time.Millisecond)
 	}
 	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 30 * time.Second
+		c.MaxBackoff = manager.Duration(30 * time.Second)
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.Poll + 30*time.Second}
+		c.Client = &http.Client{Timeout: time.Duration(c.Poll) + 30*time.Second}
 	}
 	return c
 }
@@ -64,6 +103,7 @@ func (c Config) withDefaults() Config {
 type Plugin struct {
 	cache *stream.ModelCache
 	cfg   Config
+	pub   ed25519.PublicKey // decoded cfg.PublicKey; nil when unsigned
 
 	mu          sync.Mutex
 	lastErr     string
@@ -72,12 +112,14 @@ type Plugin struct {
 	lastSuccess time.Time
 }
 
-// NewPlugin creates the bundle plugin activating into cache.
+// NewPlugin creates the bundle plugin activating into cache. It refuses
+// a config with problems.
 func NewPlugin(cache *stream.ModelCache, cfg Config) (*Plugin, error) {
-	if cfg.URL == "" {
-		return nil, fmt.Errorf("bundle: plugin needs a bundle URL")
+	if problems := cfg.Problems("bundle"); problems != nil {
+		return nil, errors.New(strings.Join(problems, "; "))
 	}
-	return &Plugin{cache: cache, cfg: cfg.withDefaults()}, nil
+	pub, _ := parsePublicKey(cfg.PublicKey) // vetted above; "" leaves pub nil
+	return &Plugin{cache: cache, cfg: cfg.withDefaults(), pub: pub}, nil
 }
 
 // Name implements manager.Plugin.
@@ -91,7 +133,7 @@ func (p *Plugin) Status() manager.Status {
 		"url":         p.cfg.URL,
 		"revision":    p.revision,
 		"activations": p.activations,
-		"signed":      p.cfg.PublicKey != nil,
+		"signed":      p.pub != nil,
 	}}
 	if p.lastErr != "" {
 		st.State = "error"
@@ -118,9 +160,9 @@ func (p *Plugin) Run(ctx context.Context) {
 			return
 		case err != nil:
 			if backoff == 0 {
-				backoff = p.cfg.MinBackoff
+				backoff = time.Duration(p.cfg.MinBackoff)
 			} else {
-				backoff = min(backoff*2, p.cfg.MaxBackoff)
+				backoff = min(backoff*2, time.Duration(p.cfg.MaxBackoff))
 			}
 			p.mu.Lock()
 			p.lastErr = err.Error()
@@ -143,7 +185,7 @@ func (p *Plugin) Run(ctx context.Context) {
 				// Nothing published yet and no long-poll hold happened
 				// (no ETag to wait on): pace the retry.
 				select {
-				case <-time.After(p.cfg.MinBackoff):
+				case <-time.After(time.Duration(p.cfg.MinBackoff)):
 				case <-ctx.Done():
 					return
 				}
@@ -196,7 +238,7 @@ func (p *Plugin) fetchOnce(ctx context.Context, etag string) (changed bool, err 
 	if len(body) > maxBundleBytes {
 		return false, fmt.Errorf("bundle: payload exceeds %d bytes", maxBundleBytes)
 	}
-	b, err := Parse(body, cfg.PublicKey)
+	b, err := Parse(body, p.pub)
 	if err != nil {
 		return false, err
 	}

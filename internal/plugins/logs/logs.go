@@ -14,9 +14,11 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,24 +27,41 @@ import (
 	"repro/internal/service"
 )
 
-// Config drives the decision-log plugin. Exactly one of UploadURL and
-// SpoolPath must be set.
+// Config drives the decision-log plugin. It is also the
+// "plugins.decision_logs" section of the tplserved config file.
+// Exactly one of UploadURL and SpoolPath must be set.
 type Config struct {
 	// UploadURL receives each batch as a POST with Content-Type
 	// application/x-ndjson and Content-Encoding gzip.
-	UploadURL string
+	UploadURL string `json:"upload_url,omitempty"`
 	// SpoolPath appends each batch to a local file as one gzip member
 	// (concatenated members decode as one stream).
-	SpoolPath string
+	SpoolPath string `json:"spool_path,omitempty"`
 	// Buffer is the in-flight record capacity; past it, records are
 	// dropped and counted (default 4096).
-	Buffer int
+	Buffer int `json:"buffer,omitempty"`
 	// Batch is the flush threshold in records (default 256).
-	Batch int
+	Batch int `json:"batch,omitempty"`
 	// FlushInterval bounds how long a partial batch waits (default 2s).
-	FlushInterval time.Duration
+	FlushInterval manager.Duration `json:"flush_interval,omitempty"`
 	// Client overrides the upload HTTP client (tests).
-	Client *http.Client
+	Client *http.Client `json:"-"`
+}
+
+// Problems returns every problem with the config, each prefixed with
+// prefix (the section's path in the config file); nil means valid.
+func (c *Config) Problems(prefix string) []string {
+	var problems []string
+	if (c.UploadURL == "") == (c.SpoolPath == "") {
+		problems = append(problems, prefix+": exactly one of upload_url and spool_path must be set")
+	}
+	if c.Buffer < 0 || c.Batch < 0 {
+		problems = append(problems, prefix+": buffer and batch must not be negative")
+	}
+	if c.FlushInterval < 0 {
+		problems = append(problems, prefix+".flush_interval: must not be negative")
+	}
+	return problems
 }
 
 // withDefaults fills the zero fields.
@@ -54,20 +73,12 @@ func (c Config) withDefaults() Config {
 		c.Batch = 256
 	}
 	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Second
+		c.FlushInterval = manager.Duration(2 * time.Second)
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return c
-}
-
-// validate checks the sink destination.
-func (c Config) validate() error {
-	if (c.UploadURL == "") == (c.SpoolPath == "") {
-		return fmt.Errorf("logs: exactly one of upload URL and spool path must be set")
-	}
-	return nil
 }
 
 // Plugin is the decision-log sink. It implements service.DecisionSink
@@ -85,10 +96,11 @@ type Plugin struct {
 	failures int64 // failed flushes (their records are lost and counted dropped)
 }
 
-// NewPlugin creates the decision-log plugin.
+// NewPlugin creates the decision-log plugin. It refuses a config with
+// problems.
 func NewPlugin(cfg Config) (*Plugin, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if problems := cfg.Problems("logs"); problems != nil {
+		return nil, errors.New(strings.Join(problems, "; "))
 	}
 	cfg = cfg.withDefaults()
 	return &Plugin{cfg: cfg, ch: make(chan service.Decision, cfg.Buffer)}, nil
@@ -135,7 +147,7 @@ func (p *Plugin) Status() manager.Status {
 // nothing that Record accepted.
 func (p *Plugin) Run(ctx context.Context) {
 	var batch []service.Decision
-	ticker := time.NewTicker(p.cfg.FlushInterval)
+	ticker := time.NewTicker(time.Duration(p.cfg.FlushInterval))
 	defer ticker.Stop()
 	flush := func() {
 		if len(batch) == 0 {

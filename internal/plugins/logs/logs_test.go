@@ -51,7 +51,7 @@ func readSpool(t *testing.T, path string) []service.Decision {
 
 func TestSpoolFlushOnStopAndBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decisions.ndjson.gz")
-	p, err := NewPlugin(Config{SpoolPath: path, Batch: 3, FlushInterval: time.Hour})
+	p, err := NewPlugin(Config{SpoolPath: path, Batch: 3, FlushInterval: manager.Duration(time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestUploadEndpoint(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	p, err := NewPlugin(Config{UploadURL: ts.URL, Batch: 2, FlushInterval: 20 * time.Millisecond})
+	p, err := NewPlugin(Config{UploadURL: ts.URL, Batch: 2, FlushInterval: manager.Duration(20 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

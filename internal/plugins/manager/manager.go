@@ -9,9 +9,44 @@ package manager
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
+	"time"
 )
+
+// Duration is a time.Duration that marshals as a Go duration string
+// ("2s", "500ms") — the config file's only duration spelling; bare
+// numbers are rejected so a config can never be ambiguous about units.
+// It is also a flag.Value with the same spelling.
+type Duration time.Duration
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (d *Duration) UnmarshalJSON(b []byte) error {
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return fmt.Errorf("durations are strings like \"30s\" or \"500ms\", got %s", b)
+	}
+	return d.Set(s)
+}
+
+// MarshalJSON implements json.Marshaler.
+func (d Duration) MarshalJSON() ([]byte, error) {
+	return json.Marshal(d.String())
+}
+
+// String implements flag.Value.
+func (d Duration) String() string { return time.Duration(d).String() }
+
+// Set implements flag.Value.
+func (d *Duration) Set(s string) error {
+	v, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	*d = Duration(v)
+	return nil
+}
 
 // Plugin is one managed component. Its config is fixed at construction.
 type Plugin interface {

@@ -1,16 +1,15 @@
 // Package plugincfg is the declarative configuration of tplserved's
-// management plane: the schema of the -config file, its validation
-// (usable standalone via -validate-config), the single place where
-// flag-vs-config precedence is enforced, and the factory that turns a
-// parsed file into a running plugin manager. It is the only package
+// management plane: the schema of the -config file, the setting flags
+// that override it (the single place where flag-vs-config precedence
+// is enforced), its validation (usable standalone via
+// -validate-config), and the factory that turns a parsed file into a
+// running plugin manager. It is the only package
 // that imports both the service and every plugin — the service itself
 // stays ignorant of plugins, and plugins stay ignorant of each other.
 package plugincfg
 
 import (
 	"bytes"
-	"crypto/ed25519"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,34 +25,10 @@ import (
 	"repro/internal/service"
 )
 
-// Duration is a time.Duration that marshals as a Go duration string
-// ("2s", "500ms") — the config file's only duration spelling; bare
-// numbers are rejected so a config can never be ambiguous about units.
-type Duration time.Duration
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("durations are strings like \"30s\" or \"500ms\", got %s", b)
-	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		return err
-	}
-	*d = Duration(v)
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// File is the tplserved config file. Every server flag has a
-// counterpart here; flags set explicitly on the command line override
-// the file (ApplyFlags), and the file overrides the built-in defaults
-// (Default) — that one sentence is the whole precedence story.
+// File is the tplserved config file. Every setting flag is registered
+// directly onto its field here (Parse); flags set explicitly on the
+// command line override the file, and the file overrides the built-in
+// defaults (Default) — that one sentence is the whole precedence story.
 type File struct {
 	// Addr is the listen address.
 	Addr string `json:"addr,omitempty"`
@@ -66,7 +41,7 @@ type File struct {
 	// JournalSync is "none", "group" or "step".
 	JournalSync string `json:"journal_sync,omitempty"`
 	// JournalWindow bounds the group-commit latency window.
-	JournalWindow Duration `json:"journal_window,omitempty"`
+	JournalWindow manager.Duration `json:"journal_window,omitempty"`
 	// EngineCacheDir enables the on-disk compiled-engine cache
 	// (empty = compile fresh every process).
 	EngineCacheDir string `json:"engine_cache_dir,omitempty"`
@@ -85,52 +60,17 @@ type File struct {
 	Plugins Plugins `json:"plugins,omitempty"`
 }
 
-// Plugins is the per-plugin configuration block.
+// Plugins is the per-plugin configuration block: each section is the
+// plugin's own Config.
 type Plugins struct {
-	Bundle       *Bundle       `json:"bundle,omitempty"`
-	DecisionLogs *DecisionLogs `json:"decision_logs,omitempty"`
-	Status       *Status       `json:"status,omitempty"`
-}
-
-// Bundle configures the bundle-polling plugin.
-type Bundle struct {
-	// URL is the bundle endpoint (required).
-	URL string `json:"url"`
-	// PublicKey is the hex Ed25519 verification key; when set, every
-	// bundle must carry a valid signature.
-	PublicKey string `json:"public_key,omitempty"`
-	// Poll is the long-poll hold time.
-	Poll Duration `json:"poll,omitempty"`
-	// MinBackoff/MaxBackoff bound the failure backoff.
-	MinBackoff Duration `json:"min_backoff,omitempty"`
-	MaxBackoff Duration `json:"max_backoff,omitempty"`
-}
-
-// DecisionLogs configures the decision-log plugin.
-type DecisionLogs struct {
-	// UploadURL and SpoolPath are the two sink destinations; exactly
-	// one must be set.
-	UploadURL string `json:"upload_url,omitempty"`
-	SpoolPath string `json:"spool_path,omitempty"`
-	// Buffer is the in-flight record capacity.
-	Buffer int `json:"buffer,omitempty"`
-	// Batch is the flush threshold in records.
-	Batch int `json:"batch,omitempty"`
-	// FlushInterval bounds how long a partial batch waits.
-	FlushInterval Duration `json:"flush_interval,omitempty"`
-}
-
-// Status configures the status plugin.
-type Status struct {
-	// Interval is the reporting period.
-	Interval Duration `json:"interval,omitempty"`
-	// UploadURL, when set, receives each report as JSON.
-	UploadURL string `json:"upload_url,omitempty"`
+	Bundle       *bundle.Config `json:"bundle,omitempty"`
+	DecisionLogs *logs.Config   `json:"decision_logs,omitempty"`
+	Status       *status.Config `json:"status,omitempty"`
 }
 
 // Default returns the built-in configuration — the single source of
-// every tplserved default (the flag declarations take theirs from
-// here).
+// every tplserved default (the flags registered by Parse take theirs
+// from here).
 func Default() File {
 	return File{
 		Addr:        ":8344",
@@ -138,24 +78,67 @@ func Default() File {
 	}
 }
 
+// Parse registers -config and the setting flags on fs and parses args
+// into the effective configuration: defaults < the -config file <
+// explicitly-set flags. Each setting flag writes straight into its
+// File field, so with a -config file the arguments are parsed a second
+// time over the loaded file — only flags actually passed overwrite it.
+// path is the -config value ("" when none was given).
+func Parse(fs *flag.FlagSet, args []string) (f File, path string, err error) {
+	f = Default()
+	fs.StringVar(&path, "config", "", "JSON config file (schema: internal/plugins/plugincfg); explicitly-set flags override it")
+	fs.StringVar(&f.Addr, "addr", f.Addr, "listen address (host:port; port 0 picks a free port)")
+	fs.BoolVar(&f.Quiet, "quiet", f.Quiet, "suppress serving logs")
+	fs.StringVar(&f.StateDir, "state-dir", f.StateDir, "directory for durable session state (snapshots + step journals); empty = ephemeral, state dies with the process")
+	fs.IntVar(&f.SnapshotEvery, "snapshot-every", f.SnapshotEvery, "steps between coalesced session snapshots (0 = default; journal records are appended every step regardless)")
+	fs.StringVar(&f.JournalSync, "journal-sync", f.JournalSync, "journal durability: none (page-cache only), group (one fsync per commit group, bounded latency) or step (fsync every batch)")
+	fs.Var(&f.JournalWindow, "journal-window", "group-commit latency window: how long an append may wait for companions before its fsync (0 = default)")
+	fs.StringVar(&f.EngineCacheDir, "engine-cache-dir", f.EngineCacheDir, "directory for the on-disk compiled-engine cache: adversary models seen by any previous process warm-start instead of recompiling; empty = compile fresh every boot")
+	fs.StringVar(&f.Role, "role", f.Role, "process role: serve (one ingest shard, the default) or router (cluster front door proxying to -shards by consistent hashing)")
+	fs.Func("shards", "comma-separated shard list (role router): bare base URLs (order fixes IDs shard-0,shard-1,...) or id=addr pairs, e.g. a=http://h1:8344,b=http://h2:8344", func(list string) error {
+		f.Shards = nil
+		for _, a := range strings.Split(list, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				f.Shards = append(f.Shards, a)
+			}
+		}
+		return nil
+	})
+	fs.IntVar(&f.RingSize, "ring-size", f.RingSize, "consistent-hash ring slots (role router; 0 = default)")
+	if err := fs.Parse(args); err != nil || path == "" {
+		return f, path, err
+	}
+	f = Default()
+	if err := f.load(path); err != nil {
+		return f, path, err
+	}
+	return f, path, fs.Parse(args)
+}
+
 // Load reads a config file over the defaults: absent keys keep their
 // Default values, unknown keys are errors (a typoed key silently doing
 // nothing is the worst failure mode a config can have).
 func Load(path string) (File, error) {
 	f := Default()
+	err := f.load(path)
+	return f, err
+}
+
+// load decodes the config file at path over f.
+func (f *File) load(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return f, err
+		return err
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return f, fmt.Errorf("parsing %s: %w", path, err)
+	if err := dec.Decode(f); err != nil {
+		return fmt.Errorf("parsing %s: %w", path, err)
 	}
 	if dec.More() {
-		return f, fmt.Errorf("parsing %s: trailing data after the config object", path)
+		return fmt.Errorf("parsing %s: trailing data after the config object", path)
 	}
-	return f, nil
+	return nil
 }
 
 // Validate checks the configuration and returns every problem found
@@ -211,92 +194,16 @@ func (f *File) Validate() []string {
 	default:
 		bad("role: %q is not a role (want \"serve\" or \"router\")", f.Role)
 	}
-	if b := f.Plugins.Bundle; b != nil {
-		if b.URL == "" {
-			bad("plugins.bundle.url: required")
-		}
-		if b.PublicKey != "" {
-			if _, err := parsePublicKey(b.PublicKey); err != nil {
-				bad("plugins.bundle.public_key: %v", err)
-			}
-		}
-		for name, d := range map[string]Duration{"poll": b.Poll, "min_backoff": b.MinBackoff, "max_backoff": b.MaxBackoff} {
-			if d < 0 {
-				bad("plugins.bundle.%s: must not be negative", name)
-			}
-		}
+	if c := f.Plugins.Bundle; c != nil {
+		problems = append(problems, c.Problems("plugins.bundle")...)
 	}
-	if l := f.Plugins.DecisionLogs; l != nil {
-		if (l.UploadURL == "") == (l.SpoolPath == "") {
-			bad("plugins.decision_logs: exactly one of upload_url and spool_path must be set")
-		}
-		if l.Buffer < 0 || l.Batch < 0 {
-			bad("plugins.decision_logs: buffer and batch must not be negative")
-		}
-		if l.FlushInterval < 0 {
-			bad("plugins.decision_logs.flush_interval: must not be negative")
-		}
+	if c := f.Plugins.DecisionLogs; c != nil {
+		problems = append(problems, c.Problems("plugins.decision_logs")...)
 	}
-	if s := f.Plugins.Status; s != nil {
-		if s.Interval < 0 {
-			bad("plugins.status.interval: must not be negative")
-		}
+	if c := f.Plugins.Status; c != nil {
+		problems = append(problems, c.Problems("plugins.status")...)
 	}
 	return problems
-}
-
-// parsePublicKey decodes a hex Ed25519 public key.
-func parsePublicKey(s string) (ed25519.PublicKey, error) {
-	key, err := hex.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("not hex: %v", err)
-	}
-	if len(key) != ed25519.PublicKeySize {
-		return nil, fmt.Errorf("want %d bytes, got %d", ed25519.PublicKeySize, len(key))
-	}
-	return ed25519.PublicKey(key), nil
-}
-
-// ApplyFlags overlays explicitly-set command-line flags onto the file:
-// the one place flag-vs-config precedence lives. Only flags the user
-// actually passed win (fs.Visit enumerates exactly those); defaults
-// never shadow the file.
-func (f *File) ApplyFlags(fs *flag.FlagSet, addr *string, quiet *bool, stateDir *string, snapshotEvery *int, journalSync *string, journalWindow *time.Duration, engineCacheDir *string, role *string, shards *string, ringSize *int) {
-	fs.Visit(func(fl *flag.Flag) {
-		switch fl.Name {
-		case "addr":
-			f.Addr = *addr
-		case "quiet":
-			f.Quiet = *quiet
-		case "state-dir":
-			f.StateDir = *stateDir
-		case "snapshot-every":
-			f.SnapshotEvery = *snapshotEvery
-		case "journal-sync":
-			f.JournalSync = *journalSync
-		case "journal-window":
-			f.JournalWindow = Duration(*journalWindow)
-		case "engine-cache-dir":
-			f.EngineCacheDir = *engineCacheDir
-		case "role":
-			f.Role = *role
-		case "shards":
-			f.Shards = splitShards(*shards)
-		case "ring-size":
-			f.RingSize = *ringSize
-		}
-	})
-}
-
-// splitShards parses the -shards flag's comma-separated address list.
-func splitShards(list string) []string {
-	var out []string
-	for _, a := range strings.Split(list, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // Topology builds the router's placement document (router role only).
@@ -330,50 +237,27 @@ func (f *File) Options() service.Options {
 // rest. A file configuring no plugins yields an empty (still
 // startable) manager.
 func (f *File) BuildPlugins(reg *service.Registry) (*manager.Manager, error) {
-	m := manager.New()
-	if bc := f.Plugins.Bundle; bc != nil {
-		cfg := bundle.Config{
-			URL:        bc.URL,
-			Poll:       time.Duration(bc.Poll),
-			MinBackoff: time.Duration(bc.MinBackoff),
-			MaxBackoff: time.Duration(bc.MaxBackoff),
-		}
-		if bc.PublicKey != "" {
-			key, err := parsePublicKey(bc.PublicKey)
-			if err != nil {
-				return nil, fmt.Errorf("plugincfg: plugins.bundle.public_key: %w", err)
-			}
-			cfg.PublicKey = key
-		}
-		p, err := bundle.NewPlugin(reg.ModelCache(), cfg)
+	var plugins []manager.Plugin
+	if c := f.Plugins.Bundle; c != nil {
+		p, err := bundle.NewPlugin(reg.ModelCache(), *c)
 		if err != nil {
 			return nil, err
 		}
-		if err := m.Register(p); err != nil {
-			return nil, err
-		}
+		plugins = append(plugins, p)
 	}
-	if lc := f.Plugins.DecisionLogs; lc != nil {
-		p, err := logs.NewPlugin(logs.Config{
-			UploadURL:     lc.UploadURL,
-			SpoolPath:     lc.SpoolPath,
-			Buffer:        lc.Buffer,
-			Batch:         lc.Batch,
-			FlushInterval: time.Duration(lc.FlushInterval),
-		})
+	if c := f.Plugins.DecisionLogs; c != nil {
+		p, err := logs.NewPlugin(*c)
 		if err != nil {
-			return nil, err
-		}
-		if err := m.Register(p); err != nil {
 			return nil, err
 		}
 		reg.SetDecisionSink(p)
+		plugins = append(plugins, p)
 	}
-	if sc := f.Plugins.Status; sc != nil {
-		p := status.NewPlugin(reg, status.Config{
-			Interval:  time.Duration(sc.Interval),
-			UploadURL: sc.UploadURL,
-		})
+	if c := f.Plugins.Status; c != nil {
+		plugins = append(plugins, status.NewPlugin(reg, *c))
+	}
+	m := manager.New()
+	for _, p := range plugins {
 		if err := m.Register(p); err != nil {
 			return nil, err
 		}

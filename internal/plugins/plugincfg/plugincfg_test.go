@@ -2,12 +2,19 @@ package plugincfg
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/plugins/bundle"
+	"repro/internal/plugins/logs"
+	"repro/internal/plugins/manager"
+	"repro/internal/plugins/status"
 	"repro/internal/service"
 	"repro/internal/stream"
 )
@@ -79,9 +86,9 @@ func TestValidateCollectsEveryProblem(t *testing.T) {
 	f.Addr = ""
 	f.SnapshotEvery = -1
 	f.JournalSync = "sometimes"
-	f.Plugins.Bundle = &Bundle{PublicKey: "zz"}
-	f.Plugins.DecisionLogs = &DecisionLogs{UploadURL: "http://x", SpoolPath: "/y"}
-	f.Plugins.Status = &Status{Interval: Duration(-time.Second)}
+	f.Plugins.Bundle = &bundle.Config{PublicKey: "zz"}
+	f.Plugins.DecisionLogs = &logs.Config{UploadURL: "http://x", SpoolPath: "/y"}
+	f.Plugins.Status = &status.Config{Interval: manager.Duration(-time.Second)}
 	problems := f.Validate()
 	for _, want := range []string{
 		"addr:", "snapshot_every:", "journal_sync:",
@@ -101,7 +108,7 @@ func TestValidateCollectsEveryProblem(t *testing.T) {
 	}
 	// Zero decision-log destinations is as invalid as two.
 	g := Default()
-	g.Plugins.DecisionLogs = &DecisionLogs{}
+	g.Plugins.DecisionLogs = &logs.Config{}
 	if g.Validate() == nil {
 		t.Error("destination-less decision_logs validated")
 	}
@@ -111,61 +118,115 @@ func TestValidateCollectsEveryProblem(t *testing.T) {
 	}
 }
 
-// TestApplyFlagsPrecedence is the regression test for the precedence
-// contract: defaults < config file < explicitly-set flags. A flag left
-// at its default must NOT shadow the file's value, even when the two
-// differ.
-func TestApplyFlagsPrecedence(t *testing.T) {
-	def := Default()
+// parseArgs runs the production command-line parser on a fresh flag
+// set.
+func parseArgs(t *testing.T, args ...string) File {
+	t.Helper()
 	fs := flag.NewFlagSet("tplserved", flag.ContinueOnError)
-	addr := fs.String("addr", def.Addr, "")
-	quiet := fs.Bool("quiet", def.Quiet, "")
-	stateDir := fs.String("state-dir", def.StateDir, "")
-	snapshotEvery := fs.Int("snapshot-every", def.SnapshotEvery, "")
-	journalSync := fs.String("journal-sync", def.JournalSync, "")
-	journalWindow := fs.Duration("journal-window", time.Duration(def.JournalWindow), "")
-	engineCacheDir := fs.String("engine-cache-dir", def.EngineCacheDir, "")
-	role := fs.String("role", def.Role, "")
-	shards := fs.String("shards", "", "")
-	ringSize := fs.Int("ring-size", def.RingSize, "")
-	// The user passes exactly three flags.
-	if err := fs.Parse([]string{"-addr", ":9999", "-snapshot-every", "7", "-engine-cache-dir", "/flagcache"}); err != nil {
-		t.Fatal(err)
+	fs.SetOutput(io.Discard)
+	f, _, err := Parse(fs, args)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", args, err)
 	}
+	return f
+}
 
-	f, err := Load(writeConfig(t, `{
-		"addr": ":1111",
-		"state_dir": "/data",
-		"journal_sync": "step",
-		"journal_window": "9ms",
-		"engine_cache_dir": "/filecache"
-	}`))
+// TestParsePrecedence is the regression test for the precedence
+// contract over every setting flag: defaults < config file <
+// explicitly-set flags. A flag left unset must NOT shadow the file's
+// value, even when the file differs from the flag's default.
+func TestParsePrecedence(t *testing.T) {
+	cases := []struct {
+		flag, flagVal string
+		fileJSON      string // the setting's key and value in the file
+		get           func(File) any
+		wantFlag      any
+		wantFile      any
+	}{
+		{"addr", ":9999", `"addr": ":1111"`, func(f File) any { return f.Addr }, ":9999", ":1111"},
+		{"quiet", "false", `"quiet": true`, func(f File) any { return f.Quiet }, false, true},
+		{"state-dir", "/flagstate", `"state_dir": "/data"`, func(f File) any { return f.StateDir }, "/flagstate", "/data"},
+		{"snapshot-every", "7", `"snapshot_every": 9`, func(f File) any { return f.SnapshotEvery }, 7, 9},
+		{"journal-sync", "none", `"journal_sync": "step"`, func(f File) any { return f.JournalSync }, "none", "step"},
+		{"journal-window", "4ms", `"journal_window": "9ms"`, func(f File) any { return time.Duration(f.JournalWindow) }, 4 * time.Millisecond, 9 * time.Millisecond},
+		{"engine-cache-dir", "/flagcache", `"engine_cache_dir": "/filecache"`, func(f File) any { return f.EngineCacheDir }, "/flagcache", "/filecache"},
+		{"role", "router", `"role": "serve"`, func(f File) any { return f.Role }, "router", "serve"},
+		{"shards", " a=http://h1 ,b=http://h2,", `"shards": ["http://f1"]`, func(f File) any { return f.Shards }, []string{"a=http://h1", "b=http://h2"}, []string{"http://f1"}},
+		{"ring-size", "64", `"ring_size": 32`, func(f File) any { return f.RingSize }, 64, 32},
+	}
+	for _, c := range cases {
+		t.Run(c.flag, func(t *testing.T) {
+			path := writeConfig(t, "{"+c.fileJSON+"}")
+			if got := c.get(parseArgs(t, "-config", path, "-"+c.flag+"="+c.flagVal)); !reflect.DeepEqual(got, c.wantFlag) {
+				t.Errorf("flag and file: got %#v, want the flag's %#v", got, c.wantFlag)
+			}
+			if got := c.get(parseArgs(t, "-config", path)); !reflect.DeepEqual(got, c.wantFile) {
+				t.Errorf("file only: got %#v, want the file's %#v", got, c.wantFile)
+			}
+			if got, want := c.get(parseArgs(t)), c.get(Default()); !reflect.DeepEqual(got, want) {
+				t.Errorf("neither: got %#v, want the default %#v", got, want)
+			}
+			if got := c.get(parseArgs(t, "-"+c.flag+"="+c.flagVal)); !reflect.DeepEqual(got, c.wantFlag) {
+				t.Errorf("flag only: got %#v, want %#v", got, c.wantFlag)
+			}
+		})
+	}
+	// Unparsable arguments and files surface as errors.
+	fs := flag.NewFlagSet("tplserved", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if _, _, err := Parse(fs, []string{"-journal-window", "5"}); err == nil {
+		t.Error("bare-number -journal-window accepted")
+	}
+	fs = flag.NewFlagSet("tplserved", flag.ContinueOnError)
+	if _, path, err := Parse(fs, []string{"-config", filepath.Join(t.TempDir(), "missing.json")}); err == nil || path == "" {
+		t.Errorf("missing -config file: path %q, err %v", path, err)
+	}
+}
+
+// TestLoadEveryKey decodes a file naming every top-level and every
+// plugin key once: a mistyped JSON tag leaves its field zero (or is
+// rejected as unknown) and fails here.
+func TestLoadEveryKey(t *testing.T) {
+	key := strings.Repeat("ab", 32)
+	f, err := Load(writeConfig(t, fmt.Sprintf(`{
+		"addr": ":1", "quiet": true, "state_dir": "/s", "snapshot_every": 3,
+		"journal_sync": "step", "journal_window": "2ms", "engine_cache_dir": "/e",
+		"role": "router", "shards": ["http://a", "http://b"], "ring_size": 5,
+		"plugins": {
+			"bundle": {"url": "http://b/", "public_key": %q, "poll": "1s", "min_backoff": "2s", "max_backoff": "3s"},
+			"decision_logs": {"upload_url": "http://u/", "spool_path": "/sp", "buffer": 7, "batch": 8, "flush_interval": "4s"},
+			"status": {"interval": "5s", "upload_url": "http://st/"}
+		}
+	}`, key)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.ApplyFlags(fs, addr, quiet, stateDir, snapshotEvery, journalSync, journalWindow, engineCacheDir, role, shards, ringSize)
-
-	// Explicit flags win over the file.
-	if f.Addr != ":9999" || f.SnapshotEvery != 7 || f.EngineCacheDir != "/flagcache" {
-		t.Fatalf("explicit flags did not win: %+v", f)
+	want := File{
+		Addr: ":1", Quiet: true, StateDir: "/s", SnapshotEvery: 3,
+		JournalSync: "step", JournalWindow: manager.Duration(2 * time.Millisecond), EngineCacheDir: "/e",
+		Role: "router", Shards: []string{"http://a", "http://b"}, RingSize: 5,
+		Plugins: Plugins{
+			Bundle: &bundle.Config{URL: "http://b/", PublicKey: key, Poll: manager.Duration(time.Second),
+				MinBackoff: manager.Duration(2 * time.Second), MaxBackoff: manager.Duration(3 * time.Second)},
+			DecisionLogs: &logs.Config{UploadURL: "http://u/", SpoolPath: "/sp", Buffer: 7, Batch: 8,
+				FlushInterval: manager.Duration(4 * time.Second)},
+			Status: &status.Config{Interval: manager.Duration(5 * time.Second), UploadURL: "http://st/"},
+		},
 	}
-	// Unset flags must not drag the file's values back to the flag
-	// defaults ("group" is journal-sync's default, the file says
-	// "step").
-	if f.StateDir != "/data" || f.JournalSync != "step" || time.Duration(f.JournalWindow) != 9*time.Millisecond {
-		t.Fatalf("flag defaults shadowed the file: %+v", f)
+	if !reflect.DeepEqual(f, want) {
+		t.Fatalf("decoded\n%+v\nwant\n%+v", f, want)
 	}
-	opts := f.Options()
-	if opts.StateDir != "/data" || opts.JournalSync != "step" || opts.SnapshotEvery != 7 || opts.EngineCacheDir != "/flagcache" {
-		t.Fatalf("options %+v", opts)
+	wantOpts := service.Options{StateDir: "/s", SnapshotEvery: 3, JournalSync: "step", JournalWindow: 2 * time.Millisecond, EngineCacheDir: "/e"}
+	if opts := f.Options(); opts != wantOpts {
+		t.Fatalf("options %+v, want %+v", opts, wantOpts)
 	}
 }
 
 func TestBuildPlugins(t *testing.T) {
 	f := Default()
-	f.Plugins.Bundle = &Bundle{URL: "http://bundles/"}
-	f.Plugins.DecisionLogs = &DecisionLogs{SpoolPath: filepath.Join(t.TempDir(), "dec.gz")}
-	f.Plugins.Status = &Status{}
+	f.Plugins.Bundle = &bundle.Config{URL: "http://bundles/"}
+	f.Plugins.DecisionLogs = &logs.Config{SpoolPath: filepath.Join(t.TempDir(), "dec.gz")}
+	f.Plugins.Status = &status.Config{}
 	reg := service.NewRegistry()
 	m, err := f.BuildPlugins(reg)
 	if err != nil {
@@ -207,7 +268,7 @@ func TestBuildPlugins(t *testing.T) {
 
 	// A bad public key surfaces at build time.
 	bad := Default()
-	bad.Plugins.Bundle = &Bundle{URL: "http://x", PublicKey: "nothex"}
+	bad.Plugins.Bundle = &bundle.Config{URL: "http://x", PublicKey: "nothex"}
 	if _, err := bad.BuildPlugins(service.NewRegistry()); err == nil {
 		t.Fatal("bad public key accepted")
 	}

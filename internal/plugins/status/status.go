@@ -19,20 +19,30 @@ import (
 	"repro/internal/service"
 )
 
-// Config drives the status plugin.
+// Config drives the status plugin. It is also the "plugins.status"
+// section of the tplserved config file.
 type Config struct {
 	// Interval is the reporting period (default 30s).
-	Interval time.Duration
+	Interval manager.Duration `json:"interval,omitempty"`
 	// UploadURL, when set, receives each report as a POST of JSON.
-	UploadURL string
+	UploadURL string `json:"upload_url,omitempty"`
 	// Client overrides the upload HTTP client (tests).
-	Client *http.Client
+	Client *http.Client `json:"-"`
+}
+
+// Problems returns every problem with the config, each prefixed with
+// prefix (the section's path in the config file); nil means valid.
+func (c *Config) Problems(prefix string) []string {
+	if c.Interval < 0 {
+		return []string{prefix + ".interval: must not be negative"}
+	}
+	return nil
 }
 
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
-		c.Interval = 30 * time.Second
+		c.Interval = manager.Duration(30 * time.Second)
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 15 * time.Second}
@@ -105,7 +115,7 @@ func (p *Plugin) Status() manager.Status {
 // healthz shows data right after boot) and then one per interval.
 func (p *Plugin) Run(ctx context.Context) {
 	p.report()
-	ticker := time.NewTicker(p.cfg.Interval)
+	ticker := time.NewTicker(time.Duration(p.cfg.Interval))
 	defer ticker.Stop()
 	for {
 		select {

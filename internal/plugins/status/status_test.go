@@ -54,7 +54,7 @@ func TestReportContents(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	p := NewPlugin(reg, Config{Interval: time.Hour, UploadURL: ts.URL})
+	p := NewPlugin(reg, Config{Interval: manager.Duration(time.Hour), UploadURL: ts.URL})
 	m := startPlugin(t, p)
 	defer m.Stop(context.Background())
 

@@ -12,48 +12,9 @@
 //     implementation.
 //   - Writer streams a whole document — an optional preamble followed
 //     by any number of tables — so long experiment runs emit each
-//     table as soon as it is computed. Report is the buffered
-//     convenience wrapper over Writer.
+//     table as soon as it is computed.
 //
 // Renderers are streaming and allocation-conscious: they buffer writes,
 // reuse scratch space across rows, and never materialize the rendered
 // document in memory.
 package report
-
-import (
-	"fmt"
-	"io"
-)
-
-// Report groups tables under a document title with optional preamble
-// notes, rendering the whole experiment run as one document.
-type Report struct {
-	Title  string
-	Notes  []string
-	Tables []*Table
-}
-
-// Add appends tables to the report.
-func (r *Report) Add(tables ...*Table) { r.Tables = append(r.Tables, tables...) }
-
-// Render writes the whole report in the given format.
-func (r *Report) Render(w io.Writer, f Format) error {
-	wr, err := NewWriter(w, f)
-	if err != nil {
-		return err
-	}
-	if r.Title != "" || len(r.Notes) > 0 {
-		if err := wr.Header(r.Title, r.Notes...); err != nil {
-			return err
-		}
-	}
-	for i, t := range r.Tables {
-		if t == nil {
-			return fmt.Errorf("report: table %d is nil", i)
-		}
-		if err := wr.WriteTable(t); err != nil {
-			return err
-		}
-	}
-	return wr.Flush()
-}

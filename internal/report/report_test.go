@@ -27,6 +27,25 @@ func sample() *Table {
 	return t
 }
 
+// writeDoc renders a titled document through Writer.
+func writeDoc(t *testing.T, f Format, title string, notes []string, tables ...*Table) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	wr, err := NewWriter(&buf, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wr.Header(title, notes...); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		if err := wr.WriteTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &buf
+}
+
 func TestGoldenPerFormat(t *testing.T) {
 	for _, f := range Formats() {
 		f := f
@@ -62,12 +81,7 @@ func TestDocumentGoldenPerFormat(t *testing.T) {
 	for _, f := range Formats() {
 		f := f
 		t.Run(f.String(), func(t *testing.T) {
-			rep := &Report{Title: "Sample run", Notes: []string{"seed 1, quick scales"}}
-			rep.Add(sample(), second)
-			var buf bytes.Buffer
-			if err := rep.Render(&buf, f); err != nil {
-				t.Fatal(err)
-			}
+			buf := writeDoc(t, f, "Sample run", []string{"seed 1, quick scales"}, sample(), second)
 			path := filepath.Join("testdata", "doc."+f.String()+".golden")
 			if *update {
 				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -115,13 +129,9 @@ func TestJSONLinesRoundTrip(t *testing.T) {
 }
 
 func TestJSONLinesDocumentRoundTrip(t *testing.T) {
-	rep := &Report{Title: "doc", Notes: []string{"preamble"}}
-	rep.Add(sample(), &Table{Title: "second", Header: []string{"a"}, Rows: [][]string{{"1"}}})
-	var buf bytes.Buffer
-	if err := rep.Render(&buf, JSONLines); err != nil {
-		t.Fatal(err)
-	}
-	tables, err := ParseJSONLines(&buf)
+	buf := writeDoc(t, JSONLines, "doc", []string{"preamble"},
+		sample(), &Table{Title: "second", Header: []string{"a"}, Rows: [][]string{{"1"}}})
+	tables, err := ParseJSONLines(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +266,11 @@ func TestWriterHeaderMustComeFirst(t *testing.T) {
 }
 
 func TestReportNilTable(t *testing.T) {
-	rep := &Report{}
-	rep.Add(nil)
-	if err := rep.Render(&bytes.Buffer{}, Text); err == nil {
+	wr, err := NewWriter(&bytes.Buffer{}, Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wr.WriteTable(nil); err == nil {
 		t.Error("nil table should be reported, not crash")
 	}
 }

@@ -40,9 +40,6 @@ func NewWriter(w io.Writer, f Format) (*Writer, error) {
 	return &Writer{w: w, f: f, r: r}, nil
 }
 
-// Format returns the document's output format.
-func (wr *Writer) Format() Format { return wr.f }
-
 // Header writes the document preamble. It must precede every table.
 func (wr *Writer) Header(title string, notes ...string) error {
 	if wr.wrote {
@@ -86,6 +83,9 @@ func (wr *Writer) Header(title string, notes ...string) error {
 // JSONLines separates tables with one blank line; JSON lines documents
 // stay blank-line-free so each line of the file is one JSON object.
 func (wr *Writer) WriteTable(t *Table) error {
+	if t == nil {
+		return fmt.Errorf("report: table %d is nil", wr.tables)
+	}
 	wr.wrote = true
 	if err := wr.r.RenderTable(wr.w, t); err != nil {
 		return err
@@ -101,8 +101,3 @@ func (wr *Writer) WriteTable(t *Table) error {
 
 // Tables returns how many tables have been written.
 func (wr *Writer) Tables() int { return wr.tables }
-
-// Flush finishes the document. With the current formats all state is
-// already on the wire; Flush exists so callers are insulated from
-// future formats that need a trailer.
-func (wr *Writer) Flush() error { return nil }

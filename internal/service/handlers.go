@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -257,11 +256,7 @@ func (a *API) postSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.SnapshotNow()
 	if err != nil {
-		if errors.Is(err, ErrNoStore) {
-			writeError(w, err)
-		} else {
-			writeErrorStatus(w, http.StatusInternalServerError, err)
-		}
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"name": s.Name(), "t": s.Server().T(), "persistence": info})

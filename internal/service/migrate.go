@@ -149,13 +149,3 @@ func (r *Registry) ImportSession(version uint32, body []byte) (*Session, error) 
 	}
 	return s, nil
 }
-
-// TombstoneLocation reports the redirect recorded for a migrated-away
-// session name ("" , false when none).
-func (r *Registry) TombstoneLocation(name string) (string, bool) {
-	stripe := r.stripe(name)
-	stripe.mu.RLock()
-	loc, ok := stripe.tombstones[name]
-	stripe.mu.RUnlock()
-	return loc, ok
-}

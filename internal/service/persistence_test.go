@@ -342,6 +342,67 @@ func TestDeleteRemovesState(t *testing.T) {
 	}
 }
 
+// TestStateDirFailureIsInternal pins the blame for disk failures: an
+// error from the state dir is the server's (500 internal), not the
+// client's (400 invalid_request) — on create and on a delete whose file
+// removal fails after the session is already gone.
+func TestStateDirFailureIsInternal(t *testing.T) {
+	dir := t.TempDir()
+	api := NewAPI()
+	store, err := persist.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := api.Registry().EnablePersistence(store, 50); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(api.Handler())
+	defer ts.Close()
+	do := func(method, path, body string) (int, Problem) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var p Problem
+		_ = json.NewDecoder(resp.Body).Decode(&p)
+		return resp.StatusCode, p
+	}
+	wantInternal := func(what string, status int, p Problem) {
+		t.Helper()
+		if status != http.StatusInternalServerError || p.Code != CodeInternal {
+			t.Errorf("%s: %d %q (%s), want 500 %q", what, status, p.Code, p.Detail, CodeInternal)
+		}
+	}
+
+	// The journal path is taken by a directory: the session cannot open
+	// its journal.
+	if err := os.Mkdir(filepath.Join(dir, "x.journal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	status, p := do(http.MethodPost, "/v2/sessions", `{"name":"x","domain":2,"users":1}`)
+	wantInternal("create over a broken state dir", status, p)
+
+	// A non-empty directory where the snapshot temp file goes cannot be
+	// removed: the delete retires the session but reports the failure.
+	if status, _ := do(http.MethodPost, "/v2/sessions", `{"name":"y","domain":2,"users":1}`); status != http.StatusCreated {
+		t.Fatalf("create y: %d", status)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "y.snap.tmp", "pin"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	status, p = do(http.MethodDelete, "/v2/sessions/y", "")
+	wantInternal("delete whose file removal fails", status, p)
+	if status, _ := do(http.MethodGet, "/v2/sessions/y", ""); status != http.StatusNotFound {
+		t.Errorf("after the failed removal: GET %d, want 404", status)
+	}
+}
+
 // TestSnapshotEndpointAndHealth drives the HTTP layer: the snapshot
 // endpoint forces a snapshot and reports metadata; healthz reports
 // uptime, session count and persistence health; session summaries

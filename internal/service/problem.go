@@ -2,7 +2,9 @@ package service
 
 import (
 	"errors"
+	"io/fs"
 	"net/http"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/release"
@@ -135,6 +137,8 @@ func classify(err error) (status int, code string) {
 	var tooBig *http.MaxBytesError
 	var invalid *core.InvalidStateError
 	var wrongShard *WrongShardError
+	var pathErr *fs.PathError
+	var linkErr *os.LinkError
 	switch {
 	case errors.As(err, &wrongShard):
 		// 421 Misdirected Request: the session lives on another shard.
@@ -164,6 +168,10 @@ func classify(err error) (status int, code string) {
 		return http.StatusRequestEntityTooLarge, CodePayloadTooLarge
 	case errors.As(err, &invalid), errors.Is(err, stream.ErrBadServerState):
 		return http.StatusUnprocessableEntity, CodeInvalidState
+	case errors.As(err, &pathErr), errors.As(err, &linkErr):
+		// The state dir failed (the file operations of internal/persist
+		// return these); nothing was wrong with the request.
+		return http.StatusInternalServerError, CodeInternal
 	default:
 		return http.StatusBadRequest, CodeInvalidRequest
 	}

@@ -22,7 +22,6 @@ const shutdownGrace = 10 * time.Second
 type Server struct {
 	api  *API
 	http *http.Server
-	log  *log.Logger
 }
 
 // Options configures the optional durability of a server.
@@ -78,9 +77,7 @@ func NewWithOptions(addr string, logger *log.Logger, opts Options) (*Server, err
 			return nil, err
 		}
 		api.Registry().SetEngineCache(ec)
-		if logger != nil {
-			logger.Printf("tplserved: engine cache at %s (%d entries)", opts.EngineCacheDir, ec.Stats().Entries)
-		}
+		logf(logger, "tplserved: engine cache at %s (%d entries)", opts.EngineCacheDir, ec.Stats().Entries)
 	}
 	if opts.StateDir != "" {
 		store, err := persist.NewStore(opts.StateDir)
@@ -105,51 +102,65 @@ func NewWithOptions(addr string, logger *log.Logger, opts Options) (*Server, err
 			}
 		}
 	}
-	s := &Server{
-		api: api,
-		http: &http.Server{
-			Addr:              addr,
-			Handler:           api.Handler(),
-			ReadHeaderTimeout: 10 * time.Second,
-			// Generous but bounded: a million-user step uploads in well
-			// under a second, so five minutes accommodates any honest
-			// client while a byte-trickling one cannot pin a handler
-			// goroutine forever or stall graceful shutdown.
-			ReadTimeout:  5 * time.Minute,
-			WriteTimeout: 5 * time.Minute,
-			IdleTimeout:  2 * time.Minute,
-		},
-		log: logger,
-	}
-	if logger != nil {
-		s.http.ErrorLog = logger
-	}
+	s := &Server{api: api, http: NewHTTPServer(addr, api.Handler(), logger)}
 	// SSE watch streams end when Shutdown begins — an open watch held to
-	// the shutdown deadline would abort the drain and skip the final
-	// snapshots below.
+	// the shutdown deadline would abort the drain and skip Run's final
+	// snapshots.
 	s.http.RegisterOnShutdown(api.StopWatchers)
 	return s, nil
+}
+
+// NewHTTPServer returns the http.Server every tplserved role serves h
+// with: addr, the shared timeouts, and logger for serving errors and
+// Serve's lifecycle lines (nil discards the latter).
+func NewHTTPServer(addr string, h http.Handler, logger *log.Logger) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ErrorLog:          logger,
+		ReadHeaderTimeout: 10 * time.Second,
+		// Generous but bounded: a million-user step uploads in well
+		// under a second, so five minutes accommodates any honest
+		// client while a byte-trickling one cannot pin a handler
+		// goroutine forever or stall graceful shutdown.
+		ReadTimeout:  5 * time.Minute,
+		WriteTimeout: 5 * time.Minute,
+		IdleTimeout:  2 * time.Minute,
+	}
 }
 
 // API returns the underlying API (and through it the registry).
 func (s *Server) API() *API { return s.api }
 
-// Run listens on the configured address and serves until ctx is
-// cancelled, then drains in-flight requests for up to shutdownGrace.
-// ready, when non-nil, is called with the bound address once the
-// listener is up (tests and callers using ":0" learn the real port).
+// Run serves until ctx is cancelled (see Serve), then takes one final
+// snapshot per session so a clean restart replays no journal at all.
 func (s *Server) Run(ctx context.Context, ready func(net.Addr)) error {
-	ln, err := net.Listen("tcp", s.http.Addr)
+	if err := Serve(ctx, s.http, ready); err != nil {
+		return err
+	}
+	if err := s.api.Registry().Close(); err != nil {
+		logf(s.http.ErrorLog, "tplserved: finalizing persisted state: %v", err)
+		return err
+	}
+	return nil
+}
+
+// Serve listens on hs.Addr and serves until ctx is cancelled, then
+// drains in-flight requests for up to shutdownGrace. ready, when
+// non-nil, is called with the bound address once the listener is up
+// (tests and callers using ":0" learn the real port).
+func Serve(ctx context.Context, hs *http.Server, ready func(net.Addr)) error {
+	ln, err := net.Listen("tcp", hs.Addr)
 	if err != nil {
 		return err
 	}
 	if ready != nil {
 		ready(ln.Addr())
 	}
-	s.logf("tplserved: listening on %s", ln.Addr())
+	logf(hs.ErrorLog, "tplserved: listening on %s", ln.Addr())
 
 	errc := make(chan error, 1)
-	go func() { errc <- s.http.Serve(ln) }()
+	go func() { errc <- hs.Serve(ln) }()
 
 	select {
 	case err := <-errc:
@@ -157,26 +168,21 @@ func (s *Server) Run(ctx context.Context, ready func(net.Addr)) error {
 		return err
 	case <-ctx.Done():
 	}
-	s.logf("tplserved: shutting down")
+	logf(hs.ErrorLog, "tplserved: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
-	if err := s.http.Shutdown(shutdownCtx); err != nil {
+	if err := hs.Shutdown(shutdownCtx); err != nil {
 		return err
 	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	// Requests have drained; take one final snapshot per session so a
-	// clean restart replays no journal at all.
-	if err := s.api.Registry().Close(); err != nil {
-		s.logf("tplserved: finalizing persisted state: %v", err)
-		return err
-	}
 	return nil
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.log != nil {
-		s.log.Printf(format, args...)
+// logf logs through logger unless it is nil.
+func logf(logger *log.Logger, format string, args ...any) {
+	if logger != nil {
+		logger.Printf(format, args...)
 	}
 }

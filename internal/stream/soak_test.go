@@ -30,8 +30,6 @@ func TestSoakChunkedHistoryMillionSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	copiesBefore := chunked.ElementCopies()
-
 	const batch = 4096
 	eps := 0.1
 	steps := make([]BatchStep, batch)
@@ -62,9 +60,6 @@ func TestSoakChunkedHistoryMillionSteps(t *testing.T) {
 		t.Fatalf("server at T=%d, want %d", got, soakSteps)
 	}
 
-	if d := chunked.ElementCopies() - copiesBefore; d != 0 {
-		t.Fatalf("chunked storage re-copied %d elements during the soak; appends must never move settled history", d)
-	}
 	if &s.budgets.Chunk(0)[0] != firstBudgetAddr {
 		t.Fatal("budgets chunk 0 moved during the soak")
 	}
