@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/markov"
-	"repro/internal/matrix"
 	"repro/internal/report"
 	"repro/internal/version"
 )
@@ -66,12 +65,12 @@ func run(w io.Writer, pbPath, pfPath string, eps float64, T int, budgetsPath, fo
 	}
 	var pb, pf *markov.Chain
 	if pbPath != "" {
-		if pb, err = loadChain(pbPath); err != nil {
+		if pb, err = markov.LoadFile(pbPath); err != nil {
 			return fmt.Errorf("loading -pb: %w", err)
 		}
 	}
 	if pfPath != "" {
-		if pf, err = loadChain(pfPath); err != nil {
+		if pf, err = markov.LoadFile(pfPath); err != nil {
 			return fmt.Errorf("loading -pf: %w", err)
 		}
 	}
@@ -163,45 +162,4 @@ func loadBudgets(path string) ([]float64, error) {
 		return nil, fmt.Errorf("no budgets in %s", path)
 	}
 	return out, nil
-}
-
-// loadChain reads a row-stochastic matrix from a text file: one row per
-// line, values separated by commas and/or whitespace. Blank lines and
-// lines starting with '#' are skipped.
-func loadChain(path string) (*markov.Chain, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rows [][]float64
-	sc := bufio.NewScanner(f)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.FieldsFunc(line, func(r rune) bool {
-			return r == ',' || r == ' ' || r == '\t'
-		})
-		row := make([]float64, 0, len(fields))
-		for _, fd := range fields {
-			v, err := strconv.ParseFloat(fd, 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %q is not a number", lineNo, fd)
-			}
-			row = append(row, v)
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	m, err := matrix.FromRows(rows)
-	if err != nil {
-		return nil, err
-	}
-	return markov.New(m)
 }

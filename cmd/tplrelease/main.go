@@ -14,17 +14,14 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/markov"
-	"repro/internal/matrix"
 	"repro/internal/mechanism"
 	"repro/internal/release"
 	"repro/internal/report"
@@ -62,12 +59,12 @@ func run(w io.Writer, pbPath, pfPath string, alpha float64, alg, T int, format s
 	}
 	var pb, pf *markov.Chain
 	if pbPath != "" {
-		if pb, err = loadChain(pbPath); err != nil {
+		if pb, err = markov.LoadFile(pbPath); err != nil {
 			return fmt.Errorf("loading -pb: %w", err)
 		}
 	}
 	if pfPath != "" {
-		if pf, err = loadChain(pfPath); err != nil {
+		if pf, err = markov.LoadFile(pfPath); err != nil {
 			return fmt.Errorf("loading -pf: %w", err)
 		}
 	}
@@ -124,44 +121,4 @@ func run(w io.Writer, pbPath, pfPath string, alpha float64, alg, T int, format s
 	}
 	tb.Notes = append(tb.Notes, fmt.Sprintf("max realized TPL: %.6f (target %.6f)", worst, alpha))
 	return tb.RenderFormat(w, f)
-}
-
-// loadChain reads a row-stochastic matrix from a text file (one row per
-// line, comma- or whitespace-separated; '#' comments allowed).
-func loadChain(path string) (*markov.Chain, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rows [][]float64
-	sc := bufio.NewScanner(f)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.FieldsFunc(line, func(r rune) bool {
-			return r == ',' || r == ' ' || r == '\t'
-		})
-		row := make([]float64, 0, len(fields))
-		for _, fd := range fields {
-			v, err := strconv.ParseFloat(fd, 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %q is not a number", lineNo, fd)
-			}
-			row = append(row, v)
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	m, err := matrix.FromRows(rows)
-	if err != nil {
-		return nil, err
-	}
-	return markov.New(m)
 }

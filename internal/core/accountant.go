@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/chunked"
 	"repro/internal/markov"
@@ -32,17 +33,23 @@ type lossQuantifier interface {
 // evaluations instead of O(T).
 //
 // The zero value is not usable; construct with NewAccountant.
-// An Accountant is not safe for concurrent use.
+//
+// Observe must run alone; every other method may run concurrently with
+// the others. A read can still write — it refreshes the cached forward
+// series — so that cache has its own lock, and holding it is the
+// accountant's business, not the caller's.
 type Accountant struct {
 	qb, qf lossQuantifier
 	// eps and bpl live for the session and grow every step; chunked
 	// storage makes the append O(1) with no memmove of the settled
 	// history (see internal/chunked — the hand-doubled slices they
 	// replace re-copied the whole multi-MB history on every doubling).
-	eps  chunked.Log[float64]
-	bpl  chunked.Log[float64] // bpl[t], maintained incrementally
-	fpl  []float64            // cached FPL series for the first fplT observations
-	fplT int                  // observation count the fpl cache was computed at
+	eps chunked.Log[float64]
+	bpl chunked.Log[float64] // bpl[t], maintained incrementally
+
+	// fplMu guards fpl, the one field a read writes (refreshFPL).
+	fplMu sync.Mutex
+	fpl   []float64 // cached FPL series for the first len(fpl) observations
 
 	// Backward-loss memo: the last two (alpha, L(alpha)) evaluations.
 	// The BPL recurrence bpl[t] = L(bpl[t-1]) + eps[t] saturates under
@@ -151,10 +158,7 @@ func (a *Accountant) FPL(t int) (float64, error) {
 	if t == a.eps.Len() {
 		return a.eps.At(t - 1), nil
 	}
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
-	}
-	return a.fpl[t-1], nil
+	return a.refreshFPL()[t-1], nil
 }
 
 // TPL returns the total temporal privacy leakage at 1-based time t per
@@ -172,10 +176,23 @@ func (a *Accountant) TPL(t int) (float64, error) {
 		e := a.eps.At(t - 1)
 		return a.bpl.At(t-1) + e - e, nil
 	}
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
+	return a.bpl.At(t-1) + a.refreshFPL()[t-1] - a.eps.At(t-1), nil
+}
+
+// TPLRange returns TPL(t) for every 1-based t in [from, to], refreshing
+// the forward series once for the whole range. The empty range
+// to == from-1 gives an empty slice. At t == T the forward term is
+// eps_T exactly, so every element equals what TPL(t) returns.
+func (a *Accountant) TPLRange(from, to int) ([]float64, error) {
+	if T := a.eps.Len(); from < 1 || to > T || from > to+1 {
+		return nil, fmt.Errorf("core: range [%d,%d] outside [1,%d]", from, to, T)
 	}
-	return a.bpl.At(t-1) + a.fpl[t-1] - a.eps.At(t-1), nil
+	fpl := a.refreshFPL()
+	out := make([]float64, 0, to-from+1)
+	for t := from - 1; t < to; t++ {
+		out = append(out, a.bpl.At(t)+fpl[t]-a.eps.At(t))
+	}
+	return out, nil
 }
 
 // MaxTPL returns the worst TPL across all time points so far: the
@@ -185,9 +202,7 @@ func (a *Accountant) MaxTPL() (float64, error) {
 	if T == 0 {
 		return 0, nil
 	}
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
-	}
+	fpl := a.refreshFPL()
 	worst := math.Inf(-1)
 	// Walk chunk-by-chunk: one bounds check per chunk instead of three
 	// per element, and the arithmetic order matches the pre-chunk scan
@@ -195,7 +210,7 @@ func (a *Accountant) MaxTPL() (float64, error) {
 	for ci, t := 0, 0; t < T; ci++ {
 		bc, ec := a.bpl.Chunk(ci), a.eps.Chunk(ci)
 		for i := range ec {
-			if v := bc[i] + a.fpl[t] - ec[i]; v > worst {
+			if v := bc[i] + fpl[t] - ec[i]; v > worst {
 				worst = v
 			}
 			t++
@@ -222,9 +237,7 @@ func (a *Accountant) UserLevel() float64 {
 // applies to contiguous series — the chunked walk only changes where
 // the loads come from, never the order they are added in.
 func (a *Accountant) WEvent(w int) (float64, error) {
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
-	}
+	fpl := a.refreshFPL()
 	T := a.eps.Len()
 	if w < 1 || w > T {
 		return 0, fmt.Errorf("core: window w=%d out of range [1,%d]", w, T)
@@ -233,9 +246,9 @@ func (a *Accountant) WEvent(w int) (float64, error) {
 	for start := 0; start+w <= T; start++ {
 		var v float64
 		if w == 1 {
-			v = EventLevelTPL(a.bpl.At(start), a.fpl[start], a.eps.At(start))
+			v = EventLevelTPL(a.bpl.At(start), fpl[start], a.eps.At(start))
 		} else {
-			v = a.bpl.At(start) + a.fpl[start+w-1]
+			v = a.bpl.At(start) + fpl[start+w-1]
 			for t := start + 1; t < start+w-1; t++ {
 				v += a.eps.At(t)
 			}
@@ -260,15 +273,13 @@ func (a *Accountant) WindowTPL(from, to int) (float64, error) {
 	if from > to {
 		return 0, fmt.Errorf("core: window [%d,%d] is empty", from, to)
 	}
-	if err := a.refreshFPL(); err != nil {
-		return 0, err
-	}
+	fpl := a.refreshFPL()
 	if from == to {
-		return EventLevelTPL(a.bpl.At(from-1), a.fpl[from-1], a.eps.At(from-1)), nil
+		return EventLevelTPL(a.bpl.At(from-1), fpl[from-1], a.eps.At(from-1)), nil
 	}
 	// ComposeTPL's arithmetic order: first + last, then the middle
 	// budgets in step order.
-	total := a.bpl.At(from-1) + a.fpl[to-1]
+	total := a.bpl.At(from-1) + fpl[to-1]
 	for t := from; t < to-1; t++ {
 		total += a.eps.At(t)
 	}
@@ -286,24 +297,29 @@ func (a *Accountant) checkT(t int) error {
 }
 
 // refreshFPL brings the cached forward series up to date with the
-// observations. The recurrence FPL(t) = L^F(FPL(t+1)) + eps_t runs
-// backward from the new tail; as soon as a freshly computed FPL(t+1)
-// is bit-identical to the cached value for the same t+1, every earlier
-// point must agree too (same successor, same budget, same deterministic
-// loss function), and the cached prefix is kept. Every budget was
-// validated by Observe, so unlike the batch FPLSeries there is no input
-// to reject; the error return is kept for symmetry with the other
-// accessors.
+// observations and returns it. The recurrence FPL(t) = L^F(FPL(t+1)) +
+// eps_t runs backward from the new tail; as soon as a freshly computed
+// FPL(t+1) is bit-identical to the cached value for the same t+1, every
+// earlier point must agree too (same successor, same budget, same
+// deterministic loss function), and the cached prefix is kept. Every
+// budget was validated by Observe, so unlike the batch FPLSeries there
+// is no input to reject.
 //
 // The refresh rewrites the changed suffix in place (growing the slice
 // with headroom when the horizon outgrows it), so a read after a few
-// new steps costs the suffix, not a copy of the whole history.
-func (a *Accountant) refreshFPL() error {
+// new steps costs the suffix, not a copy of the whole history. It runs
+// under fplMu, so concurrent reads refresh once; the returned series is
+// not written again before the next Observe, which runs alone, so the
+// caller reads it without the lock.
+func (a *Accountant) refreshFPL() []float64 {
+	a.fplMu.Lock()
+	defer a.fplMu.Unlock()
 	T := a.eps.Len()
-	if a.fplT == T {
-		return nil
+	old := a.fpl
+	oldT := len(old)
+	if oldT == T {
+		return old
 	}
-	old, oldT := a.fpl, a.fplT
 	inPlace := cap(old) >= T
 	var fpl []float64
 	if inPlace {
@@ -331,6 +347,6 @@ func (a *Accountant) refreshFPL() error {
 	if !inPlace {
 		copy(fpl[:t+1], old[:t+1])
 	}
-	a.fpl, a.fplT = fpl, T
-	return nil
+	a.fpl = fpl
+	return fpl
 }

@@ -44,6 +44,18 @@ func TestAccountantMatchesBatchSeries(t *testing.T) {
 				tm, b, f, tp, bpl[tm-1], fpl[tm-1], tpl[tm-1])
 		}
 	}
+	// TPLRange answers every t exactly as TPL does, the tail included.
+	for from := 1; from <= len(eps); from++ {
+		got, err := acc.TPLRange(from, len(eps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if want, _ := acc.TPL(from + i); v != want {
+				t.Errorf("TPLRange(%d, %d)[%d] = %v, TPL says %v", from, len(eps), i, v, want)
+			}
+		}
+	}
 }
 
 func TestAccountantFPLGrowsWithNewReleases(t *testing.T) {
@@ -131,6 +143,14 @@ func TestAccountantEmpty(t *testing.T) {
 	}
 	if _, err := acc.TPL(1); err == nil {
 		t.Error("TPL on empty accountant should fail")
+	}
+	if got, err := acc.TPLRange(1, 0); err != nil || got == nil || len(got) != 0 {
+		t.Errorf("empty TPLRange = %v/%v, want an empty series", got, err)
+	}
+	for _, rg := range [][2]int{{0, 0}, {1, 1}, {2, 0}} {
+		if _, err := acc.TPLRange(rg[0], rg[1]); err == nil {
+			t.Errorf("TPLRange(%d, %d) on empty accountant accepted", rg[0], rg[1])
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/markov"
@@ -149,7 +150,8 @@ func TestAccountantLongHorizonSaturates(t *testing.T) {
 // earlier capture's tail, finds exactly where the series changed when
 // the two rejoin inside that tail (and falls back to 0 otherwise), so
 // the earlier series' prefix plus the returned suffix is the current
-// series. Every refresh equals the batch FPLSeries bit for bit.
+// series, and the tail it returns for the next capture is the current
+// series' tail. Every refresh equals the batch FPLSeries bit for bit.
 func TestFPLSinceFindsTheChangedSuffix(t *testing.T) {
 	pf, err := markov.New(markov.Fig7Forward().P())
 	if err != nil {
@@ -158,7 +160,7 @@ func TestFPLSinceFindsTheChangedSuffix(t *testing.T) {
 	for _, tailLen := range []int{2, 8, 1024} {
 		acc := NewAccountant(nil, pf)
 		var eps, prev []float64
-		off, tail := acc.FPLTail(tailLen)
+		tail := acc.FPLTail(tailLen)
 		for round := 0; round < 80; round++ {
 			for i := 0; i < 1+round%5; i++ {
 				e := 0.05 + 0.01*float64((round*7+i)%9)
@@ -182,17 +184,20 @@ func TestFPLSinceFindsTheChangedSuffix(t *testing.T) {
 				}
 			}
 			cur := acc.Snapshot().FPL
-			fplT, from, suffix := acc.FPLSince(len(prev), off, tail)
+			from, suffix, next := acc.FPLSince(tail, tailLen)
 			exact := 0 // the first index where prev and cur differ
 			for exact < min(len(prev), len(cur)) && math.Float64bits(prev[exact]) == math.Float64bits(cur[exact]) {
 				exact++
 			}
 			want := 0
-			if exact > off {
+			if exact > tail.Off {
 				want = exact // the rejoin point lies inside the tail
 			}
-			if fplT != len(cur) || from != want {
-				t.Fatalf("tail %d round %d: FPLSince = (%d, %d), want (%d, %d)", tailLen, round, fplT, from, len(cur), want)
+			if next.T != len(cur) || from != want {
+				t.Fatalf("tail %d round %d: FPLSince = (%d, %d), want (%d, %d)", tailLen, round, next.T, from, len(cur), want)
+			}
+			if off := max(0, len(cur)-tailLen); next.Off != off || !reflect.DeepEqual(next.Vals, cur[off:]) {
+				t.Fatalf("tail %d round %d: next tail (%d, %v), want (%d, %v)", tailLen, round, next.Off, next.Vals, off, cur[off:])
 			}
 			rebuilt := append(append([]float64(nil), prev[:from]...), suffix...)
 			if len(rebuilt) != len(cur) {
@@ -204,7 +209,7 @@ func TestFPLSinceFindsTheChangedSuffix(t *testing.T) {
 				}
 			}
 			prev = cur
-			off, tail = acc.FPLTail(tailLen)
+			tail = next
 		}
 	}
 }

@@ -105,13 +105,16 @@ func quantifierHash(q lossQuantifier) string {
 // refresh is a deterministic function of the state, so a restored
 // accountant lazily recomputes exactly what the original would have.
 func (a *Accountant) Snapshot() *AccountantState {
+	a.fplMu.Lock()
+	fpl := append([]float64(nil), a.fpl...)
+	a.fplMu.Unlock()
 	return &AccountantState{
 		BackwardHash: quantifierHash(a.qb),
 		ForwardHash:  quantifierHash(a.qf),
 		Eps:          a.eps.CopyAll(),
 		BPL:          a.bpl.CopyAll(),
-		FPL:          append([]float64(nil), a.fpl...),
-		FPLT:         a.fplT,
+		FPL:          fpl,
+		FPLT:         len(fpl),
 	}
 }
 
@@ -122,11 +125,36 @@ func (a *Accountant) BPLSince(fromT int) []float64 {
 	return a.bpl.AppendRange(nil, fromT, a.bpl.Len())
 }
 
-// FPLSince compares the cached forward series with an earlier one of
-// horizon prevT, given that series' values from index off onward (as
-// FPLTail returned them). It returns the current horizon, the first
-// index at which the two differ, and a copy of the current series from
-// that index on — what a capture must add to the earlier one.
+// FPLTail is the end of a captured forward series: its horizon T and a
+// copy of its values from index Off onward.
+type FPLTail struct {
+	T, Off int
+	Vals   []float64
+}
+
+// tailOf copies the last n values of the forward series fpl (fewer when
+// the series is shorter).
+func tailOf(fpl []float64, n int) FPLTail {
+	off := max(0, len(fpl)-n)
+	return FPLTail{T: len(fpl), Off: off, Vals: append([]float64(nil), fpl[off:]...)}
+}
+
+// FPLTail returns the last n values of the cached forward series.
+func (a *Accountant) FPLTail(n int) FPLTail {
+	a.fplMu.Lock()
+	defer a.fplMu.Unlock()
+	return tailOf(a.fpl, n)
+}
+
+// FPLTail returns the last n values of the captured forward series, as
+// Accountant.FPLTail would have at the capture.
+func (st *AccountantState) FPLTail(n int) FPLTail { return tailOf(st.FPL, n) }
+
+// FPLSince compares the cached forward series with the earlier one prev
+// is the tail of. It returns the first index at which the two differ, a
+// copy of the current series from that index on — what a capture must
+// add to the earlier one — and the current series' last n values, all
+// read under one lock so the suffix and next describe the same series.
 //
 // The scan runs backward from the shorter horizon and stops at the
 // first bit-equal point: both series satisfy FPL(t) = L(FPL(t+1)) +
@@ -135,21 +163,16 @@ func (a *Accountant) BPLSince(fromT int) []float64 {
 // old prefix by. The cost is the length of the changed suffix, not T.
 // When the series do not rejoin inside the earlier tail, from is 0:
 // the whole series may have changed.
-func (a *Accountant) FPLSince(prevT, off int, tail []float64) (fplT, from int, suffix []float64) {
-	for i := min(prevT, a.fplT) - 1; i >= off; i-- {
-		if math.Float64bits(tail[i-off]) == math.Float64bits(a.fpl[i]) {
+func (a *Accountant) FPLSince(prev FPLTail, n int) (from int, suffix []float64, next FPLTail) {
+	a.fplMu.Lock()
+	defer a.fplMu.Unlock()
+	for i := min(prev.T, len(a.fpl)) - 1; i >= prev.Off; i-- {
+		if math.Float64bits(prev.Vals[i-prev.Off]) == math.Float64bits(a.fpl[i]) {
 			from = i + 1
 			break
 		}
 	}
-	return a.fplT, from, append([]float64(nil), a.fpl[from:a.fplT]...)
-}
-
-// FPLTail returns a copy of the last n values of the cached forward
-// series (fewer when the series is shorter) and the index of the first.
-func (a *Accountant) FPLTail(n int) (off int, tail []float64) {
-	off = max(0, a.fplT-n)
-	return off, append([]float64(nil), a.fpl[off:a.fplT]...)
+	return from, append([]float64(nil), a.fpl[from:]...), tailOf(a.fpl, n)
 }
 
 // Validate checks every structural invariant a well-formed accountant
@@ -219,12 +242,11 @@ func RestoreAccountant(st *AccountantState, qb, qf *Quantifier) (*Accountant, er
 		return nil, &InvalidStateError{Field: "forward_hash", Reason: fmt.Sprintf("state was captured against %q, restoring against %q", abbrevHash(st.ForwardHash), abbrevHash(h))}
 	}
 	return &Accountant{
-		qb:   qb,
-		qf:   qf,
-		eps:  chunked.FromSlice(st.Eps),
-		bpl:  chunked.FromSlice(st.BPL),
-		fpl:  append([]float64(nil), st.FPL...),
-		fplT: st.FPLT,
+		qb:  qb,
+		qf:  qf,
+		eps: chunked.FromSlice(st.Eps),
+		bpl: chunked.FromSlice(st.BPL),
+		fpl: append([]float64(nil), st.FPL...),
 	}, nil
 }
 

@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// Group commit. A journal append is durable only after an fsync, and
-// an fsync costs the same whether it covers one record or fifty — so
-// paying one per append caps ingest at the disk's sync rate. The
+// Group commit. A journal append is durable only after an fsync. The
 // GroupCommitter coalesces appends across all sessions of a process
 // into groups: a leader goroutine collects requests for a bounded
-// latency window, writes them in arrival order, issues ONE fsync per
+// latency window, writes them in arrival order, issues one fsync per
 // distinct journal touched by the group, and only then acknowledges.
+// A group shares no fsync: callers hold their session's step lock
+// across Append (see below), so a group never holds two requests for
+// one journal, and the group's fsyncs run one after another.
 //
 // The durability contract is exactly per-append fsync's, batched:
 //

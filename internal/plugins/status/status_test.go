@@ -33,7 +33,7 @@ func TestReportContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.CollectPlanned([]int{0, 1}); err != nil {
+	if _, _, err := s.CollectBatch("", []stream.BatchStep{{Values: []int{0, 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Create(&service.SessionConfig{Name: "plain", Domain: 2, Users: 1}); err != nil {

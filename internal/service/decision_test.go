@@ -46,7 +46,7 @@ func TestDecisionRecording(t *testing.T) {
 	}
 
 	// One explicit-budget step: a "steps" decision.
-	if _, _, _, err := s.Collect([]int{0, 1, 0, 1, 0}, 0.2); err != nil {
+	if err := collectStep(s, []int{0, 1, 0, 1, 0}, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	recs := sink.all()
@@ -103,11 +103,11 @@ func TestDecisionRecording(t *testing.T) {
 	// Planned steps past the horizon: plan indices 4 and 5 land, the
 	// next is refused with the budget code.
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := s.CollectPlanned([]int{0, 1, 0, 1, 0}); err != nil {
+		if _, err := collectPlanned(s, []int{0, 1, 0, 1, 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, err := s.CollectPlanned([]int{0, 1, 0, 1, 0}); err == nil {
+	if _, err := collectPlanned(s, []int{0, 1, 0, 1, 0}); err == nil {
 		t.Fatal("over-horizon step accepted")
 	}
 	recs = sink.all()
@@ -123,7 +123,7 @@ func TestDecisionRecording(t *testing.T) {
 
 	// Detaching the sink stops recording without touching the session.
 	reg.SetDecisionSink(nil)
-	if _, _, _, err := s.Collect([]int{0, 0, 0, 0, 0}, 0.1); err != nil {
+	if err := collectStep(s, []int{0, 0, 0, 0, 0}, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(sink.all()); n != 7 {
@@ -177,7 +177,7 @@ func TestModelRefs(t *testing.T) {
 	// The ref resolved to the bundle's chain: after a second step the
 	// forward correlation lifts TPL at t=1 above the bare budget.
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := s.Collect([]int{0, 1}, 0.2); err != nil {
+		if err := collectStep(s, []int{0, 1}, 0.2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestModelRefsRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, _, _, err := s1.CollectPlanned([]int{i % 2, (i + 1) % 2}); err != nil {
+		if _, err := collectPlanned(s1, []int{i % 2, (i + 1) % 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,11 +253,11 @@ func TestModelRefsRestore(t *testing.T) {
 	mustMatchSessions(t, s1, s2)
 	// And the restored session keeps accounting with revA's model: the
 	// next planned step matches on both sides bit for bit.
-	pa, _, _, err := s1.CollectPlanned([]int{0, 1})
+	pa, err := collectPlanned(s1, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, _, _, err := s2.CollectPlanned([]int{0, 1})
+	pb, err := collectPlanned(s2, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func (a *API) session(w http.ResponseWriter, r *http.Request) (*Session, bool) {
 }
 
 // reportFormats are the ?format= values the report-shaped endpoints
-// (tpl, wevent, report) offer.
+// (wevent, report) offer; /tpl takes no format.
 var reportFormats = []string{"json", "jsonl"}
 
 // wantJSONLines reports whether the request asked for the report

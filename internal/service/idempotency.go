@@ -213,18 +213,14 @@ func (s *Session) CollectBatch(key string, steps []stream.BatchStep) (results []
 // retained history (budgets + published histograms), bit-identical to
 // the original response.
 func (s *Session) recordedResults(rec *idemRecord) ([]stream.StepResult, error) {
-	out := make([]stream.StepResult, len(rec.Planned))
+	from, to := rec.FirstT, rec.FirstT+len(rec.Planned)-1
+	eps, pubs, err := s.srv.PublishedRange(from, to)
+	if err != nil {
+		return nil, fmt.Errorf("service: replaying idempotent batch at t=%d..%d: %w", from, to, err)
+	}
+	out := make([]stream.StepResult, len(pubs))
 	for i := range out {
-		t := rec.FirstT + i
-		eps, err := s.srv.Budget(t)
-		if err != nil {
-			return nil, fmt.Errorf("service: replaying idempotent batch at t=%d: %w", t, err)
-		}
-		pub, err := s.srv.Published(t)
-		if err != nil {
-			return nil, fmt.Errorf("service: replaying idempotent batch at t=%d: %w", t, err)
-		}
-		out[i] = stream.StepResult{T: t, Eps: eps, Planned: rec.Planned[i], Published: pub}
+		out[i] = stream.StepResult{T: from + i, Eps: eps[i], Planned: rec.Planned[i], Published: pubs[i]}
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -267,6 +268,41 @@ func TestDeleteFencesHeldSession(t *testing.T) {
 	}
 	if got := s.Server().T(); got != 0 {
 		t.Fatalf("deleted session advanced to T=%d", got)
+	}
+}
+
+// TestRetiredSnapshotFencesHeldSession: a snapshot request on a session
+// pointer held across its Delete or Migrate is refused as a step would
+// be — 404 session_not_found, or 421 wrong_shard with the new location —
+// not blamed on the state dir with 409 snapshot_unavailable, although
+// retiring detached the session's store.
+func TestRetiredSnapshotFencesHeldSession(t *testing.T) {
+	r := durableRegistry(t, t.TempDir(), 4)
+	peer := httptest.NewServer(NewAPI().Handler())
+	defer peer.Close()
+	held := make(map[string]*Session)
+	for _, name := range []string{"gone", "moved"} {
+		s, err := r.Create(&SessionConfig{Name: name, Domain: 2, Users: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[name] = s
+	}
+	if err := r.Delete("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Migrate(context.Background(), "moved", peer.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err := held["gone"].SnapshotNow()
+	if status, code := classify(err); !errors.Is(err, ErrNotFound) || status != http.StatusNotFound || code != CodeSessionNotFound {
+		t.Fatalf("snapshot of a deleted session: %d %s (%v), want 404 %s", status, code, err, CodeSessionNotFound)
+	}
+	_, err = held["moved"].SnapshotNow()
+	var ws *WrongShardError
+	if status, code := classify(err); !errors.As(err, &ws) || ws.Location != peer.URL || status != http.StatusMisdirectedRequest || code != CodeWrongShard {
+		t.Fatalf("snapshot of a migrated session: %d %s (%v), want 421 %s to %s", status, code, err, CodeWrongShard, peer.URL)
 	}
 }
 

@@ -53,10 +53,10 @@ func TestRegistryReusesCompiledModels(t *testing.T) {
 	// The shared engine must leave per-tenant accounting untouched:
 	// identical sessions stepped identically report identical leakage.
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := s1.Collect([]int{0, 1, 0}, 0.1); err != nil {
+		if err := collectStep(s1, []int{0, 1, 0}, 0.1); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := s2.Collect([]int{0, 1, 0}, 0.1); err != nil {
+		if err := collectStep(s2, []int{0, 1, 0}, 0.1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestRegistryModelReuseConcurrent(t *testing.T) {
 				return
 			}
 			for i := 0; i < 10; i++ {
-				if _, _, _, err := s.Collect([]int{0, 1}, 0.05); err != nil {
+				if err := collectStep(s, []int{0, 1}, 0.05); err != nil {
 					t.Error(err)
 					return
 				}

@@ -497,10 +497,15 @@ func (s *Session) persistInfo() *PersistInfo {
 
 // SnapshotNow forces an immediate snapshot (the POST
 // /v2/sessions/{name}/snapshot endpoint) and returns the resulting
-// persistence info. ErrNoStore in ephemeral mode.
+// persistence info. ErrNoStore in ephemeral mode; a session retired
+// since it was looked up answers as CollectBatch does (retiredErr), not
+// with ErrNoStore, although retiring detached its store.
 func (s *Session) SnapshotNow() (*PersistInfo, error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
+	if err := s.retiredErr(); err != nil {
+		return nil, err
+	}
 	if s.store == nil {
 		return nil, ErrNoStore
 	}

@@ -30,6 +30,23 @@ func durableRegistry(t testing.TB, dir string, every int) *Registry {
 	return r
 }
 
+// collectStep lands one explicit-budget step through CollectBatch, the
+// path the steps endpoint takes.
+func collectStep(s *Session, values []int, eps float64) error {
+	_, _, err := s.CollectBatch("", []stream.BatchStep{{Values: values, Eps: &eps}})
+	return err
+}
+
+// collectPlanned lands one plan-budgeted step through CollectBatch and
+// returns its published histogram.
+func collectPlanned(s *Session, values []int) ([]float64, error) {
+	results, _, err := s.CollectBatch("", []stream.BatchStep{{Values: values}})
+	if err != nil {
+		return nil, err
+	}
+	return results[0].Published, nil
+}
+
 // persistTestConfig is a small multi-cohort session with a correlated
 // model, a plan, and a deterministic seed.
 func persistTestConfig(name string, seed int64, plan bool) *SessionConfig {
@@ -61,7 +78,7 @@ func stepSession(t *testing.T, s *Session, rng *rand.Rand, n int) {
 		for u := range values {
 			values[u] = rng.Intn(s.Server().Domain())
 		}
-		if _, _, _, err := s.Collect(values, 0.1+0.05*float64(i%3)); err != nil {
+		if err := collectStep(s, values, 0.1+0.05*float64(i%3)); err != nil {
 			t.Fatal(err)
 		}
 	}

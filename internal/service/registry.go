@@ -115,30 +115,6 @@ func (s *Session) Created() time.Time { return s.created }
 // use; see the stream package's concurrency contract).
 func (s *Session) Server() *stream.Server { return s.srv }
 
-// Collect runs one explicit-budget step and returns the published
-// histogram together with the 1-based step index it landed on. It is a
-// one-element CollectBatch (idempotency.go) — the steps endpoint and
-// embedding callers share that endpoint.
-func (s *Session) Collect(values []int, eps float64) ([]float64, int, float64, error) {
-	results, _, err := s.CollectBatch("", []stream.BatchStep{{Values: values, Eps: &eps}})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	r := results[0]
-	return r.Published, r.T, r.Eps, nil
-}
-
-// CollectPlanned runs one plan-budgeted step, reporting the budget the
-// plan charged.
-func (s *Session) CollectPlanned(values []int) ([]float64, int, float64, error) {
-	results, _, err := s.CollectBatch("", []stream.BatchStep{{Values: values}})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	r := results[0]
-	return r.Published, r.T, r.Eps, nil
-}
-
 // Summary is the API's session digest.
 type Summary struct {
 	Name        string  `json:"name"`

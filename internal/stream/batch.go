@@ -182,19 +182,6 @@ func (s *Server) prepareLocked(p *preparedStep, st BatchStep, offset int) error 
 	return nil
 }
 
-// applyLocked releases one prepared step: noise, accountant fan-out,
-// history append. It cannot fail — everything fallible happened in
-// prepareLocked. Caller holds the write lock.
-//
-//tplvet:hotpath
-func (s *Server) applyLocked(p *preparedStep) StepResult {
-	slab := make([]float64, 0, s.domain)
-	var r StepResult
-	s.releaseLocked(p, &slab, &r)
-	s.observeAll([]float64{p.eps})
-	return r
-}
-
 // releaseLocked publishes one prepared step — noise draw, history
 // append — WITHOUT charging the accountants; the caller owes an
 // observeAll for the step's budget. Splitting release from observation
@@ -288,25 +275,14 @@ func (s *Server) LeakageAt(t int) (LeakagePoint, error) {
 		return LeakagePoint{}, fmt.Errorf("stream: time %d out of range [1,%d]", t, s.budgets.Len())
 	}
 	p := LeakagePoint{T: t, Eps: s.budgets.At(t - 1)}
-	first := true
-	for _, c := range s.cohorts {
-		c.mu.Lock()
-		v, err := c.acc.TPL(t)
+	for i, c := range s.cohorts {
+		l, err := c.leakage(i, t)
 		if err != nil {
-			c.mu.Unlock()
 			return LeakagePoint{}, err
 		}
-		if first || v > p.TPL {
-			first = false
-			b, berr := c.acc.BPL(t)
-			f, ferr := c.acc.FPL(t)
-			if berr != nil || ferr != nil {
-				c.mu.Unlock()
-				return LeakagePoint{}, fmt.Errorf("stream: leakage components at t=%d: %v %v", t, berr, ferr)
-			}
-			p.TPL, p.BPL, p.FPL, p.WorstUser = v, b, f, c.firstUser
+		if i == 0 || l.TPL > p.TPL {
+			p.TPL, p.BPL, p.FPL, p.WorstUser = l.TPL, l.BPL, l.FPL, l.FirstUser
 		}
-		c.mu.Unlock()
 	}
 	return p, nil
 }
@@ -337,22 +313,29 @@ func (s *Server) CohortLeakages(t int) ([]CohortLeakage, error) {
 	}
 	out := make([]CohortLeakage, len(s.cohorts))
 	for i, c := range s.cohorts {
-		c.mu.Lock()
-		tpl, err := c.acc.TPL(t)
-		var bpl, fpl float64
-		if err == nil {
-			bpl, err = c.acc.BPL(t)
+		var err error
+		if out[i], err = c.leakage(i, t); err != nil {
+			return nil, err
 		}
-		if err == nil {
-			fpl, err = c.acc.FPL(t)
-		}
-		c.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("stream: cohort %d leakage at t=%d: %w", i, t, err)
-		}
-		out[i] = CohortLeakage{Cohort: i, FirstUser: c.firstUser, TPL: tpl, BPL: bpl, FPL: fpl}
 	}
 	return out, nil
+}
+
+// leakage is the digest of cohort i at 1-based time t, shared by
+// LeakageAt and CohortLeakages.
+func (c *cohort) leakage(i, t int) (CohortLeakage, error) {
+	tpl, err := c.acc.TPL(t)
+	var bpl, fpl float64
+	if err == nil {
+		bpl, err = c.acc.BPL(t)
+	}
+	if err == nil {
+		fpl, err = c.acc.FPL(t)
+	}
+	if err != nil {
+		return CohortLeakage{}, fmt.Errorf("stream: cohort %d leakage at t=%d: %w", i, t, err)
+	}
+	return CohortLeakage{Cohort: i, FirstUser: c.firstUser, TPL: tpl, BPL: bpl, FPL: fpl}, nil
 }
 
 // PublishedRange returns copies of the budgets and published
@@ -385,15 +368,5 @@ func (s *Server) UserTPLRange(u, from, to int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]float64, 0, to-from+1)
-	for t := from; t <= to; t++ {
-		v, err := c.acc.TPL(t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return c.acc.TPLRange(from, to)
 }

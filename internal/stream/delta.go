@@ -57,14 +57,7 @@ type ServerDelta struct {
 // once the delta it produced is durable.
 type DeltaCursor struct {
 	t   int
-	fpl []fplTail // per cohort
-}
-
-// fplTail is the end of a captured forward series: its horizon and its
-// values from index off onward.
-type fplTail struct {
-	t, off int
-	vals   []float64
+	fpl []core.FPLTail // per cohort
 }
 
 // fplTailLen is how much of each forward series a cursor keeps. A
@@ -75,13 +68,6 @@ type fplTail struct {
 // never) is captured whole, which is always correct.
 const fplTailLen = 1024
 
-// captureFPLTail records the end of a cohort's forward series. Caller
-// holds the cohort's lock.
-func captureFPLTail(acc *core.Accountant) fplTail {
-	off, vals := acc.FPLTail(fplTailLen)
-	return fplTail{t: off + len(vals), off: off, vals: vals}
-}
-
 // T returns the step count the cursor's capture covered.
 func (c *DeltaCursor) T() int { return c.t }
 
@@ -91,11 +77,9 @@ func (c *DeltaCursor) T() int { return c.t }
 func (s *Server) Cursor() *DeltaCursor {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cur := &DeltaCursor{t: s.budgets.Len(), fpl: make([]fplTail, len(s.cohorts))}
+	cur := &DeltaCursor{t: s.budgets.Len(), fpl: make([]core.FPLTail, len(s.cohorts))}
 	for i, c := range s.cohorts {
-		c.mu.Lock()
-		cur.fpl[i] = captureFPLTail(c.acc)
-		c.mu.Unlock()
+		cur.fpl[i] = c.acc.FPLTail(fplTailLen)
 	}
 	return cur
 }
@@ -103,7 +87,7 @@ func (s *Server) Cursor() *DeltaCursor {
 // SnapshotDelta captures what changed since the capture described by
 // from, and the cursor describing the new capture. It copies only the
 // rows from from.T() onward and each cohort's changed FPL suffix, under
-// the same locks Snapshot takes.
+// the same lock Snapshot takes.
 func (s *Server) SnapshotDelta(from *DeltaCursor) (*ServerDelta, *DeltaCursor) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -123,22 +107,19 @@ func (s *Server) SnapshotDelta(from *DeltaCursor) (*ServerDelta, *DeltaCursor) {
 	for t := from.t; t < T; t++ {
 		d.Published = append(d.Published, append([]float64(nil), s.published.At(t)...))
 	}
-	next := &DeltaCursor{t: T, fpl: make([]fplTail, len(s.cohorts))}
+	next := &DeltaCursor{t: T, fpl: make([]core.FPLTail, len(s.cohorts))}
 	for i, c := range s.cohorts {
-		prev := from.fpl[i]
-		// One critical section per cohort: a reader may refresh the
-		// forward series as soon as the lock drops, and the next cursor
-		// must describe the series this delta carries.
-		c.mu.Lock()
-		fplT, fplFrom, fpl := c.acc.FPLSince(prev.t, prev.off, prev.vals)
+		// A reader may refresh the forward series at any moment;
+		// FPLSince returns the suffix and the next cursor's tail from
+		// one read of it, so the two describe the same series.
+		fplFrom, fpl, tail := c.acc.FPLSince(from.fpl[i], fplTailLen)
 		d.Cohorts[i] = CohortDelta{
 			BPL:     c.acc.BPLSince(from.t),
-			FPLT:    fplT,
+			FPLT:    tail.T,
 			FPLFrom: fplFrom,
 			FPL:     fpl,
 		}
-		next.fpl[i] = captureFPLTail(c.acc)
-		c.mu.Unlock()
+		next.fpl[i] = tail
 	}
 	return d, next
 }

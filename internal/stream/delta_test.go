@@ -6,8 +6,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/release"
 )
 
@@ -293,4 +295,208 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAgree(t, s, restored, []int{0, 1, 2, 3, 4})
+}
+
+// TestSameCohortReadsDuringCaptures: readers of one cohort run
+// concurrently — through every read method at once — while Checkpoint
+// and SnapshotDelta captures run between CollectBatch calls (run it
+// under -race: the forward-series cache a read rewrites is locked
+// inside core.Accountant, not by the stream package). Every read equals
+// the batch series (core.TPLSeries, WEventTPL) at the T it saw, and the
+// delta chain still extends to Snapshot() bit for bit.
+func TestSameCohortReadsDuringCaptures(t *testing.T) {
+	s := deltaServer(t) // users 0 and 4 share cohort 0
+	const steps, w = 60, 3
+	eps := make([]float64, steps)
+	for i := range eps {
+		eps[i] = 0.05 + 0.01*float64(i%7)
+	}
+	// bpl/fpl/tpl[c][T] are cohort c's batch series after T steps, and
+	// wev[c][T] its worst w-window.
+	K := len(s.cohorts)
+	bpl, fpl, tpl := make([][][]float64, K), make([][][]float64, K), make([][][]float64, K)
+	wev := make([][]float64, K)
+	for c, co := range s.cohorts {
+		qb, qf := core.NewQuantifier(co.backward), core.NewQuantifier(co.forward)
+		bpl[c], fpl[c], tpl[c] = make([][]float64, steps+1), make([][]float64, steps+1), make([][]float64, steps+1)
+		wev[c] = make([]float64, steps+1)
+		for T := 1; T <= steps; T++ {
+			var err error
+			if bpl[c][T], err = core.BPLSeries(qb, eps[:T]); err != nil {
+				t.Fatal(err)
+			}
+			if fpl[c][T], err = core.FPLSeries(qf, eps[:T]); err != nil {
+				t.Fatal(err)
+			}
+			if tpl[c][T], err = core.TPLSeries(qb, qf, eps[:T]); err != nil {
+				t.Fatal(err)
+			}
+			if T >= w {
+				if wev[c][T], err = core.WEventTPL(bpl[c][T], fpl[c][T], eps[:T], w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	// worst is the population-worst of f over the cohorts and the first
+	// user attaining it.
+	worst := func(f func(c int) float64) (float64, int) {
+		v, user := f(0), s.cohorts[0].firstUser
+		for c := 1; c < K; c++ {
+			if x := f(c); x > v {
+				v, user = x, s.cohorts[c].firstUser
+			}
+		}
+		return v, user
+	}
+	collect := func(n int) {
+		steps := make([]BatchStep, n)
+		for i := range steps {
+			e := eps[s.T()+i]
+			steps[i] = BatchStep{Counts: []int{s.Users(), 0, 0}, Eps: &e}
+		}
+		if _, err := s.CollectBatch(steps); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// read runs read method m against cohort 0 and checks the result at
+	// the T it saw. A method whose result does not reveal T is checked
+	// only when T did not move around the call.
+	const methods = 11
+	read := func(m, i int) {
+		T0 := s.T()
+		u := []int{0, 4}[i%2]
+		tt := 1 + i%T0
+		var err error
+		check := func(label string, got, want float64) {
+			if s.T() == T0 && got != want {
+				t.Errorf("T=%d: %s = %v, want %v", T0, label, got, want)
+			}
+		}
+		switch m {
+		case 0:
+			var v float64
+			if v, err = s.UserTPL(u, tt); err == nil {
+				check("UserTPL", v, tpl[0][T0][tt-1])
+			}
+		case 1:
+			var series []float64
+			if series, err = s.UserTPLSeries(u); err == nil && !reflect.DeepEqual(series, tpl[0][len(series)]) {
+				t.Errorf("UserTPLSeries at T=%d differs from TPLSeries", len(series))
+			}
+		case 2:
+			var series []float64
+			if series, err = s.UserTPLRange(u, tt, T0); err == nil && s.T() == T0 && !reflect.DeepEqual(series, tpl[0][T0][tt-1:]) {
+				t.Errorf("UserTPLRange(%d, %d) at T=%d differs from TPLSeries", tt, T0, T0)
+			}
+		case 3:
+			var v float64
+			if v, err = s.WEvent(u, w); err == nil {
+				check("WEvent", v, wev[0][T0])
+			}
+		case 4:
+			var v float64
+			var user int
+			if v, user, err = s.MaxWEvent(w); err == nil {
+				want, wantUser := worst(func(c int) float64 { return wev[c][T0] })
+				check("MaxWEvent", v, want)
+				check("MaxWEvent user", float64(user), float64(wantUser))
+			}
+		case 5:
+			var r *Report
+			if r, err = s.Report(); err == nil {
+				want, wantUser := worst(func(c int) float64 {
+					m := tpl[c][r.T][0]
+					for _, v := range tpl[c][r.T] {
+						m = max(m, v)
+					}
+					return m
+				})
+				if r.EventLevelAlpha != want || r.WorstUser != wantUser || r.UserLevel != core.UserLevelTPL(eps[:r.T]) {
+					t.Errorf("Report at T=%d: %+v, want alpha %v user %d", r.T, r, want, wantUser)
+				}
+			}
+		case 6:
+			var p LeakagePoint
+			if p, err = s.LeakageAt(tt); err == nil {
+				want, wantUser := worst(func(c int) float64 { return tpl[c][T0][tt-1] })
+				check("LeakageAt TPL", p.TPL, want)
+				check("LeakageAt user", float64(p.WorstUser), float64(wantUser))
+			}
+		case 7:
+			var ls []CohortLeakage
+			if ls, err = s.CohortLeakages(tt); err == nil {
+				for c, l := range ls {
+					check("CohortLeakages TPL", l.TPL, tpl[c][T0][tt-1])
+					check("CohortLeakages BPL", l.BPL, bpl[c][T0][tt-1])
+					check("CohortLeakages FPL", l.FPL, fpl[c][T0][tt-1])
+				}
+			}
+		case 8:
+			check("Cursor T", float64(s.Cursor().T()), float64(T0))
+		case 9:
+			// A capture holds each cohort's cache as it stood: the batch
+			// forward series of the first FPLT steps.
+			st := s.Snapshot()
+			acc := st.Cohorts[0].Accountant
+			if !reflect.DeepEqual(acc.BPL, bpl[0][st.T()]) || (acc.FPLT > 0 && !reflect.DeepEqual(acc.FPL, fpl[0][acc.FPLT])) {
+				t.Errorf("Snapshot at T=%d (FPL horizon %d) differs from the batch series", st.T(), acc.FPLT)
+			}
+		case 10:
+			_, _ = s.SnapshotDelta(s.Cursor()) // a capture from a reader
+		}
+		if err != nil {
+			t.Errorf("read %d at T=%d: %v", m, T0, err)
+		}
+	}
+
+	collect(3)
+	base, cur := s.Checkpoint()
+	st := snapshotRoundTrip(t, base)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					read(i%methods, i)
+				}
+			}
+		}(g)
+	}
+	for round := 0; s.T() < steps; round++ {
+		collect(min(1+round%3, steps-s.T()))
+		d, next := s.SnapshotDelta(cur)
+		var back ServerDelta
+		roundTripGob(t, d, &back)
+		if err := st.Extend(&back); err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("round %d: %v", round, err)
+		}
+		cur = next
+		if round%7 == 6 { // a compaction: restart the chain
+			var base *ServerState
+			base, cur = s.Checkpoint()
+			st = snapshotRoundTrip(t, base)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for m := 0; m < methods; m++ { // every method once more, at a fixed T
+		read(m, m)
+	}
+	d, _ := s.SnapshotDelta(cur)
+	if err := st.Extend(d); err != nil {
+		t.Fatal(err)
+	}
+	if want := s.Snapshot(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("base ⊕ deltas differs from Snapshot() at T=%d", want.T())
+	}
 }

@@ -28,15 +28,10 @@ func (s *Server) SetPlan(plan release.Plan) {
 // for the current step. It fails with release.ErrHorizonExceeded once a
 // finite plan is exhausted — the caller must attach a new plan (or fall
 // back to explicit budgets) to continue, which keeps budget exhaustion
-// an explicit, auditable event.
+// an explicit, auditable event. Like Collect, it is a one-step
+// CollectBatch.
 func (s *Server) CollectPlanned(values []int) ([]float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var p preparedStep
-	if err := s.prepareLocked(&p, BatchStep{Values: values}, 0); err != nil {
-		return nil, err
-	}
-	return s.applyLocked(&p).Published, nil
+	return s.collectOne(BatchStep{Values: values})
 }
 
 // PlanStep returns the 1-based step the next CollectPlanned will use

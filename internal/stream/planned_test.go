@@ -85,6 +85,10 @@ func TestCollectPlannedHorizonExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetPlan(plan)
+	// A rejected step draws no plan budget.
+	if _, err := s.CollectPlanned([]int{0}); !errors.Is(err, ErrDomainMismatch) {
+		t.Errorf("err = %v, want ErrDomainMismatch", err)
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := s.CollectPlanned([]int{0, 0}); err != nil {
 			t.Fatal(err)

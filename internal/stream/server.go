@@ -25,10 +25,13 @@
 //
 // A Server is safe for concurrent use: Collect and the other mutators
 // take a write lock, while the read-side accessors (Published, Budgets,
-// UserTPL, WEvent, Report, T, PlanStep) may run concurrently with each
-// other and block only for the duration of a collection. Collections
-// themselves serialize — the step sequence is the unit of accounting,
-// so this is semantic, not incidental.
+// UserTPL, WEvent, Report, T, PlanStep, Snapshot) take a read lock, so
+// they run concurrently with each other — also on one cohort — and
+// block only for the duration of a collection. A cohort's accountant
+// needs nothing more: core.Accountant lets reads run concurrently as
+// long as Observe runs alone, and Observe runs only under the write
+// lock. Collections themselves serialize — the step sequence is the
+// unit of accounting, so this is semantic, not incidental.
 package stream
 
 import (
@@ -62,14 +65,10 @@ type AdversaryModel struct {
 }
 
 // cohort is one equivalence class of users under adversary-model
-// content equality. All members share the accountant; mu guards the
-// accountant's lazily-cached forward series so concurrent readers of
-// the same cohort do not race (Collect holds the server write lock, so
-// it never contends with readers here). Only the smallest member id is
-// retained — members resolve through Server.userCohort, so keeping the
-// full list would cost O(N) for one int of information.
+// content equality. All members share the accountant. Only the smallest
+// member id is retained — members resolve through Server.userCohort, so
+// keeping the full list would cost O(N) for one int of information.
 type cohort struct {
-	mu        sync.Mutex
 	acc       *core.Accountant
 	firstUser int // smallest member user id
 	// backward, forward retain the adversary model's chains (shared
@@ -323,23 +322,21 @@ func (s *Server) Noise() release.Noise {
 // The step is all-or-nothing: the budget, values and noise parameters
 // are validated before any accountant is touched, so a failed Collect
 // leaves no user charged for a step that was never published.
+//
+// Collect is a one-step CollectBatch, so its errors carry the batch's
+// "batch step 1:" prefix.
 func (s *Server) Collect(values []int, eps float64) ([]float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.collectLocked(values, eps)
+	return s.collectOne(BatchStep{Values: values, Eps: &eps})
 }
 
-// collectLocked is Collect with s.mu already write-held. It is the
-// single-step form of the batch pipeline: validate everything that can
-// fail — budget, snapshot, mechanism parameters — before the first
-// accountant update, so the step is atomic from the accounting point of
-// view (see batch.go for the shared prepare/apply helpers).
-func (s *Server) collectLocked(values []int, eps float64) ([]float64, error) {
-	var p preparedStep
-	if err := s.prepareLocked(&p, BatchStep{Values: values, Eps: &eps}, 0); err != nil {
+// collectOne runs one step through CollectBatch and returns its
+// published histogram.
+func (s *Server) collectOne(st BatchStep) ([]float64, error) {
+	results, err := s.CollectBatch([]BatchStep{st})
+	if err != nil {
 		return nil, err
 	}
-	return s.applyLocked(&p).Published, nil
+	return results[0].Published, nil
 }
 
 // observeAll charges a sequence of budgets (one per batch step, in
@@ -455,17 +452,6 @@ func (s *Server) Budgets() []float64 {
 	return s.budgets.CopyAll()
 }
 
-// Budget returns the budget spent at 1-based time t (O(1), unlike
-// copying the whole history with Budgets).
-func (s *Server) Budget(t int) (float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t < 1 || t > s.budgets.Len() {
-		return 0, fmt.Errorf("stream: time %d out of range [1,%d]", t, s.budgets.Len())
-	}
-	return s.budgets.At(t - 1), nil
-}
-
 // UserTPL returns user u's temporal privacy leakage at 1-based time t.
 func (s *Server) UserTPL(u, t int) (float64, error) {
 	s.mu.RLock()
@@ -474,13 +460,11 @@ func (s *Server) UserTPL(u, t int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.acc.TPL(t)
 }
 
 // UserTPLSeries returns user u's TPL at every time point published so
-// far (1-based time t is element t-1).
+// far (1-based time t is element t-1): UserTPLRange over [1, T].
 func (s *Server) UserTPLSeries(u int) ([]float64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -488,17 +472,7 @@ func (s *Server) UserTPLSeries(u int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]float64, c.acc.T())
-	for t := 1; t <= len(out); t++ {
-		v, err := c.acc.TPL(t)
-		if err != nil {
-			return nil, err
-		}
-		out[t-1] = v
-	}
-	return out, nil
+	return c.acc.TPLRange(1, c.acc.T())
 }
 
 // cohortFor resolves user u's cohort; the caller holds at least a read
@@ -546,25 +520,31 @@ func (s *Server) Report() (*Report, error) {
 			}
 		}
 	}
-	// Every member of a cohort attains the same leakage, and cohorts
-	// are ordered by first-encountered user id, so keeping the first
-	// cohort on ties makes the worst user the smallest user id
-	// attaining the maximum — the same user the pre-cohort per-user
-	// scan reported.
-	r.EventLevelAlpha = math.Inf(-1)
-	for _, c := range s.cohorts {
-		c.mu.Lock()
-		v, err := c.acc.MaxTPL()
-		c.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		if v > r.EventLevelAlpha {
-			r.EventLevelAlpha = v
-			r.WorstUser = c.firstUser
-		}
+	var err error
+	if r.EventLevelAlpha, r.WorstUser, err = s.worstCohort((*core.Accountant).MaxTPL); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// worstCohort returns the largest leakage f reports over the cohorts,
+// with the smallest user id attaining it. Every member of a cohort
+// attains the same leakage, and cohorts are ordered by first-encountered
+// user id, so keeping the first cohort on ties makes the worst user the
+// smallest user id attaining the maximum — the same user the pre-cohort
+// per-user scan reported. Caller holds the read lock.
+func (s *Server) worstCohort(f func(*core.Accountant) (float64, error)) (float64, int, error) {
+	worst, user := math.Inf(-1), 0
+	for _, c := range s.cohorts {
+		v, err := f(c.acc)
+		if err != nil {
+			return 0, 0, err
+		}
+		if v > worst {
+			worst, user = v, c.firstUser
+		}
+	}
+	return worst, user, nil
 }
 
 // WEvent returns the worst leakage of any w-length window for user u
@@ -576,8 +556,6 @@ func (s *Server) WEvent(u, w int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.acc.WEvent(w)
 }
 
@@ -588,18 +566,5 @@ func (s *Server) WEvent(u, w int) (float64, error) {
 func (s *Server) MaxWEvent(w int) (float64, int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	worst, worstUser := math.Inf(-1), 0
-	for _, c := range s.cohorts {
-		c.mu.Lock()
-		v, err := c.acc.WEvent(w)
-		c.mu.Unlock()
-		if err != nil {
-			return 0, 0, err
-		}
-		if v > worst {
-			worst = v
-			worstUser = c.firstUser
-		}
-	}
-	return worst, worstUser, nil
+	return s.worstCohort(func(a *core.Accountant) (float64, error) { return a.WEvent(w) })
 }

@@ -74,14 +74,14 @@ func chainRows(c *markov.Chain) [][]float64 {
 // cohorts (model content + accountant series), the per-user cohort map,
 // the published history and budgets, the plan position, and the noise
 // stream position. Safe to call concurrently with readers; it takes the
-// same locks a Report does.
+// same lock a Report does.
 func (s *Server) Snapshot() *ServerState {
 	st, _ := s.capture(false)
 	return st
 }
 
 // Checkpoint is Snapshot plus the cursor describing it, captured under
-// the same locks, so a later SnapshotDelta extends exactly this state.
+// the same lock, so a later SnapshotDelta extends exactly this state.
 func (s *Server) Checkpoint() (*ServerState, *DeltaCursor) {
 	return s.capture(true)
 }
@@ -109,17 +109,15 @@ func (s *Server) capture(withCursor bool) (*ServerState, *DeltaCursor) {
 	st.Cohorts = make([]CohortState, len(s.cohorts))
 	var cur *DeltaCursor
 	if withCursor {
-		cur = &DeltaCursor{t: st.T(), fpl: make([]fplTail, len(s.cohorts))}
+		cur = &DeltaCursor{t: st.T(), fpl: make([]core.FPLTail, len(s.cohorts))}
 	}
 	for i, c := range s.cohorts {
-		// The cursor must describe the series this capture copies: a
-		// reader may refresh it as soon as the cohort lock drops.
-		c.mu.Lock()
 		acc := c.acc.Snapshot()
 		if withCursor {
-			cur.fpl[i] = captureFPLTail(c.acc)
+			// From the copy, not the accountant: a reader may refresh
+			// the live series, and the cursor must describe this one.
+			cur.fpl[i] = acc.FPLTail(fplTailLen)
 		}
-		c.mu.Unlock()
 		st.Cohorts[i] = CohortState{
 			FirstUser:  c.firstUser,
 			Backward:   chainRows(c.backward),
