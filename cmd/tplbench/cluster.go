@@ -39,12 +39,12 @@ import (
 // near-linear aggregate comes from.
 //
 // The shards run a 6ms commit window (-journal-window 6ms in flag
-// terms) rather than the 2ms default. The scaling rows must measure
-// shard independence, not how many cores the bench machine happens to
-// have: with a wider window each request's CPU share (decode, journal
-// gob-encode, fsync issue) stays small next to the window even with
-// four shards on one core, so the measured regime is the
-// commit-window-bound one the sharding design targets. The perf gate
+// terms) where the default lingers not at all. The scaling rows must
+// measure shard independence, not how many cores the bench machine
+// happens to have: with a wide window each request's CPU share
+// (decode, journal gob-encode, fsync issue) stays small next to the
+// window even with four shards on one core, so the measured regime is
+// the commit-window-bound one the sharding design targets. The perf gate
 // then holds the ratio — a change that couples the shards (a shared
 // lock, a shared committer) collapses it regardless of the window.
 const clusterCommitWindow = 6 * time.Millisecond

@@ -9,12 +9,20 @@ import (
 
 // Group commit. A journal append is durable only after an fsync. The
 // GroupCommitter coalesces appends across all sessions of a process
-// into groups: a leader goroutine collects requests for a bounded
-// latency window, writes them in arrival order, issues one fsync per
-// distinct journal touched by the group, and only then acknowledges.
-// A group shares no fsync: callers hold their session's step lock
-// across Append (see below), so a group never holds two requests for
-// one journal, and the group's fsyncs run one after another.
+// into groups, self-clocked the way MySQL's binlog group commit is: a
+// leader goroutine blocks until a first request arrives, takes whatever
+// else is already queued without waiting, writes the group in arrival
+// order, fsyncs the group's distinct journals concurrently, and only
+// then acknowledges. Requests that arrive while a group is flushing
+// queue up and form the next group, so groups grow with load on their
+// own and an idle committer does nothing but block on its channel.
+//
+// A window > 0 makes the leader linger up to that long after the first
+// request for companions before it flushes (PostgreSQL's commit_delay;
+// both default to no linger). It buys nothing for sessions, which have
+// at most one append outstanding each, but a fixed linger makes the
+// commit window the per-request cost, which benchmarks and
+// crash-mid-window tests rely on.
 //
 // The durability contract is exactly per-append fsync's, batched:
 //
@@ -31,10 +39,6 @@ import (
 //     torn record). Earlier successful writes in the same group are
 //     still fsync'd and acked.
 
-// DefaultGroupWindow is the bounded latency a request may wait for
-// companions before its group commits.
-const DefaultGroupWindow = 2 * time.Millisecond
-
 // maxGroupBatch bounds one group (memory and worst-case replay loss).
 const maxGroupBatch = 1024
 
@@ -50,7 +54,7 @@ type commitReq struct {
 	done    chan error
 }
 
-// GroupCommitter coalesces journal appends into shared fsyncs.
+// GroupCommitter coalesces journal appends into commit groups.
 type GroupCommitter struct {
 	window time.Duration
 	reqs   chan *commitReq
@@ -61,12 +65,10 @@ type GroupCommitter struct {
 	closed bool
 }
 
-// NewGroupCommitter starts a committer whose groups wait at most
-// window for companions (<= 0 selects DefaultGroupWindow).
+// NewGroupCommitter starts a committer. A window > 0 bounds how long
+// a group lingers for companions after its first request; 0 flushes
+// whatever is queued at once.
 func NewGroupCommitter(window time.Duration) *GroupCommitter {
-	if window <= 0 {
-		window = DefaultGroupWindow
-	}
 	g := &GroupCommitter{
 		window: window,
 		reqs:   make(chan *commitReq, maxGroupBatch),
@@ -112,51 +114,31 @@ func (g *GroupCommitter) Close() error {
 	return nil
 }
 
-// run is the leader loop: block for a first request, linger up to the
-// window collecting companions, commit the group.
+// run is the leader loop: block for a first request, gather its
+// companions (lingering only if a window is set), commit the group.
 func (g *GroupCommitter) run() {
 	defer g.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	var batch []*commitReq
 	for {
-		var first *commitReq
 		select {
-		case first = <-g.reqs:
+		case first := <-g.reqs:
+			batch = append(batch[:0], first)
 		case <-g.stop:
-			g.flush(g.drainPending())
+			// The closed flag guarantees no concurrent senders remain.
+			g.flush(g.takeQueued(batch[:0]))
 			return
 		}
-		batch = append(batch[:0], first)
-		timer.Reset(g.window)
-	collect:
-		for len(batch) < maxGroupBatch {
-			select {
-			case req := <-g.reqs:
-				batch = append(batch, req)
-			case <-timer.C:
-				break collect
-			case <-g.stop:
-				break collect
-			}
+		if g.window > 0 {
+			batch = g.linger(batch)
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		g.flush(batch)
+		g.flush(g.takeQueued(batch))
 	}
 }
 
-// drainPending empties the queue without blocking (shutdown path; the
-// closed flag guarantees no concurrent senders remain).
-func (g *GroupCommitter) drainPending() []*commitReq {
-	var batch []*commitReq
-	for {
+// takeQueued appends the requests already queued, without waiting,
+// until the group is full.
+func (g *GroupCommitter) takeQueued(batch []*commitReq) []*commitReq {
+	for len(batch) < maxGroupBatch {
 		select {
 		case req := <-g.reqs:
 			batch = append(batch, req)
@@ -164,10 +146,29 @@ func (g *GroupCommitter) drainPending() []*commitReq {
 			return batch
 		}
 	}
+	return batch
+}
+
+// linger collects companions until the window closes, the group fills
+// or the committer closes.
+func (g *GroupCommitter) linger(batch []*commitReq) []*commitReq {
+	timer := time.NewTimer(g.window)
+	defer timer.Stop()
+	for len(batch) < maxGroupBatch {
+		select {
+		case req := <-g.reqs:
+			batch = append(batch, req)
+		case <-timer.C:
+			return batch
+		case <-g.stop:
+			return batch
+		}
+	}
+	return batch
 }
 
 // flush commits one group: writes in arrival order, one fsync per
-// distinct journal, acks last.
+// distinct journal with all of them in flight at once, acks last.
 //
 //tplvet:hotpath
 func (g *GroupCommitter) flush(batch []*commitReq) {
@@ -177,10 +178,11 @@ func (g *GroupCommitter) flush(batch []*commitReq) {
 	// Writes, in order. The first write error poisons its journal for
 	// the rest of the group; other journals are unaffected.
 	poisoned := make(map[*Journal]error)
-	// Journals with >= 1 successful write, dedup'd; a group touches at
-	// most one journal per request, so len(batch) bounds it exactly.
+	// Journals with >= 1 successful write, dedup'd, and each one's index
+	// in written; a group touches at most one journal per request, so
+	// len(batch) bounds it exactly.
 	written := make([]*Journal, 0, len(batch))
-	seen := make(map[*Journal]bool)
+	slot := make(map[*Journal]int, len(batch))
 	for _, req := range batch {
 		if err := poisoned[req.j]; err != nil {
 			// The journal is already poisoned: this group is failing, so
@@ -194,17 +196,26 @@ func (g *GroupCommitter) flush(batch []*commitReq) {
 			req.err = err
 			continue
 		}
-		if !seen[req.j] {
-			seen[req.j] = true
+		if _, ok := slot[req.j]; !ok {
+			slot[req.j] = len(written)
 			written = append(written, req.j)
 		}
 	}
 	// One fsync per journal — even a later-poisoned one, whose earlier
-	// intact records still need durability before their acks.
-	synced := make(map[*Journal]error, len(written))
-	for _, j := range written {
-		synced[j] = j.Sync()
+	// intact records still need durability before their acks. Distinct
+	// files sync independently, so the group waits for its slowest
+	// fsync rather than for their sum: the leader syncs the first
+	// journal itself and one goroutine each syncs the rest.
+	synced := make([]error, len(written))
+	var wg sync.WaitGroup
+	for i := 1; i < len(written); i++ {
+		wg.Add(1)
+		go syncJournal(written[i], &synced[i], &wg)
 	}
+	if len(written) > 0 {
+		synced[0] = written[0].Sync()
+	}
+	wg.Wait()
 	// Acks after the fsyncs: nothing is acknowledged before it is on
 	// stable storage.
 	for _, req := range batch {
@@ -212,6 +223,12 @@ func (g *GroupCommitter) flush(batch []*commitReq) {
 			req.done <- req.err
 			continue
 		}
-		req.done <- synced[req.j]
+		req.done <- synced[slot[req.j]]
 	}
+}
+
+// syncJournal fsyncs j into *err and marks wg done.
+func syncJournal(j *Journal, err *error, wg *sync.WaitGroup) {
+	defer wg.Done()
+	*err = j.Sync()
 }

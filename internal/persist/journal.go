@@ -21,8 +21,9 @@ import (
 //
 // Append is a plain write; durability against power loss comes from
 // Sync, which the caller's journal-sync mode decides when to call:
-// "group" (tplserved's default) acks an append only after a group
-// fsync covers it (GroupCommitter), "step" fsyncs after every append,
+// "group" (tplserved's default) acks an append only after the fsync of
+// its commit group covers it (GroupCommitter, which syncs a group's
+// journals concurrently), "step" fsyncs after every append,
 // and "none" never fsyncs. Process death never loses page-cache data,
 // so the kill-and-recover contract holds in every mode; only in "none"
 // can a whole-machine power loss take the un-synced tail.

@@ -40,7 +40,7 @@ type File struct {
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
 	// JournalSync is "none", "group" or "step".
 	JournalSync string `json:"journal_sync,omitempty"`
-	// JournalWindow bounds the group-commit latency window.
+	// JournalWindow is the group-commit linger (0 = none).
 	JournalWindow manager.Duration `json:"journal_window,omitempty"`
 	// EngineCacheDir enables the on-disk compiled-engine cache
 	// (empty = compile fresh every process).
@@ -91,8 +91,8 @@ func Parse(fs *flag.FlagSet, args []string) (f File, path string, err error) {
 	fs.BoolVar(&f.Quiet, "quiet", f.Quiet, "suppress serving logs")
 	fs.StringVar(&f.StateDir, "state-dir", f.StateDir, "directory for durable session state (snapshots + step journals); empty = ephemeral, state dies with the process")
 	fs.IntVar(&f.SnapshotEvery, "snapshot-every", f.SnapshotEvery, "steps between coalesced session snapshots (0 = default; journal records are appended every step regardless)")
-	fs.StringVar(&f.JournalSync, "journal-sync", f.JournalSync, "journal durability: none (page-cache only), group (one fsync per commit group, bounded latency) or step (fsync every batch)")
-	fs.Var(&f.JournalWindow, "journal-window", "group-commit latency window: how long an append may wait for companions before its fsync (0 = default)")
+	fs.StringVar(&f.JournalSync, "journal-sync", f.JournalSync, "journal durability: none (page-cache only), group (concurrent appends commit together; one fsync per journal per group) or step (fsync every batch)")
+	fs.Var(&f.JournalWindow, "journal-window", "group-commit linger: how long a commit group may wait for companions before its fsync (0 = the default: commit whatever is queued at once)")
 	fs.StringVar(&f.EngineCacheDir, "engine-cache-dir", f.EngineCacheDir, "directory for the on-disk compiled-engine cache: adversary models seen by any previous process warm-start instead of recompiling; empty = compile fresh every boot")
 	fs.StringVar(&f.Role, "role", f.Role, "process role: serve (one ingest shard, the default) or router (cluster front door proxying to -shards by consistent hashing)")
 	fs.Func("shards", "comma-separated shard list (role router): bare base URLs (order fixes IDs shard-0,shard-1,...) or id=addr pairs, e.g. a=http://h1:8344,b=http://h2:8344", func(list string) error {

@@ -64,10 +64,11 @@ const (
 	// un-synced tail. The registry default (the pre-group-commit
 	// behavior).
 	JournalSyncNone JournalSyncMode = "none"
-	// JournalSyncGroup: appends are coalesced across all sessions into
-	// one fsync per commit group with a bounded latency window
-	// (persist.GroupCommitter). Power-loss durable at a fraction of
-	// per-append fsync cost; the tplserved default.
+	// JournalSyncGroup: appends from all sessions are committed in
+	// self-clocked groups (persist.GroupCommitter): each group takes
+	// whatever is queued, fsyncs its distinct journals concurrently and
+	// acks after the fsyncs, while the next group queues behind it.
+	// Power-loss durable like "step"; the tplserved default.
 	JournalSyncGroup JournalSyncMode = "group"
 	// JournalSyncStep: one fsync per batch append — the strictest and
 	// slowest mode, kept as the differential-testing reference.
@@ -85,9 +86,10 @@ func ParseJournalSyncMode(s string) (JournalSyncMode, error) {
 }
 
 // SetJournalSync selects the journal durability mode (boot-time
-// wiring, like EnablePersistence; must precede any session). window
-// bounds how long a group-commit append may wait for companions
-// (<= 0 selects the default).
+// wiring, like EnablePersistence; must precede any session). In group
+// mode a window > 0 lets each commit group linger that long for
+// companions; 0 commits whatever is queued at once. Each call installs
+// a fresh committer, so a later call's window replaces an earlier one.
 func (r *Registry) SetJournalSync(mode JournalSyncMode, window time.Duration) error {
 	if _, err := ParseJournalSyncMode(string(mode)); err != nil {
 		return err
@@ -104,18 +106,9 @@ func (r *Registry) SetJournalSync(mode JournalSyncMode, window time.Duration) er
 	}
 	r.pmu.Lock()
 	r.syncMode = mode
-	var stale *persist.GroupCommitter
-	if mode == JournalSyncGroup {
-		if r.committer == nil {
-			r.committer, fresh = fresh, nil
-		}
-	} else {
-		stale, r.committer = r.committer, nil
-	}
+	stale := r.committer
+	r.committer = fresh
 	r.pmu.Unlock()
-	if fresh != nil {
-		fresh.Close() // a committer was already installed; discard the spare
-	}
 	if stale != nil {
 		stale.Close() // flushes pending appends off-lock
 	}

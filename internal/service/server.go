@@ -37,9 +37,9 @@ type Options struct {
 	// or "step"; empty selects "group" — power-loss durability at
 	// group-commit cost). Ignored without a StateDir.
 	JournalSync string
-	// JournalWindow bounds how long a group-commit append may wait for
-	// companions (<= 0 selects the default). Only meaningful with
-	// JournalSync "group".
+	// JournalWindow, when > 0, makes each group commit linger that long
+	// for companions before its fsync; 0 (the default) commits whatever
+	// is queued at once. Only meaningful with JournalSync "group".
 	JournalWindow time.Duration
 	// EngineCacheDir, when non-empty, enables the on-disk compiled-
 	// engine cache: adversary models whose chain content was seen by

@@ -340,8 +340,7 @@ func (c *cohort) leakage(i, t int) (CohortLeakage, error) {
 
 // PublishedRange returns copies of the budgets and published
 // histograms for 1-based steps [from, to] under one lock acquisition —
-// the paginated read of the release history (per-step Budget+Published
-// calls would take two locks per item).
+// the paginated read of the release history, and its only read.
 func (s *Server) PublishedRange(from, to int) (eps []float64, hists [][]float64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

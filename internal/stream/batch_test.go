@@ -224,7 +224,7 @@ func TestCollectBatchPlanMix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantBudgets := sequential.Budgets()
+	wantBudgets, _ := publishedAll(t, sequential)
 	for i, r := range results {
 		if r.Eps != wantBudgets[i] {
 			t.Fatalf("step %d: batch eps %v, sequential %v", i+1, r.Eps, wantBudgets[i])

@@ -38,7 +38,7 @@ func TestCollectPlannedUsesPlanBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.Budgets()
+	got, _ := publishedAll(t, s)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-15 {
 			t.Errorf("step %d: spent %v, plan says %v", i+1, got[i], want[i])
@@ -135,7 +135,7 @@ func TestSetPlanMidStream(t *testing.T) {
 	if s.PlanStep() != 2 {
 		t.Errorf("PlanStep = %d after one planned step", s.PlanStep())
 	}
-	b := s.Budgets()
+	b, _ := publishedAll(t, s)
 	if math.Abs(b[2]-plan.Eps1) > 1e-15 {
 		t.Errorf("first planned budget = %v, want plan.Eps1 = %v", b[2], plan.Eps1)
 	}

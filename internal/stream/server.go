@@ -435,23 +435,6 @@ func (s *Server) T() int {
 	return s.published.Len()
 }
 
-// Published returns the noisy histogram released at 1-based time t.
-func (s *Server) Published(t int) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t < 1 || t > s.published.Len() {
-		return nil, fmt.Errorf("stream: time %d out of range [1,%d]", t, s.published.Len())
-	}
-	return append([]float64(nil), s.published.At(t-1)...), nil
-}
-
-// Budgets returns a copy of the per-step budgets spent so far.
-func (s *Server) Budgets() []float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.budgets.CopyAll()
-}
-
 // UserTPL returns user u's temporal privacy leakage at 1-based time t.
 func (s *Server) UserTPL(u, t int) (float64, error) {
 	s.mu.RLock()

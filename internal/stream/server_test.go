@@ -55,14 +55,14 @@ func TestCollectPublishesHistogram(t *testing.T) {
 	if s.T() != 1 {
 		t.Errorf("T = %d", s.T())
 	}
-	got, err := s.Published(1)
+	_, got, err := s.PublishedRange(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != out[0] {
-		t.Error("Published(1) mismatch")
+	if got[0][0] != out[0] {
+		t.Error("PublishedRange(1, 1) mismatch")
 	}
-	if _, err := s.Published(2); err == nil {
+	if _, _, err := s.PublishedRange(2, 2); err == nil {
 		t.Error("future time should fail")
 	}
 }
@@ -258,9 +258,23 @@ func TestServerBudgetsCopy(t *testing.T) {
 	if _, err := s.Collect([]int{1}, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	b := s.Budgets()
-	b[0] = 9
-	if s.Budgets()[0] != 0.3 {
-		t.Error("Budgets exposes internal state")
+	eps, hists := publishedAll(t, s)
+	eps[0], hists[0][0] = 9, 9
+	if eps, hists := publishedAll(t, s); eps[0] != 0.3 || hists[0][0] == 9 {
+		t.Error("PublishedRange exposes internal state")
 	}
+}
+
+// publishedAll reads the whole release history, budgets and published
+// histograms, through PublishedRange.
+func publishedAll(t *testing.T, s *Server) (eps []float64, hists [][]float64) {
+	t.Helper()
+	if s.T() == 0 {
+		return nil, nil
+	}
+	eps, hists, err := s.PublishedRange(1, s.T())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eps, hists
 }

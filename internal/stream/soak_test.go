@@ -68,11 +68,12 @@ func TestSoakChunkedHistoryMillionSteps(t *testing.T) {
 	}
 
 	// Budget pagination: PublishedRange pages concatenated over the full
-	// run must reproduce Budgets() exactly. Page size 1000 does not
-	// divide the chunk size, so pages straddle every chunk boundary.
-	all := s.Budgets()
+	// run must reproduce the one full-range read exactly. Page size 1000
+	// does not divide the chunk size, so pages straddle every chunk
+	// boundary.
+	all, _ := publishedAll(t, s)
 	if len(all) != soakSteps {
-		t.Fatalf("Budgets() returned %d entries, want %d", len(all), soakSteps)
+		t.Fatalf("full-range read returned %d budgets, want %d", len(all), soakSteps)
 	}
 	const page = 1000
 	at := 0
@@ -97,8 +98,8 @@ func TestSoakChunkedHistoryMillionSteps(t *testing.T) {
 	}
 
 	// Histogram pagination at chunk boundaries: the paged read must
-	// agree with per-step Published(t) exactly where the storage
-	// switches chunks.
+	// agree with single-step reads exactly where the storage switches
+	// chunks.
 	for _, boundary := range []int{chunked.Size, 2 * chunked.Size, 3 * chunked.Size} {
 		from, to := boundary-2, boundary+3
 		epsPage, hists, err := s.PublishedRange(from, to)
@@ -107,10 +108,11 @@ func TestSoakChunkedHistoryMillionSteps(t *testing.T) {
 		}
 		for i := range hists {
 			tt := from + i
-			single, err := s.Published(tt)
+			_, one, err := s.PublishedRange(tt, tt)
 			if err != nil {
-				t.Fatalf("Published(%d): %v", tt, err)
+				t.Fatalf("PublishedRange(%d,%d): %v", tt, tt, err)
 			}
+			single := one[0]
 			if len(single) != len(hists[i]) {
 				t.Fatalf("histogram at t=%d: paged len %d != single len %d", tt, len(hists[i]), len(single))
 			}

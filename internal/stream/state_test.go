@@ -105,20 +105,14 @@ func mustAgree(t *testing.T, orig, restored *Server, sampleUsers []int) {
 			t.Fatalf("MaxWEvent(%d): original (%v,%d) restored (%v,%d)", w, vo, uo, vr, ur)
 		}
 	}
-	mustEqualSeries(t, "Budgets", restored.Budgets(), orig.Budgets())
 	if orig.T() != restored.T() {
 		t.Fatalf("T: %d != %d", orig.T(), restored.T())
 	}
-	for tt := 1; tt <= orig.T(); tt++ {
-		po, err := orig.Published(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := restored.Published(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualSeries(t, "Published", pr, po)
+	epsO, histsO := publishedAll(t, orig)
+	epsR, histsR := publishedAll(t, restored)
+	mustEqualSeries(t, "Budgets", epsR, epsO)
+	for i := range histsO {
+		mustEqualSeries(t, "Published", histsR[i], histsO[i])
 	}
 }
 
