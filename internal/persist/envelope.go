@@ -82,6 +82,15 @@ func EncodeEnvelope(w io.Writer, version uint32, body []byte) error {
 // versions they accept. Trailing data after the body is left unread
 // (journals frame many envelopes back to back).
 func DecodeEnvelope(r io.Reader) (version uint32, body []byte, err error) {
+	return decodeEnvelope(r, -1)
+}
+
+// decodeEnvelope is DecodeEnvelope over a reader that holds size bytes
+// in all (a file whose size is known), or an unknown number when size
+// is negative. A known size lets a length field those bytes cannot
+// back fail as ErrTruncated before anything is allocated for it, and
+// lets the body be read into one buffer of exactly its length.
+func decodeEnvelope(r io.Reader, size int64) (version uint32, body []byte, err error) {
 	hdr := make([]byte, envelopeHeaderSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -99,8 +108,15 @@ func DecodeEnvelope(r io.Reader) (version uint32, body []byte, err error) {
 	}
 	// Read the body in bounded chunks: a corrupt length field must cost
 	// at most the bytes actually present, not an up-front allocation of
-	// whatever the field claims.
-	const chunk = 1 << 20
+	// whatever the field claims. With a known size the field is checked
+	// against it instead, and the body is one chunk.
+	chunk := uint64(1 << 20)
+	if size >= 0 {
+		if n > uint64(max(size-envelopeHeaderSize, 0)) {
+			return 0, nil, fmt.Errorf("%w: body of %d bytes in a %d-byte file", ErrTruncated, n, size)
+		}
+		chunk = n
+	}
 	body = make([]byte, 0, min(n, chunk))
 	for uint64(len(body)) < n {
 		next := min(n-uint64(len(body)), chunk)

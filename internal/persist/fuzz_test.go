@@ -82,6 +82,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	_ = EncodeEnvelope(&good, 1, []byte("snapshot body"))
 	f.Add(good.Bytes())
 	f.Add([]byte("not a snapshot"))
+	f.Add(withBodyLength(good.Bytes(), 1<<30)) // a length the file cannot back
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "s.snap"), data, 0o644); err != nil {

@@ -2,9 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -68,6 +70,53 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := DecodeEnvelope(bytes.NewReader(nil)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("empty input: %v", err)
+	}
+}
+
+// withBodyLength returns a copy of an envelope with its length field
+// set to n (the checksum no longer matches, but the length is checked
+// first).
+func withBodyLength(wire []byte, n uint64) []byte {
+	out := append([]byte(nil), wire...)
+	binary.LittleEndian.PutUint64(out[12:], n)
+	return out
+}
+
+// TestLoadSnapshotLengthPastFile: LoadSnapshot reads a body into one
+// buffer of the declared length, so a length field the file cannot
+// back must fail with ErrTruncated before that buffer is allocated —
+// a flipped bit must not cost a gigabyte. Every truncation of a good
+// file fails the same way.
+func TestLoadSnapshotLengthPastFile(t *testing.T) {
+	s := testStore(t)
+	if err := s.SaveSnapshot("s", 1, []byte("the leakage series")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), "s"+snapSuffix)
+	wire, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, withBodyLength(wire, 1<<30), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = s.LoadSnapshot("s")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("length past the file: %v, want ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("refusing a 1 GiB length field allocated %d bytes", n)
+	}
+	for cut := 0; cut < len(wire); cut++ {
+		if err := os.WriteFile(path, wire[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.LoadSnapshot("s"); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("truncation at %d: %v", cut, err)
+		}
 	}
 }
 

@@ -142,7 +142,9 @@ func syncDir(dir string) error {
 // LoadSnapshot reads and verifies the session's snapshot, returning its
 // schema version and body. ErrNoSnapshot means none exists; decode
 // errors (ErrBadMagic, ErrTruncated, ErrChecksum, ErrTooLarge) mean the
-// file exists but cannot be trusted.
+// file exists but cannot be trusted. The file's size is known, so the
+// body is read into one buffer of its declared length, and a length the
+// file cannot hold is ErrTruncated before any of it is allocated.
 func (s *Store) LoadSnapshot(name string) (version uint32, body []byte, err error) {
 	if err := checkSessionName(name); err != nil {
 		return 0, nil, err
@@ -155,7 +157,11 @@ func (s *Store) LoadSnapshot(name string) (version uint32, body []byte, err erro
 		return 0, nil, fmt.Errorf("persist: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	return DecodeEnvelope(f)
+	info, err := f.Stat()
+	if err != nil {
+		return 0, nil, fmt.Errorf("persist: stat snapshot: %w", err)
+	}
+	return decodeEnvelope(f, info.Size())
 }
 
 // SnapshotStat reports when the session's snapshot was last written
@@ -229,25 +235,32 @@ func (s *Store) SaveTombstone(name, location string) error {
 	})
 }
 
-// LoadTombstones returns every persisted session -> new-owner redirect.
-func (s *Store) LoadTombstones() (map[string]string, error) {
+// LoadTombstones returns every persisted session -> new-owner redirect
+// it can read, and for each tombstone it cannot, the session's name and
+// why. A caller must treat an unreadable tombstone's session as handed
+// off, not as local: restoring it would give it two owners. err reports
+// only a state dir that cannot be listed.
+func (s *Store) LoadTombstones() (tombs map[string]string, unreadable map[string]error, err error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil, fmt.Errorf("persist: listing state dir: %w", err)
+		return nil, nil, fmt.Errorf("persist: listing state dir: %w", err)
 	}
-	tombs := make(map[string]string)
+	tombs = make(map[string]string)
+	unreadable = make(map[string]error)
 	for _, e := range entries {
 		n := e.Name()
 		if !e.Type().IsRegular() || !strings.HasSuffix(n, tombSuffix) || strings.HasSuffix(n, tombTmpSuffix) {
 			continue
 		}
+		name := strings.TrimSuffix(n, tombSuffix)
 		data, err := os.ReadFile(filepath.Join(s.dir, n))
 		if err != nil {
-			return nil, fmt.Errorf("persist: reading tombstone %s: %w", n, err)
+			unreadable[name] = fmt.Errorf("persist: reading tombstone %s: %w", n, err)
+			continue
 		}
-		tombs[strings.TrimSuffix(n, tombSuffix)] = strings.TrimSpace(string(data))
+		tombs[name] = strings.TrimSpace(string(data))
 	}
-	return tombs, nil
+	return tombs, unreadable, nil
 }
 
 // RemoveTombstone deletes a session's redirect (a session re-created or

@@ -555,8 +555,8 @@ func TestSnapshotBytesLinearInT(t *testing.T) {
 		}
 		writtenAt[s.Server().T()] = written
 	}
-	// From T=1024 on, the idempotency memory each delta carries is
-	// full, so a delta's size no longer grows.
+	// From T=1024 on, the idempotency memory the base carries is full,
+	// and a delta carries only the keys added since the previous one.
 	w1, w2 := writtenAt[4096], writtenAt[16384]
 	if w1 == 0 || w2 == 0 {
 		t.Fatalf("no snapshot at T=4096 or T=16384: %v", writtenAt)
@@ -569,4 +569,191 @@ func TestSnapshotBytesLinearInT(t *testing.T) {
 	if final := size("sess.snap"); w2 > 64*final {
 		t.Fatalf("%d bytes written for a %d-byte base", w2, final)
 	}
+}
+
+// deltaLogCost runs one session of 4-step batches to T=8192, snapshots
+// every 64 steps, with an idempotency key on every batch or on none. It
+// returns the delta-log bytes appended per step by the records after
+// the memory is full (T >= 1024: 256 keys of 4 steps) and the number of
+// compactions.
+func deltaLogCost(t *testing.T, keyed bool) (bytesPerStep float64, compactions int) {
+	t.Helper()
+	dir := t.TempDir()
+	r := durableRegistry(t, dir, 64)
+	s, err := r.Create(persistTestConfig("sess", 3, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	var appended, prevSize int64
+	steps, prevT := 0, 0
+	for batch := 1; batch <= 2048; batch++ {
+		batchSteps := make([]stream.BatchStep, 4)
+		for i := range batchSteps {
+			a, eps := rng.Intn(6), 0.1
+			batchSteps[i] = stream.BatchStep{Counts: []int{a, 5 - a}, Eps: &eps}
+		}
+		key := ""
+		if keyed {
+			key = fmt.Sprintf("key-%06d", batch)
+		}
+		if _, _, err := s.CollectBatch(key, batchSteps); err != nil {
+			t.Fatal(err)
+		}
+		if s.persistInfo().JournalRecords != 0 {
+			continue
+		}
+		info, err := os.Stat(filepath.Join(dir, "sess.delta"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		T := s.Server().T()
+		if info.Size() == 0 {
+			compactions++
+		} else if prevT >= 1024 {
+			appended += info.Size() - prevSize
+			steps += T - prevT
+		}
+		prevSize, prevT = info.Size(), T
+	}
+	return float64(appended) / float64(steps), compactions
+}
+
+// TestDeltaBytesIndependentOfIdempotency is the byte bound on the delta
+// record: once the idempotency memory is full, a session that keys
+// every batch appends at most 1.5x the delta-log bytes per step of one
+// that keys none, and compacts no more often. A record carries the keys
+// added since the previous one, not the whole memory; carrying all 256
+// entries made each keyed record several times the unkeyed one. Byte
+// counts, not time, so it is deterministic.
+func TestDeltaBytesIndependentOfIdempotency(t *testing.T) {
+	plain, plainCompactions := deltaLogCost(t, false)
+	keyed, keyedCompactions := deltaLogCost(t, true)
+	t.Logf("delta-log bytes per step: %.1f unkeyed, %.1f keyed; compactions %d vs %d", plain, keyed, plainCompactions, keyedCompactions)
+	if keyed > 1.5*plain {
+		t.Fatalf("keyed batches cost %.1f delta-log bytes per step against %.1f unkeyed (%.1fx, bound 1.5x)", keyed, plain, keyed/plain)
+	}
+	if keyedCompactions > plainCompactions {
+		t.Fatalf("keyed run compacted %d times, unkeyed %d", keyedCompactions, plainCompactions)
+	}
+}
+
+// v1FixtureScript is the batch sequence that wrote testdata/v1-state:
+// the state dir of session "fixture" (deltaTestConfig) as written
+// before a delta record carried only the keys added since the previous
+// one (delta schema v1, whose records each hold the whole memory). It
+// holds a base at T=1326, four v1 delta records whose memories grow
+// from 100 keys to the full 256 (k0..k13 are evicted between the
+// second and the third), and a journal tail of five keyed batches.
+// snapshot marks where that build forced a snapshot. No batch retries
+// a key, so the memory's order there (least recently used first) is its
+// insertion order.
+func v1FixtureScript(collect func(key string, steps []stream.BatchStep), snapshot func()) {
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 64; i++ {
+		collect("", randomBatch(rng, 5, 40))
+	}
+	snapshot()
+	key := 0
+	for _, upTo := range []int{100, 200, 270, 300} {
+		for ; key < upTo; key++ {
+			collect(fmt.Sprintf("k%d", key), randomBatch(rng, 5, 1))
+		}
+		snapshot()
+	}
+	for i := 0; i < 5; i++ {
+		collect(fmt.Sprintf("tail%d", i), randomBatch(rng, 5, 3))
+	}
+}
+
+// deltaLogVersions returns the schema version of every record in a
+// delta log.
+func deltaLogVersions(t *testing.T, log []byte) []uint32 {
+	t.Helper()
+	rd := bytes.NewReader(log)
+	var out []uint32
+	for rd.Len() > 0 {
+		v, _, err := persist.DecodeEnvelope(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestRestoreV1StateDir restores the committed v1 state dir and requires
+// it to match an uninterrupted in-memory run of the same batches: every
+// leakage answer bit for bit, and the idempotency memory entry for
+// entry, order included. The recovery snapshot appends a v2 record
+// behind the v1 ones, and a second restart reads that mixed log to the
+// same state.
+func TestRestoreV1StateDir(t *testing.T) {
+	dir := copyStateDir(t, filepath.Join("testdata", "v1-state"))
+	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{1, 1, 1, 1}) {
+		t.Fatalf("fixture delta log versions %v, want four v1 records", got)
+	}
+	ctl, err := NewRegistry().Create(deltaTestConfig("fixture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastKey string
+	var lastSteps []stream.BatchStep
+	v1FixtureScript(func(key string, steps []stream.BatchStep) {
+		if _, _, err := ctl.CollectBatch(key, steps); err != nil {
+			t.Fatal(err)
+		}
+		lastKey, lastSteps = key, steps
+	}, func() {})
+
+	restore := func() *Session {
+		t.Helper()
+		r := durableRegistry(t, dir, 1<<20)
+		restored, failed := r.RestoreAll()
+		if len(failed) != 0 || !reflect.DeepEqual(restored, []string{"fixture"}) {
+			t.Fatalf("restore: restored %v failed %v", restored, failed)
+		}
+		s, err := r.Get("fixture")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatchSessions(t, ctl, s)
+		mustMatchWEvent(t, ctl, s)
+		if !reflect.DeepEqual(s.idem.entries(), ctl.idem.entries()) {
+			t.Fatal("restored idempotency memory differs from the control's")
+		}
+		return s
+	}
+	s := restore()
+	if n := len(s.idem.entries()); n != idemCacheSize {
+		t.Fatalf("restored memory holds %d keys, want %d", n, idemCacheSize)
+	}
+	if _, ok := s.idem.get("k13"); ok {
+		t.Fatal("k13, evicted before the third record, is remembered")
+	}
+	for _, sess := range []*Session{s, ctl} {
+		res, replayed, err := sess.CollectBatch(lastKey, lastSteps)
+		if err != nil || !replayed || res[len(res)-1].T != ctl.Server().T() {
+			t.Fatalf("retry of %s: replayed=%v err=%v", lastKey, replayed, err)
+		}
+	}
+	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{1, 1, 1, 1, deltaSchemaVersion}) {
+		t.Fatalf("delta log versions after recovery %v, want the v1 records and one v2", got)
+	}
+	// More keyed batches, a v2 record, a journal tail, a second restart.
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 12; i++ {
+		steps := randomBatch(rng, 5, 3)
+		for _, sess := range []*Session{s, ctl} {
+			if _, _, err := sess.CollectBatch(fmt.Sprintf("more%d", i), steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 7 {
+			if _, err := s.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	restore()
 }

@@ -190,7 +190,7 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		if _, _, err := s.CollectBatch(fmt.Sprintf("k%d", i), randomBatch(rng, 5, 4)); err != nil {
 			f.Fatal(err)
 		}
@@ -204,6 +204,12 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	baseT, baseID := s.Server().T(), s.baseID
+	// The seeds: an idle record (no step, no key) and keyed records
+	// (steps plus the keys added since the previous record), then an
+	// unkeyed one (steps, no key) — all applying in order on the base.
+	if _, err := s.SnapshotNow(); err != nil {
+		f.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		if _, _, err := s.CollectBatch(fmt.Sprintf("d%d", i), randomBatch(rng, 5, 4)); err != nil {
 			f.Fatal(err)
@@ -212,13 +218,35 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	_, err = r.Store().ReplayDeltaLog("sess", func(_ uint32, body []byte) error {
+	if _, _, err := s.CollectBatch("", randomBatch(rng, 5, 4)); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.SnapshotNow(); err != nil {
+		f.Fatal(err)
+	}
+	var idle []byte
+	res, err := r.Store().ReplayDeltaLog("sess", func(_ uint32, body []byte) error {
+		if idle == nil {
+			idle = body
+		}
 		f.Add(body)
 		return nil
 	})
+	if err != nil || res.Records != 5 {
+		f.Fatalf("template delta log: %d records (want 5), %v", res.Records, err)
+	}
+	// Additions only: the idle record carrying keys for steps the base
+	// holds, one of them twice.
+	var rec sessionDelta
+	if err := gobDecode(idle, &rec); err != nil {
+		f.Fatal(err)
+	}
+	rec.Idem = []idemRecord{{Key: "x", FirstT: 1, Planned: []bool{true}}, {Key: "y", FirstT: 2, Planned: []bool{false, true}}, {Key: "x", FirstT: 4, Planned: []bool{true}}}
+	additionsOnly, err := gobEncode(rec)
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(additionsOnly)
 	f.Add([]byte{})
 	f.Add([]byte("not a delta"))
 
@@ -254,6 +282,19 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 		}
 		if T := s.Server().T(); T != want {
 			t.Fatalf("restored T=%d, want %d (base at %d, delta to %d)", T, want, baseT, rec.Server.ToT)
+		}
+		// The record's keys go on the memory in order: the last one a
+		// restore keeps is remembered as that record.
+		if len(s.idem.entries()) > idemCacheSize {
+			t.Fatalf("restored memory holds %d keys", len(s.idem.entries()))
+		}
+		for i := len(rec.Idem) - 1; rec.BaseID == baseID && i >= 0; i-- {
+			if e := rec.Idem[i]; e.FirstT >= 1 && e.lastT() <= want {
+				if got, ok := s.idem.get(e.Key); !ok || got.Hash != e.Hash || got.FirstT != e.FirstT {
+					t.Fatalf("restored memory lost the record's last key %q", e.Key)
+				}
+				break
+			}
 		}
 		if _, err := s.Server().Report(); err != nil {
 			t.Fatalf("restored session cannot report: %v", err)

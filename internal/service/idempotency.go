@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -12,17 +11,25 @@ import (
 
 // Idempotent batch ingestion. A v2 steps request may carry an
 // Idempotency-Key header; the session remembers, per key, which steps
-// that batch landed (in a bounded LRU), so a client retrying after an
-// ambiguous failure — timeout, dropped connection, 5xx — gets the
-// original batch's results back instead of double-charging every
-// user's privacy budget. The memory rides the existing durability
-// pipeline: the whole batch (step records + idempotency record) is
-// journaled as one checksummed record and the LRU is carried in
-// snapshots, so exactly-once holds across crashes too — a torn journal
-// tail drops a batch and its key together, and a batch that survived
-// keeps its key. Replayed responses are reconstructed from the
-// published history rather than stored, so an entry costs O(key +
-// batch length), not O(batch x domain).
+// that batch landed (the last idemCacheSize keys, oldest evicted
+// first), so a client retrying after an ambiguous failure — timeout,
+// dropped connection, 5xx — gets the original batch's results back
+// instead of double-charging every user's privacy budget. The memory
+// rides the existing durability pipeline: the whole batch (step
+// records + idempotency record) is journaled as one checksummed record,
+// a base snapshot carries the whole memory and each delta record the
+// keys added since the previous one, so exactly-once holds across
+// crashes too — a torn journal tail drops a batch and its key together,
+// and a batch that survived keeps its key. Replayed responses are
+// reconstructed from the published history rather than stored, so an
+// entry costs O(key + batch length), not O(batch x domain).
+//
+// Eviction is insertion-ordered (FIFO), not least-recently-used: a
+// replay hit changes nothing, so the memory is a pure function of the
+// keyed batches that landed, in order, and replaying those additions
+// on restore rebuilds it entry for entry, order included, with no
+// record of reads. A retry arrives soon after its original, which is
+// what FIFO keeps.
 
 // idemCacheSize bounds the per-session key memory. At the default
 // batch sizes this is hours of continuous retry-safe ingestion; evicted
@@ -46,56 +53,74 @@ type idemRecord struct {
 // lastT returns the final 1-based step the batch landed.
 func (e *idemRecord) lastT() int { return e.FirstT + len(e.Planned) - 1 }
 
-// idemCache is a bounded LRU of idemRecords. Not safe for concurrent
-// use; the owning session serializes access under stepMu.
+// idemCache is a FIFO of at most idemCacheSize idemRecords: a ring
+// (grown up to the bound, then overwritten oldest-first) plus a key
+// index into it. added counts the records put since the last delta
+// record took them (see additions). Not safe for concurrent use; the
+// owning session serializes access under stepMu.
 type idemCache struct {
-	order *list.List // front = least recently used
-	byKey map[string]*list.Element
+	ring  []idemRecord
+	head  int // slot of the oldest record once the ring is full
+	byKey map[string]int
+	added int
 }
 
-func (c *idemCache) init() {
-	if c.order == nil {
-		c.order = list.New()
-		c.byKey = make(map[string]*list.Element)
-	}
-}
-
-// get returns the record for key, marking it recently used.
+// get returns the record for key. A hit does not refresh the key.
 func (c *idemCache) get(key string) (*idemRecord, bool) {
-	c.init()
-	el, ok := c.byKey[key]
+	i, ok := c.byKey[key]
 	if !ok {
 		return nil, false
 	}
-	c.order.MoveToBack(el)
-	rec := el.Value.(*idemRecord)
-	return rec, true
+	return &c.ring[i], true
 }
 
-// put inserts (or refreshes) a record, evicting the least recently
-// used entry past the capacity.
+// put appends a record, evicting the oldest past the capacity. A key
+// already present keeps its slot and takes the new record; the live
+// path never does that (it answers a known key from get), only a
+// restore layering records that repeat one.
 func (c *idemCache) put(rec idemRecord) {
-	c.init()
-	if el, ok := c.byKey[rec.Key]; ok {
-		el.Value = &rec
-		c.order.MoveToBack(el)
+	if c.byKey == nil {
+		c.byKey = make(map[string]int)
+	}
+	if i, ok := c.byKey[rec.Key]; ok {
+		c.ring[i] = rec
 		return
 	}
-	c.byKey[rec.Key] = c.order.PushBack(&rec)
-	for c.order.Len() > idemCacheSize {
-		front := c.order.Front()
-		delete(c.byKey, front.Value.(*idemRecord).Key)
-		c.order.Remove(front)
+	c.added++
+	if len(c.ring) < idemCacheSize {
+		c.byKey[rec.Key] = len(c.ring)
+		c.ring = append(c.ring, rec)
+		return
 	}
+	delete(c.byKey, c.ring[c.head].Key)
+	c.ring[c.head] = rec
+	c.byKey[rec.Key] = c.head
+	c.head = (c.head + 1) % idemCacheSize
 }
 
-// entries returns the cache contents oldest-first (the order snapshots
-// store and restores replay, so LRU order survives restarts).
+// entries returns the cache contents oldest-first (the order a base
+// snapshot stores and a restore re-puts).
 func (c *idemCache) entries() []idemRecord {
-	c.init()
-	out := make([]idemRecord, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, *el.Value.(*idemRecord))
+	return c.newest(len(c.ring))
+}
+
+// additions returns the records put since the last markLogged,
+// oldest-first — what a delta record carries. Past the capacity only
+// the newest idemCacheSize matter: appending them to the previous
+// memory evicts everything older.
+func (c *idemCache) additions() []idemRecord {
+	return c.newest(min(c.added, len(c.ring)))
+}
+
+// markLogged notes that every record so far is on disk (a delta record
+// or a base carries it).
+func (c *idemCache) markLogged() { c.added = 0 }
+
+// newest returns the n most recent records, oldest-first.
+func (c *idemCache) newest(n int) []idemRecord {
+	out := make([]idemRecord, 0, n)
+	for i := len(c.ring) - n; i < len(c.ring); i++ {
+		out = append(out, c.ring[(c.head+i)%len(c.ring)])
 	}
 	return out
 }

@@ -261,6 +261,55 @@ func TestRestoreTombstoneWinsOverSnapshot(t *testing.T) {
 	}
 }
 
+// TestRestoreUnreadableTombstoneFailsClosed: a tombstone that cannot be
+// read still marks its session as handed off. The restarted source
+// must not serve the session from its leftover snapshot (that would
+// make two owners); it reports the name in failed, registers nothing
+// under it and keeps every file, while other sessions restore as usual.
+func TestRestoreUnreadableTombstoneFailsClosed(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("root reads a mode-000 file anyway")
+	}
+	dir := t.TempDir()
+	r1 := durableRegistry(t, dir, 100)
+	s, err := r1.Create(persistTestConfig("web", 7, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepSession(t, s, rand.New(rand.NewSource(3)), 2)
+	if _, err := r1.Create(persistTestConfig("stay", 7, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.Store().SaveTombstone("web", "http://shard-b:8344"); err != nil {
+		t.Fatal(err)
+	}
+	tomb := filepath.Join(dir, "web.tomb")
+	if err := os.Chmod(tomb, 0); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chmod(tomb, 0o644) })
+
+	r2 := durableRegistry(t, dir, 100)
+	restored, failed := r2.RestoreAll()
+	if len(restored) != 1 || restored[0] != "stay" {
+		t.Fatalf("restored %v, want only stay", restored)
+	}
+	if err := failed["web"]; err == nil || !strings.Contains(err.Error(), "tombstone") {
+		t.Fatalf("failed = %v, want web's unreadable tombstone", failed)
+	}
+	if _, err := r2.Get("web"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(web) = %v, want ErrNotFound", err)
+	}
+	if n, users := r2.Len(), r2.Users(); n != 1 || users != 5 {
+		t.Fatalf("registry counts %d sessions / %d users, want 1 / 5", n, users)
+	}
+	for _, f := range []string{"web.snap", "web.journal", "web.tomb"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Fatalf("%s not kept: %v", f, err)
+		}
+	}
+}
+
 // TestMigrateReportsTombstoneWriteError: once the target acks, a failed
 // tombstone write is returned to the caller, and the local files are
 // still dropped so a restart cannot bring back a second owner.

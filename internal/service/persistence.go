@@ -5,6 +5,9 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/persist"
@@ -27,10 +30,10 @@ import (
 // per step rather than O(T).
 
 // Snapshot, delta-log and journal schema versions inside the persist
-// envelopes. Bump
-// on any change to the encodings. Restore reads exactly these versions
-// and refuses every other one with a "not supported" error rather than
-// guessing (DESIGN.md §6).
+// envelopes. Bump on any change to the encodings. Restore reads these
+// versions, plus delta v1 (deltaSchemaWholeIdem), and refuses every
+// other one with a "not supported" error rather than guessing
+// (DESIGN.md §6).
 //
 // A snapshot is a sessionState (config, server state, idempotency
 // entries). A delta-log record is a sessionDelta. A journal record is
@@ -42,15 +45,21 @@ import (
 const (
 	sessionSchemaVersion = 2
 	batchSchemaVersion   = 2
-	deltaSchemaVersion   = 1
+	deltaSchemaVersion   = 2
+	// deltaSchemaWholeIdem is the delta record written before v2: the
+	// same fields, but its Idem is the whole idempotency memory, which
+	// replaces the memory on restore instead of extending it. Read, no
+	// longer written.
+	deltaSchemaWholeIdem = 1
 )
 
 // defaultSnapshotEvery is the snapshot coalescing interval in steps. A
 // journal record costs O(domain) per step; a coalesced snapshot costs
 // O((domain + cohorts)·N) for the N steps since the previous one plus
-// the idempotency memory, with the O(users + (domain + 3·cohorts)·T)
-// base rewrite amortised over the deltas that outgrow it. Recovery
-// replays at most N journal steps behind the last snapshot.
+// the idempotency keys added since, with the O(users + (domain +
+// 3·cohorts)·T) base rewrite amortised over the deltas that outgrow
+// it. Recovery replays at most N journal steps behind the last
+// snapshot.
 const defaultSnapshotEvery = 64
 
 // JournalSyncMode selects how journal appends reach stable storage.
@@ -119,7 +128,7 @@ func (r *Registry) SetJournalSync(mode JournalSyncMode, window time.Duration) er
 // config (JSON, exactly as submitted — plans and noise modes are
 // rebuilt from it rather than serialized), the creation time, the full
 // server state, and the idempotency-key memory (oldest-first, so the
-// LRU order survives the restart). BaseID is a random nonzero tag
+// eviction order survives the restart). BaseID is a random nonzero tag
 // naming this base to the delta records layered on it; a migration
 // body, which has none, and every snapshot written before delta logs
 // existed decode it as zero (an additive field: still schema v2).
@@ -134,29 +143,19 @@ type sessionState struct {
 }
 
 // sessionDelta is the body of a delta-log record: the base it extends,
-// what changed in the server since the previous snapshot, and the whole
-// idempotency memory (at most idemCacheSize entries, oldest-first, so
-// restore reproduces the LRU eviction order exactly).
+// what changed in the server since the previous snapshot, and the
+// idempotency records added since the previous snapshot, oldest-first
+// (at most idemCacheSize). Restore puts them, in order, on the memory
+// the base and the earlier records left, which rebuilds the FIFO
+// exactly; so a record costs O(steps + new keys), not a copy of the
+// whole memory. In a v1 record (deltaSchemaWholeIdem) Idem is the whole
+// memory instead.
 //
-//tplvet:wire v1 schema=3d2ef11ebb0c
+//tplvet:wire v2 schema=3d2ef11ebb0c
 type sessionDelta struct {
 	BaseID uint64
 	Server *stream.ServerDelta
 	Idem   []idemRecord
-}
-
-// deltaHead decodes a sessionDelta without its idempotency memory (gob
-// skips the field): every record carries the whole LRU, so restore
-// needs only the last applied record's, and skipping the others keeps
-// replaying a delta log cheap.
-type deltaHead struct {
-	BaseID uint64
-	Server *stream.ServerDelta
-}
-
-// deltaIdem decodes only a sessionDelta's idempotency memory.
-type deltaIdem struct {
-	Idem []idemRecord
 }
 
 // batchRecord is the journal body: one ingestion batch and its
@@ -273,23 +272,28 @@ func (s *Session) snapshotLocked() error {
 }
 
 // writeStateLocked appends what changed since the last snapshot to the
-// delta log (append, then fsync). It compacts instead when there is no
+// delta log (append, then fsync): the server's new steps and the
+// idempotency keys added since. It compacts instead when there is no
 // cursor (first snapshot, after restore, or after a failed write) or
-// when the delta log would outgrow the base. A failed append drops the
-// cursor and the log's handle, so the next snapshot compacts past
-// whatever partial record it left, through a freshly opened file (a
-// retried write or fsync on a handle that already failed can claim
-// success for data the kernel dropped). Caller holds s.stepMu.
+// when the delta log would outgrow the base, counted by deltaCost. A
+// failed append drops the cursor and the log's handle, so the next
+// snapshot compacts past whatever partial record it left, through a
+// freshly opened file (a retried write or fsync on a handle that
+// already failed can claim success for data the kernel dropped); the
+// compaction writes the whole idempotency memory, so no addition the
+// failed record held is lost. Caller holds s.stepMu.
 func (s *Session) writeStateLocked() error {
 	if s.cursor == nil {
 		return s.compactLocked()
 	}
 	d, next := s.srv.SnapshotDelta(s.cursor)
-	body, err := gobEncode(sessionDelta{BaseID: s.baseID, Server: d, Idem: s.idem.entries()})
+	adds := s.idem.additions()
+	body, err := gobEncode(sessionDelta{BaseID: s.baseID, Server: d, Idem: adds})
 	if err != nil {
 		return fmt.Errorf("service: encoding snapshot delta: %w", err)
 	}
-	if s.deltaBytes+len(body) > s.baseBytes {
+	cost := deltaCost(body, adds)
+	if s.deltaBytes+cost > s.baseBytes {
 		return s.compactLocked()
 	}
 	err = s.deltaLog.Append(deltaSchemaVersion, body)
@@ -301,8 +305,26 @@ func (s *Session) writeStateLocked() error {
 		return fmt.Errorf("service: appending snapshot delta at step %d: %w", d.ToT, err)
 	}
 	s.cursor = next
-	s.deltaBytes += len(body)
+	s.deltaBytes += cost
+	s.idem.markLogged()
 	return nil
+}
+
+// deltaCost is what a delta record counts toward compaction: its bytes
+// less those of its idempotency additions. Compaction bounds the bytes
+// written and the bytes a restore reads to amortised O(1) per step;
+// the additions are at most one per batch, so they are within that
+// bound already, and counting them would only make a session that keys
+// its batches compact sooner than one that does not.
+func deltaCost(body []byte, adds []idemRecord) int {
+	if len(adds) == 0 {
+		return len(body)
+	}
+	enc, err := gobEncode(adds)
+	if err != nil {
+		return len(body)
+	}
+	return max(len(body)-len(enc), 0)
 }
 
 // compactLocked writes a fresh base under a new BaseID and empties the
@@ -335,6 +357,7 @@ func (s *Session) compactLocked() error {
 		return err
 	}
 	s.cursor, s.baseID, s.baseBytes, s.deltaBytes = cur, id, len(body), 0
+	s.idem.markLogged() // the base holds the whole memory
 	return nil
 }
 
@@ -554,20 +577,27 @@ func (s *Session) detachPersistenceLocked() *persist.Store {
 }
 
 // RestoreAll rebuilds every session found in the attached store: for
-// each, the last good snapshot is loaded and verified, the plan and
-// noise mode are rebuilt from the stored config, the compiled leakage
-// engines are re-attached by content hash through the registry's
-// shared model cache, and the journal tail is replayed on top. A
-// session that cannot be restored is skipped with its error reported —
-// its files stay on disk for inspection — so one corrupt tenant cannot
-// keep the rest of the fleet down.
+// each, the last good snapshot is loaded and verified, the delta log
+// layered on it, the plan and noise mode are rebuilt from the stored
+// config, the compiled leakage engines are re-attached by content hash
+// through the registry's shared model cache, and the journal tail is
+// replayed on top. A session that cannot be restored is skipped with
+// its error reported — its files stay on disk for inspection — so one
+// corrupt tenant cannot keep the rest of the fleet down.
+//
+// Sessions are loaded concurrently, at most GOMAXPROCS at a time, but
+// admitted one by one in store.List() order, so which sessions a user
+// ceiling refuses, and the order of restored, do not depend on which
+// load finishes first.
 //
 // A tombstone wins over a snapshot of the same name: Migrate writes the
 // tombstone before it deletes the local files, so both on disk means a
 // crash interrupted a completed hand-off. The target owns the session;
 // restoring it here too would split each user's leakage across two
 // accountants. Such a session is not registered, and its leftover files
-// are removed to finish the retirement.
+// are removed to finish the retirement. A tombstone that cannot be read
+// fails closed: its name is reported in failed, nothing is registered
+// under it, and its files stay.
 func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 	failed = make(map[string]error)
 	store := r.Store()
@@ -581,9 +611,10 @@ func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 	}
 	// Reload migration tombstones first: a restarted shard must keep
 	// redirecting traffic for sessions it handed off before the crash.
-	tombs, terr := store.LoadTombstones()
-	if terr != nil {
-		failed[""] = terr
+	tombs, unreadable, err := store.LoadTombstones()
+	if err != nil {
+		failed[""] = err
+		return nil, failed
 	}
 	for name, loc := range tombs {
 		stripe := r.stripe(name)
@@ -591,18 +622,55 @@ func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 		stripe.tombstones[name] = loc
 		stripe.mu.Unlock()
 	}
+	for name, err := range unreadable {
+		failed[name] = err
+	}
+	var todo []string
 	for _, name := range names {
+		if _, bad := unreadable[name]; bad {
+			continue
+		}
 		if _, migrated := tombs[name]; migrated {
 			if err := store.Remove(name); err != nil {
 				failed[name] = err
 			}
 			continue
 		}
-		if err := r.restoreOne(store, name); err != nil {
-			failed[name] = err
+		todo = append(todo, name)
+	}
+	type loaded struct {
+		s   *Session
+		err error
+	}
+	done := make([]chan loaded, len(todo))
+	for i := range done {
+		done[i] = make(chan loaded, 1)
+	}
+	var next atomic.Int64
+	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {
+		go func() {
+			for i := int(next.Add(1)) - 1; i < len(todo); i = int(next.Add(1)) - 1 {
+				s, err := r.loadSession(store, todo[i])
+				done[i] <- loaded{s, err}
+			}
+		}()
+	}
+	for i, name := range todo {
+		l := <-done[i]
+		if l.err == nil {
+			l.err = r.admit(l.s, true)
+		}
+		if l.err != nil {
+			failed[name] = l.err
 			continue
 		}
 		restored = append(restored, name)
+	}
+	// Decoding every snapshot at once peaks the heap far above what the
+	// restored sessions keep; hand that back now rather than carrying it
+	// into serving, as Delete does.
+	if len(restored) > 0 {
+		debug.FreeOSMemory()
 	}
 	return restored, failed
 }
@@ -656,10 +724,10 @@ func (r *Registry) sessionFromState(st sessionState) (*Session, error) {
 	return r.newSession(&cfg, st.ConfigJSON, st.Created, srv), nil
 }
 
-// adoptIdem rebuilds the idempotency memory from stored entries, oldest
-// first (their order is the LRU order). Entries naming steps beyond the
-// restored history are dropped — their batch never fully landed, so a
-// retry must be applied, not replayed.
+// adoptIdem puts stored idempotency records on the memory, oldest
+// first (their order is the eviction order). Entries naming steps
+// beyond the restored history are dropped — their batch never fully
+// landed, so a retry must be applied, not replayed.
 func (s *Session) adoptIdem(recs []idemRecord) {
 	for _, rec := range recs {
 		if rec.FirstT >= 1 && rec.lastT() <= s.srv.T() {
@@ -674,27 +742,35 @@ func (s *Session) adoptIdem(recs []idemRecord) {
 // are skipped — by BaseID, since a record that added no step has the
 // same FromT/ToT whichever side of the compaction wrote it. Every other
 // record must continue the state exactly (FromT at the state's step),
-// or the restore fails. A torn final record ends the log cleanly — the
-// journal was not reset past it, so it still holds those steps — but
-// damage followed by more records fails the session loudly rather than
-// silently restoring a shorter history.
+// or the restore fails; its idempotency records are put on the memory
+// in order (a v1 record's replace it). A torn final record ends the log
+// cleanly — the journal was not reset past it, so it still holds those
+// steps — but damage followed by more records fails the session loudly
+// rather than silently restoring a shorter history.
 //
-// It reports the bytes of record bodies the log holds and whether it
-// ended on a record boundary: only then can new records be appended
-// behind it.
+// It reports what the log's records count toward compaction (deltaCost;
+// a v1 record counts whole) and whether it ended on a record boundary:
+// only then can new records be appended behind it.
 func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logBytes int, clean bool, err error) {
-	var last []byte // the last applied record: its Idem is the LRU to restore
+	var mem idemCache
+	for _, rec := range st.Idem {
+		mem.put(rec)
+	}
 	res, err := store.ReplayDeltaLog(name, func(version uint32, body []byte) error {
-		logBytes += len(body)
-		if version != deltaSchemaVersion {
-			return fmt.Errorf("service: delta schema version %d not supported (want %d)", version, deltaSchemaVersion)
+		if version != deltaSchemaVersion && version != deltaSchemaWholeIdem {
+			return fmt.Errorf("service: delta schema version %d not supported (want %d or %d)", version, deltaSchemaVersion, deltaSchemaWholeIdem)
 		}
-		var rec deltaHead
+		var rec sessionDelta
 		if err := gobDecode(body, &rec); err != nil {
 			return fmt.Errorf("service: decoding snapshot delta: %w", err)
 		}
 		if rec.Server == nil {
 			return fmt.Errorf("service: snapshot delta has no server state")
+		}
+		if version == deltaSchemaWholeIdem {
+			logBytes += len(body)
+		} else {
+			logBytes += deltaCost(body, rec.Idem)
 		}
 		if rec.BaseID != st.BaseID {
 			return nil
@@ -702,7 +778,12 @@ func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logByte
 		if err := st.Server.Extend(rec.Server); err != nil {
 			return fmt.Errorf("service: applying snapshot delta: %w", err)
 		}
-		last = body
+		if version == deltaSchemaWholeIdem {
+			mem = idemCache{}
+		}
+		for _, e := range rec.Idem {
+			mem.put(e)
+		}
 		return nil
 	})
 	if err != nil {
@@ -711,36 +792,33 @@ func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logByte
 	if res.Corrupt {
 		return 0, false, fmt.Errorf("service: delta log is damaged after %d intact records", res.Records)
 	}
-	if last != nil {
-		var rec deltaIdem
-		if err := gobDecode(last, &rec); err != nil {
-			return 0, false, fmt.Errorf("service: decoding snapshot delta: %w", err)
-		}
-		st.Idem = rec.Idem
-	}
+	st.Idem = mem.entries()
 	return logBytes, !res.Torn, nil
 }
 
-// restoreOne loads, verifies, replays and registers one session.
-func (r *Registry) restoreOne(store *persist.Store, name string) error {
+// loadSession loads, verifies and replays one session from the store,
+// ready for admit. It changes no registry state (the shared model cache
+// aside, which is safe for concurrent use), so RestoreAll runs it for
+// several sessions at once.
+func (r *Registry) loadSession(store *persist.Store, name string) (*Session, error) {
 	version, body, err := store.LoadSnapshot(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	st, err := decodeSessionState(version, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	logBytes, clean, err := applyDeltaLog(store, name, &st)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s, err := r.sessionFromState(st)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if s.name != name {
-		return fmt.Errorf("service: snapshot file %q holds config for session %q", name, s.name)
+		return nil, fmt.Errorf("service: snapshot file %q holds config for session %q", name, s.name)
 	}
 	snapT := s.srv.T()
 	// When the delta log ended cleanly, what is on disk is exactly the
@@ -751,11 +829,12 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 		s.cursor = s.srv.Cursor()
 	}
 	// Replay the journal tail, one batch record (steps + idempotency
-	// record) at a time. Step records at or before the snapshot are
-	// expected (crash between snapshot and journal reset) and skipped;
-	// gaps or schema mismatches beyond it fail the session. Idempotency
-	// records are collected in journal order and layered over the
-	// snapshot's entries below.
+	// record) at a time. Records at or before the snapshot are expected
+	// (crash between snapshot and journal reset) and skipped, their key
+	// with them: the snapshot's memory already accounts for it, evicted
+	// or not. Gaps or schema mismatches beyond it fail the session.
+	// Idempotency records are collected in journal order and layered
+	// over the snapshot's entries below.
 	var idemTail []idemRecord
 	replayedSteps := 0
 	_, err = store.ReplayJournal(name, func(version uint32, body []byte) error {
@@ -775,15 +854,19 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 				return err
 			}
 		}
-		if rec.Idem != nil {
+		if rec.Idem != nil && rec.Idem.FirstT > snapT {
 			idemTail = append(idemTail, *rec.Idem)
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.adoptIdem(append(st.Idem, idemTail...))
+	// What the files hold is logged; the journal's keys are additions
+	// the next delta record must carry.
+	s.adoptIdem(st.Idem)
+	s.idem.markLogged()
+	s.adoptIdem(idemTail)
 	// The health bookkeeping describes the files as found, until the
 	// post-recovery snapshot admit writes replaces them.
 	s.lastSnapT, s.lastSnapAt, s.journalRecords = snapT, r.now(), replayedSteps
@@ -791,7 +874,7 @@ func (r *Registry) restoreOne(store *persist.Store, name string) error {
 		s.lastSnapAt = mod
 	}
 	s.baseID, s.baseBytes, s.deltaBytes = st.BaseID, len(body), logBytes
-	return r.admit(s, true)
+	return s, nil
 }
 
 // Close finishes every session's durability (final snapshot + journal

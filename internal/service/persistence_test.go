@@ -3,11 +3,14 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -683,4 +686,126 @@ func TestDoubleCrashWithTornTail(t *testing.T) {
 		t.Fatalf("after second crash T=%d, want 7 — post-recovery steps were lost", s3.Server().T())
 	}
 	mustMatchSessions(t, s2, s3)
+}
+
+// TestRestoreConcurrentMatchesSerial restores the same eight sessions
+// with one loader and with eight at a time. One session has a damaged
+// middle delta record, one lies behind a migration tombstone, and the
+// user ceiling fits every healthy session but the last in List() order.
+// Both restores must restore and fail the same sessions with the same
+// errors, in the same order; every restored session must match an
+// uninterrupted in-memory control, and a keyed retry of its last batch
+// must replay, leaving the batch applied exactly once.
+func TestRestoreConcurrentMatchesSerial(t *testing.T) {
+	dir := t.TempDir()
+	r := durableRegistry(t, dir, 1<<20)
+	names := []string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7"}
+	ctls := make(map[string]*Session)
+	type batch struct {
+		key   string
+		steps []stream.BatchStep
+	}
+	last := make(map[string]batch)
+	rng := rand.New(rand.NewSource(31))
+	for _, name := range names {
+		s, err := r.Create(deltaTestConfig(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := NewRegistry().Create(deltaTestConfig(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctls[name] = ctl
+		collect := func(key string, steps []stream.BatchStep) {
+			for _, sess := range []*Session{s, ctl} {
+				if _, _, err := sess.CollectBatch(key, steps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last[name] = batch{key, steps}
+		}
+		// A base of a few hundred steps, four delta records and a keyed
+		// journal tail.
+		for i := 0; i < 40; i++ {
+			collect("", randomBatch(rng, 5, 16))
+		}
+		for i := 0; i < 5; i++ {
+			if i > 0 {
+				for j := 0; j < 3; j++ {
+					collect(fmt.Sprintf("%s-%d-%d", name, i, j), randomBatch(rng, 5, 4))
+				}
+			}
+			if _, err := s.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		collect(name+"-tail0", randomBatch(rng, 5, 4))
+		collect(name+"-tail1", randomBatch(rng, 5, 4))
+	}
+	log := readStateFile(t, dir, "r2.delta")
+	if ends := deltaRecordEnds(t, log); len(ends) != 4 {
+		t.Fatalf("r2 has %d delta records, want 4", len(ends))
+	} else {
+		log[ends[0]+60] ^= 0xFF // a body byte of the second record
+	}
+	writeStateFile(t, dir, "r2.delta", log)
+	const owner = "http://shard-b:8344"
+	if err := r.Store().SaveTombstone("r4", owner); err != nil {
+		t.Fatal(err)
+	}
+
+	restoreWith := func(procs int) (*Registry, []string, map[string]error) {
+		img := copyStateDir(t, dir)
+		r := durableRegistry(t, img, 1<<20)
+		r.capacity = 25 // five 5-user sessions: r0, r1, r3, r5, r6
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		restored, failed := r.RestoreAll()
+		return r, restored, failed
+	}
+	_, serial, serialFailed := restoreWith(1)
+	r2, restored, failed := restoreWith(len(names))
+	if want := []string{"r0", "r1", "r3", "r5", "r6"}; !reflect.DeepEqual(serial, want) || !reflect.DeepEqual(restored, want) {
+		t.Fatalf("restored %v one at a time and %v concurrently, want %v", serial, restored, want)
+	}
+	if len(failed) != 2 || len(serialFailed) != 2 {
+		t.Fatalf("failed %v concurrently and %v one at a time, want r2 and r7", failed, serialFailed)
+	}
+	for name, want := range map[string]string{"r2": "delta log is damaged", "r7": "capacity"} {
+		err, serr := failed[name], serialFailed[name]
+		if err == nil || serr == nil || err.Error() != serr.Error() || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: failed with %v concurrently and %v one at a time, want %q", name, err, serr, want)
+		}
+	}
+	if !errors.Is(failed["r7"], ErrCapacity) {
+		t.Fatalf("r7: %v, want ErrCapacity", failed["r7"])
+	}
+	var ws *WrongShardError
+	if _, err := r2.Get("r4"); !errors.As(err, &ws) || ws.Location != owner {
+		t.Fatalf("Get(r4) = %v, want a redirect to %s", err, owner)
+	}
+	if n, users := r2.Len(), r2.Users(); n != 5 || users != 25 {
+		t.Fatalf("registry counts %d sessions / %d users, want 5 / 25", n, users)
+	}
+	for _, name := range restored {
+		s, err := r2.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := ctls[name]
+		mustMatchSessions(t, ctl, s)
+		mustMatchWEvent(t, ctl, s)
+		if !reflect.DeepEqual(s.idem.entries(), ctl.idem.entries()) {
+			t.Fatalf("%s: restored idempotency memory differs", name)
+		}
+		b, T := last[name], s.Server().T()
+		for i := 0; i < 2; i++ {
+			if _, replayed, err := s.CollectBatch(b.key, b.steps); err != nil || !replayed {
+				t.Fatalf("%s: retry %d of %s: replayed=%v err=%v", name, i, b.key, replayed, err)
+			}
+		}
+		if s.Server().T() != T {
+			t.Fatalf("%s: retries moved T from %d to %d", name, T, s.Server().T())
+		}
+	}
 }

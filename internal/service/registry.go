@@ -72,7 +72,7 @@ type Session struct {
 	cursor     *stream.DeltaCursor
 	baseID     uint64
 	baseBytes  int
-	deltaBytes int
+	deltaBytes int // deltaCost of the records, not their raw size
 
 	// persistMu guards only the bookkeeping below, so health and
 	// summary reads never block behind an in-flight collect or an
@@ -358,7 +358,7 @@ func (r *Registry) newSession(cfg *SessionConfig, cfgJSON []byte, created time.T
 }
 
 // admit is the one way a session enters the registry (Create,
-// ImportSession and restoreOne): it reserves the session's users, inserts
+// ImportSession and RestoreAll): it reserves the session's users, inserts
 // it under its name, supersedes a migration tombstone of that name, and
 // initialises its persistence, undoing all of it if that fails.
 //

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -313,7 +314,7 @@ func mustJSON(t *testing.T, v any) []byte {
 	return raw
 }
 
-// TestIdemCacheEviction fills the per-session LRU past its capacity:
+// TestIdemCacheEviction fills the per-session key memory past its capacity:
 // the oldest key degrades to at-most-once (applied again), recent keys
 // still replay.
 func TestIdemCacheEviction(t *testing.T) {
@@ -331,10 +332,67 @@ func TestIdemCacheEviction(t *testing.T) {
 	if rec.Code != http.StatusOK || resp.Replayed {
 		t.Fatalf("evicted key replayed: %+v", resp)
 	}
-	// key-1 survived (it was not the LRU victim after key-0's reinsert).
+	// A recent key survived key-0's reinsert, which evicted the oldest.
 	rec, resp = postKeyed(t, h, "/v2/sessions/evict/steps", fmt.Sprintf("key-%d", idemCacheSize), body)
 	if rec.Code != http.StatusOK || !resp.Replayed {
 		t.Fatalf("recent key not replayed: %+v", resp)
+	}
+}
+
+// TestIdemCacheFIFO: eviction is by insertion order, so a replay hit
+// does not shield a key — the oldest key goes first even when it was
+// just retried. The additions a delta record carries are exactly the
+// keys put since the last one, capped at the capacity.
+func TestIdemCacheFIFO(t *testing.T) {
+	h := NewAPI().Handler()
+	v2Session(t, h, "fifo")
+	body := batchBody(1, 0.1)
+	for i := 0; i < idemCacheSize; i++ {
+		if rec, resp := postKeyed(t, h, "/v2/sessions/fifo/steps", fmt.Sprintf("key-%d", i), body); rec.Code != http.StatusOK || resp.Replayed {
+			t.Fatalf("key-%d: %d %+v", i, rec.Code, resp)
+		}
+	}
+	// A replay hit on the oldest key, then one more key: under LRU the
+	// hit would have made key-1 the victim; under FIFO key-0 still is.
+	if rec, resp := postKeyed(t, h, "/v2/sessions/fifo/steps", "key-0", body); rec.Code != http.StatusOK || !resp.Replayed {
+		t.Fatalf("retry of key-0: %d %+v", rec.Code, resp)
+	}
+	if rec, resp := postKeyed(t, h, "/v2/sessions/fifo/steps", "key-new", body); rec.Code != http.StatusOK || resp.Replayed {
+		t.Fatalf("key-new: %d %+v", rec.Code, resp)
+	}
+	if rec, resp := postKeyed(t, h, "/v2/sessions/fifo/steps", "key-1", body); rec.Code != http.StatusOK || !resp.Replayed {
+		t.Fatalf("key-1 evicted in place of the retried key-0: %+v", resp)
+	}
+	if rec, resp := postKeyed(t, h, "/v2/sessions/fifo/steps", "key-0", body); rec.Code != http.StatusOK || resp.Replayed {
+		t.Fatalf("retried key-0 survived eviction: %+v", resp)
+	}
+
+	var c idemCache
+	keys := func(recs []idemRecord) []string {
+		var out []string
+		for _, r := range recs {
+			out = append(out, r.Key)
+		}
+		return out
+	}
+	for i := 0; i < 3; i++ {
+		c.put(idemRecord{Key: fmt.Sprintf("a%d", i), FirstT: i + 1, Planned: []bool{false}})
+	}
+	c.markLogged()
+	if got := c.additions(); len(got) != 0 {
+		t.Fatalf("additions after markLogged: %v", keys(got))
+	}
+	c.put(idemRecord{Key: "b0", FirstT: 4, Planned: []bool{true}})
+	c.put(idemRecord{Key: "b1", FirstT: 5, Planned: []bool{true}})
+	if got := keys(c.additions()); !reflect.DeepEqual(got, []string{"b0", "b1"}) {
+		t.Fatalf("additions %v, want [b0 b1]", got)
+	}
+	for i := 0; i < idemCacheSize+10; i++ {
+		c.put(idemRecord{Key: fmt.Sprintf("c%d", i), FirstT: 6 + i, Planned: []bool{false}})
+	}
+	add, all := c.additions(), c.entries()
+	if len(add) != idemCacheSize || !reflect.DeepEqual(add, all) || all[0].Key != "c10" {
+		t.Fatalf("past capacity: %d additions, oldest entry %q; want the whole memory from c10", len(add), all[0].Key)
 	}
 }
 
