@@ -47,7 +47,8 @@ type Accountant struct {
 	eps chunked.Log[float64]
 	bpl chunked.Log[float64] // bpl[t], maintained incrementally
 
-	// fplMu guards fpl, the one field a read writes (refreshFPL).
+	// fplMu guards what a read writes (refreshFPL): fpl and the
+	// forward-loss memo at the end of the struct.
 	fplMu sync.Mutex
 	fpl   []float64 // cached FPL series for the first len(fpl) observations
 
@@ -64,6 +65,16 @@ type Accountant struct {
 	memoArg [2]float64
 	memoVal [2]float64
 	memoN   int // valid entries (0..2); memoArg[0] is most recent
+
+	// Forward-loss memo: the last (alpha, L^F(alpha)) evaluation. The
+	// refresh walks FPL(t) = L^F(FPL(t+1)) + eps_t backward; under a
+	// constant budget it reaches its floating-point fixed point within a
+	// few steps and the argument then repeats exactly, so a refresh from
+	// an empty cache — the first read after a restore — costs O(distinct
+	// values) engine evaluations, not O(T). Pure memoization, like the
+	// backward memo.
+	fwdArg, fwdVal float64
+	fwdOK          bool
 }
 
 // NewAccountant builds an accountant for an adversary with the given
@@ -341,7 +352,7 @@ func (a *Accountant) refreshFPL() []float64 {
 		if hasOld = t < oldT; hasOld {
 			nextOld = old[t]
 		}
-		next = a.qf.LossValue(next) + a.eps.At(t)
+		next = a.forwardLoss(next) + a.eps.At(t)
 		fpl[t] = next
 	}
 	if !inPlace {
@@ -349,4 +360,13 @@ func (a *Accountant) refreshFPL() []float64 {
 	}
 	a.fpl = fpl
 	return fpl
+}
+
+// forwardLoss evaluates the forward quantifier through the one-entry
+// memo (see the field comment on fwdArg). Caller holds fplMu.
+func (a *Accountant) forwardLoss(alpha float64) float64 {
+	if !a.fwdOK || a.fwdArg != alpha {
+		a.fwdArg, a.fwdVal, a.fwdOK = alpha, a.qf.LossValue(alpha), true
+	}
+	return a.fwdVal
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"reflect"
+	"math/rand"
 	"testing"
 
 	"repro/internal/markov"
@@ -25,15 +25,24 @@ func (c *countingLoss) LossValue(alpha float64) float64 {
 // TestAccountantFPLRefreshIncremental is the regression test for the
 // O(T)-per-read refresh: after the first full computation, an Observe
 // append must cost O(appends + saturation tail) loss evaluations on the
-// next read, not a full O(T) series recompute.
+// next read, not a full O(T) series recompute. The budgets never repeat,
+// so neither does the forward series (FPL(t) = 1 + eps_t once L
+// saturates) and the forward-loss memo never answers: every count below
+// is the refresh's own.
 func TestAccountantFPLRefreshIncremental(t *testing.T) {
 	const T = 500
 	stub := &countingLoss{}
 	acc := &Accountant{qb: &countingLoss{}, qf: stub}
-	for i := 0; i < T; i++ {
-		if _, err := acc.Observe(2); err != nil {
+	eps := 2.0
+	observe := func() {
+		t.Helper()
+		eps += 1.0 / 1024
+		if _, err := acc.Observe(eps); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < T; i++ {
+		observe()
 	}
 	if _, err := acc.TPL(1); err != nil { // first read: full backward sweep
 		t.Fatal(err)
@@ -44,12 +53,10 @@ func TestAccountantFPLRefreshIncremental(t *testing.T) {
 	}
 
 	// One append + read: the recurrence saturates (L caps at 1, so
-	// fpl[t] = 3 for every t at least two steps from the tail) and the
-	// refresh must stop as soon as it reproduces a cached value.
+	// fpl[t] = 1 + eps_t for every t at least two steps from the tail)
+	// and the refresh must stop as soon as it reproduces a cached value.
 	stub.calls = 0
-	if _, err := acc.Observe(2); err != nil {
-		t.Fatal(err)
-	}
+	observe()
 	if _, err := acc.TPL(1); err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +67,7 @@ func TestAccountantFPLRefreshIncremental(t *testing.T) {
 	// A batch of appends costs O(batch), not O(T).
 	stub.calls = 0
 	for i := 0; i < 10; i++ {
-		if _, err := acc.Observe(2); err != nil {
-			t.Fatal(err)
-		}
+		observe()
 	}
 	if _, err := acc.MaxTPL(); err != nil {
 		t.Fatal(err)
@@ -145,71 +150,95 @@ func TestAccountantLongHorizonSaturates(t *testing.T) {
 	}
 }
 
-// TestFPLSinceFindsTheChangedSuffix: between captures the cached
-// forward series is refreshed in place, and FPLSince, given only an
-// earlier capture's tail, finds exactly where the series changed when
-// the two rejoin inside that tail (and falls back to 0 otherwise), so
-// the earlier series' prefix plus the returned suffix is the current
-// series, and the tail it returns for the next capture is the current
-// series' tail. Every refresh equals the batch FPLSeries bit for bit.
-func TestFPLSinceFindsTheChangedSuffix(t *testing.T) {
-	pf, err := markov.New(markov.Fig7Forward().P())
-	if err != nil {
-		t.Fatal(err)
+// TestFirstRefreshCostsDistinctValues: under a constant budget the
+// forward series reaches its fixed point (3, with L capped at 1) one
+// step below the tail, so a refresh from an empty cache — what every
+// read after a restore starts with — evaluates the loss once per
+// distinct value the series takes, not once per step.
+func TestFirstRefreshCostsDistinctValues(t *testing.T) {
+	const T = 5000
+	stub := &countingLoss{}
+	acc := &Accountant{qb: &countingLoss{}, qf: stub}
+	for i := 0; i < T; i++ {
+		if _, err := acc.Observe(2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, tailLen := range []int{2, 8, 1024} {
-		acc := NewAccountant(nil, pf)
-		var eps, prev []float64
-		tail := acc.FPLTail(tailLen)
-		for round := 0; round < 80; round++ {
-			for i := 0; i < 1+round%5; i++ {
-				e := 0.05 + 0.01*float64((round*7+i)%9)
-				eps = append(eps, e)
-				if _, err := acc.Observe(e); err != nil {
-					t.Fatal(err)
-				}
+	fpl := acc.refreshFPL()
+	distinct := make(map[float64]bool)
+	for _, v := range fpl {
+		distinct[v] = true
+	}
+	if stub.calls > len(distinct) {
+		t.Fatalf("first refresh of %d constant-budget steps made %d loss calls, want at most %d (distinct values)", T, stub.calls, len(distinct))
+	}
+}
+
+// TestFPLRefreshMatchesBatch pins the forward-loss memo as pure
+// memoization: under budget sequences that make it hit (a constant
+// budget, a change after a long plateau, a 2-cycle) and one that makes
+// it miss (random budgets), the incrementally refreshed series equals
+// the batch FPLSeries, and TPLRange the batch TPLSeries, bit for bit —
+// after a first refresh over the whole history and after reads
+// interleaved with appends.
+func TestFPLRefreshMatchesBatch(t *testing.T) {
+	pb, pf := markov.Fig7Backward(), markov.Fig7Forward()
+	qb, qf := NewQuantifier(pb), NewQuantifier(pf)
+	const T = 600
+	rng := rand.New(rand.NewSource(27))
+	cases := map[string]func(i int) float64{
+		"constant": func(int) float64 { return 0.1 },
+		"plateau-then-change": func(i int) float64 {
+			if i < 2*T/3 {
+				return 0.1
 			}
-			if round%4 != 3 {
-				if _, err := acc.FPL(1); err != nil { // refresh
-					t.Fatal(err)
-				}
-				want, err := FPLSeries(NewQuantifier(pf), eps)
+			return 0.35
+		},
+		"two-cycle": func(i int) float64 { return []float64{0.1, 0.4}[i%2] },
+		"random":    func(int) float64 { return 0.01 + rng.Float64() },
+	}
+	for name, budget := range cases {
+		t.Run(name, func(t *testing.T) {
+			check := func(acc *Accountant, eps []float64) {
+				t.Helper()
+				wantF, err := FPLSeries(qf, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range want {
-					if got, _ := acc.FPL(i + 1); math.Float64bits(got) != math.Float64bits(want[i]) {
-						t.Fatalf("tail %d round %d: FPL(%d) = %v, batch series says %v", tailLen, round, i+1, got, want[i])
+				wantT, err := TPLSeries(qb, qf, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotF := acc.refreshFPL()
+				gotT, err := acc.TPLRange(1, len(eps))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range eps {
+					if math.Float64bits(gotF[i]) != math.Float64bits(wantF[i]) {
+						t.Fatalf("T=%d: FPL(%d) = %v, batch %v", len(eps), i+1, gotF[i], wantF[i])
+					}
+					if math.Float64bits(gotT[i]) != math.Float64bits(wantT[i]) {
+						t.Fatalf("T=%d: TPL(%d) = %v, batch %v", len(eps), i+1, gotT[i], wantT[i])
 					}
 				}
 			}
-			cur := acc.Snapshot().FPL
-			from, suffix, next := acc.FPLSince(tail, tailLen)
-			exact := 0 // the first index where prev and cur differ
-			for exact < min(len(prev), len(cur)) && math.Float64bits(prev[exact]) == math.Float64bits(cur[exact]) {
-				exact++
-			}
-			want := 0
-			if exact > tail.Off {
-				want = exact // the rejoin point lies inside the tail
-			}
-			if next.T != len(cur) || from != want {
-				t.Fatalf("tail %d round %d: FPLSince = (%d, %d), want (%d, %d)", tailLen, round, next.T, from, len(cur), want)
-			}
-			if off := max(0, len(cur)-tailLen); next.Off != off || !reflect.DeepEqual(next.Vals, cur[off:]) {
-				t.Fatalf("tail %d round %d: next tail (%d, %v), want (%d, %v)", tailLen, round, next.Off, next.Vals, off, cur[off:])
-			}
-			rebuilt := append(append([]float64(nil), prev[:from]...), suffix...)
-			if len(rebuilt) != len(cur) {
-				t.Fatalf("tail %d round %d: prefix + suffix has %d values, series %d", tailLen, round, len(rebuilt), len(cur))
-			}
-			for i := range cur {
-				if math.Float64bits(rebuilt[i]) != math.Float64bits(cur[i]) {
-					t.Fatalf("tail %d round %d: prefix + suffix differs at %d", tailLen, round, i)
+			whole := NewAccountantFromQuantifiers(qb, qf) // one refresh at the end
+			step := NewAccountantFromQuantifiers(qb, qf)  // reads between appends
+			var eps []float64
+			for i := 0; i < T; i++ {
+				e := budget(i)
+				eps = append(eps, e)
+				for _, acc := range []*Accountant{whole, step} {
+					if _, err := acc.Observe(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i%37 == 0 || i > T-4 {
+					check(step, eps)
 				}
 			}
-			prev = cur
-			tail = next
-		}
+			check(whole, eps)
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"sync"
 
@@ -80,6 +83,26 @@ func (qt *Quantifier) N() int {
 		return 0
 	}
 	return qt.n
+}
+
+// ContentHash returns a stable hex SHA-256 of the quantifier's
+// transition-matrix content (row-major little-endian float64 bits), or
+// "" for the nil (no-correlation) quantifier. Two quantifiers with equal
+// hashes compile to identical engines, so the hash keys compiled engines
+// (the on-disk engine cache) without serializing the matrix twice.
+func (qt *Quantifier) ContentHash() string {
+	if qt == nil {
+		return ""
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, row := range qt.rows {
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Engine returns the compiled loss function, compiling it on first use.

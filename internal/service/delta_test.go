@@ -279,7 +279,6 @@ func restoreCrashImage(t *testing.T, dir string, live *Session) *Session {
 	if n := len(readStateFile(t, dir, "sess.journal")); n != 0 {
 		t.Fatalf("recovery left %d bytes in the journal", n)
 	}
-	// Before any read: a read refreshes the live forward-series cache.
 	got := persistedState(t, r.Store(), "sess")
 	if want := s.Server().Snapshot(); !reflect.DeepEqual(got.Server, want) {
 		t.Fatal("after recovery, base ⊕ delta log differs from the restored state")
@@ -400,7 +399,7 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 		dir, _, s, _ := start(t)
 		pre := copyStateDir(t, dir)
 		s.stepMu.Lock()
-		s.cursor = nil // the next snapshot compacts
+		s.cursor = noCursor // the next snapshot compacts
 		s.stepMu.Unlock()
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
@@ -422,7 +421,7 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 		dir, _, s, _ := start(t)
 		stale := readStateFile(t, dir, "sess.delta")
 		s.stepMu.Lock()
-		s.cursor = nil
+		s.cursor = noCursor
 		s.stepMu.Unlock()
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
@@ -621,20 +620,100 @@ func deltaLogCost(t *testing.T, keyed bool) (bytesPerStep float64, compactions i
 
 // TestDeltaBytesIndependentOfIdempotency is the byte bound on the delta
 // record: once the idempotency memory is full, a session that keys
-// every batch appends at most 1.5x the delta-log bytes per step of one
-// that keys none, and compacts no more often. A record carries the keys
-// added since the previous one, not the whole memory; carrying all 256
-// entries made each keyed record several times the unkeyed one. Byte
-// counts, not time, so it is deterministic.
+// every batch appends at most 1.5x one key's bytes per batch more
+// delta-log bytes per step than one that keys none, and compacts no
+// more often. A record carries the keys added since the previous one,
+// not the whole memory; carrying all 256 entries made each keyed record
+// several times the unkeyed one. The bound is on the difference, not
+// the ratio: the unkeyed record is only the steps, so a ratio would
+// move with whatever else a record carries. Byte counts, not time, so
+// it is deterministic.
 func TestDeltaBytesIndependentOfIdempotency(t *testing.T) {
 	plain, plainCompactions := deltaLogCost(t, false)
 	keyed, keyedCompactions := deltaLogCost(t, true)
-	t.Logf("delta-log bytes per step: %.1f unkeyed, %.1f keyed; compactions %d vs %d", plain, keyed, plainCompactions, keyedCompactions)
-	if keyed > 1.5*plain {
-		t.Fatalf("keyed batches cost %.1f delta-log bytes per step against %.1f unkeyed (%.1fx, bound 1.5x)", keyed, plain, keyed/plain)
+	// One more key's bytes in a record: the marginal gob size of an
+	// idemRecord like deltaLogCost's (a 10-byte key, 4 steps).
+	rec := idemRecord{Key: "key-001024", FirstT: 4093, Planned: make([]bool, 4)}
+	for i := range rec.Hash {
+		rec.Hash[i] = byte(255 - i)
+	}
+	one, err := gobEncode([]idemRecord{rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := gobEncode([]idemRecord{rec, rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perKey := float64(len(two) - len(one))
+	t.Logf("delta-log bytes per step: %.1f unkeyed, %.1f keyed (one key: %.0f bytes per 4-step batch); compactions %d vs %d", plain, keyed, perKey, plainCompactions, keyedCompactions)
+	if extra := keyed - plain; extra > 1.5*perKey/4 {
+		t.Fatalf("keyed batches cost %.1f delta-log bytes per step more than unkeyed (%.1f against %.1f), bound 1.5 keys per batch = %.1f", extra, keyed, plain, 1.5*perKey/4)
 	}
 	if keyedCompactions > plainCompactions {
 		t.Fatalf("keyed run compacted %d times, unkeyed %d", keyedCompactions, plainCompactions)
+	}
+}
+
+// TestDeltaBytesIndependentOfReads: a delta record holds what was
+// released since the previous snapshot, whatever was read in between.
+// Two twins restore a base at T≈4096 that no read ever filled a forward
+// cache for; one reads a correlated user's TPL series, then both land
+// one more batch and snapshot. The read twin's delta record must stay
+// within 1.25x the unread one's. Storing the forward series put every
+// correlated cohort's whole series (8·T bytes) in the read twin's
+// record.
+func TestDeltaBytesIndependentOfReads(t *testing.T) {
+	dir := t.TempDir()
+	r := durableRegistry(t, dir, 1<<20)
+	s, err := r.Create(deltaTestConfig("sess"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for s.Server().T() < 4096 {
+		if _, _, err := s.CollectBatch("", randomBatch(rng, 5, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.SnapshotNow(); err != nil { // compacts: the base
+		t.Fatal(err)
+	}
+	lastRecord := func(read bool) int {
+		t.Helper()
+		r := durableRegistry(t, copyStateDir(t, dir), 1<<20)
+		defer r.Close()
+		if restored, failed := r.RestoreAll(); len(restored) != 1 || len(failed) != 0 {
+			t.Fatalf("restore: restored %v failed %v", restored, failed)
+		}
+		s, err := r.Get("sess")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read {
+			if _, err := s.Server().UserTPLSeries(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.CollectBatch("", randomBatch(rand.New(rand.NewSource(30)), 5, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+		last := 0
+		if _, err := r.Store().ReplayDeltaLog("sess", func(_ uint32, body []byte) error {
+			last = len(body)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return last
+	}
+	unread, read := lastRecord(false), lastRecord(true)
+	t.Logf("delta record at T=%d: %d bytes unread, %d bytes after a read", s.Server().T(), unread, read)
+	if float64(read) > 1.25*float64(unread) {
+		t.Fatalf("a read grew the next delta record from %d to %d bytes", unread, read)
 	}
 }
 
@@ -658,6 +737,38 @@ func v1FixtureScript(collect func(key string, steps []stream.BatchStep), snapsho
 	for _, upTo := range []int{100, 200, 270, 300} {
 		for ; key < upTo; key++ {
 			collect(fmt.Sprintf("k%d", key), randomBatch(rng, 5, 1))
+		}
+		snapshot()
+	}
+	for i := 0; i < 5; i++ {
+		collect(fmt.Sprintf("tail%d", i), randomBatch(rng, 5, 3))
+	}
+}
+
+// v2FixtureScript is the batch sequence that wrote testdata/v2-state:
+// the state dir of session "fixture" (deltaTestConfig) as written while
+// snapshots still stored every cohort's leakage series (snapshot and
+// delta schema v2). read marks where that build read the leakage,
+// which filled the forward caches those snapshots stored; snapshot
+// marks where it forced a snapshot. It holds a base at T=887 whose two
+// cohorts carry BPL and a forward cache over all 887 steps, three v2
+// delta records carrying new BPL values and changed forward suffixes
+// (the second after no read), and a journal tail of five keyed batches.
+func v2FixtureScript(collect func(key string, steps []stream.BatchStep), read, snapshot func()) {
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 48; i++ {
+		collect("", randomBatch(rng, 5, 40))
+	}
+	read()
+	snapshot() // compacts: the first delta would outgrow the empty base
+	key := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20; i++ {
+			collect(fmt.Sprintf("k%d", key), randomBatch(rng, 5, 3))
+			key++
+		}
+		if round != 1 {
+			read()
 		}
 		snapshot()
 	}
@@ -742,6 +853,115 @@ func TestRestoreV1StateDir(t *testing.T) {
 	}
 	// More keyed batches, a v2 record, a journal tail, a second restart.
 	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 12; i++ {
+		steps := randomBatch(rng, 5, 3)
+		for _, sess := range []*Session{s, ctl} {
+			if _, _, err := sess.CollectBatch(fmt.Sprintf("more%d", i), steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 7 {
+			if _, err := s.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	restore()
+}
+
+// seriesBlob receives the binary encoding a v2 snapshot stored each
+// cohort's leakage series in, to measure it.
+type seriesBlob []byte
+
+func (b *seriesBlob) UnmarshalBinary(data []byte) error {
+	*b = append((*b)[:0], data...)
+	return nil
+}
+
+// TestRestoreV2StateDir restores the committed v2 state dir — a base and
+// delta records that store every cohort's leakage series — and requires
+// it to match an uninterrupted in-memory run of the same batches: every
+// leakage answer bit for bit, and the idempotency memory entry for
+// entry. Restore decodes the stored series away and rebuilds them from
+// the budgets. The recovery snapshot appends a v3 record behind the v2
+// ones, and a second restart reads that mixed log to the same state.
+func TestRestoreV2StateDir(t *testing.T) {
+	dir := copyStateDir(t, filepath.Join("testdata", "v2-state"))
+	// The fixture is what it claims to be: a v2 base whose two cohorts
+	// store BPL and a full forward cache, and three v2 delta records.
+	store, err := persist.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, body, err := store.LoadSnapshot("fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored struct {
+		Server *struct {
+			Cohorts []struct{ Accountant seriesBlob }
+		}
+	}
+	if err := gobDecode(body, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if version != schemaWithSeries || stored.Server == nil || len(stored.Server.Cohorts) != 2 {
+		t.Fatalf("fixture base: version %d, server %v", version, stored.Server != nil)
+	}
+	for ci, c := range stored.Server.Cohorts {
+		// Three float64 series over 887 steps: budgets, BPL and the
+		// forward cache (without the cache, two and a few hash bytes).
+		if len(c.Accountant) < 3*8*887 {
+			t.Fatalf("fixture base cohort %d stores %d bytes of series, not three over 887 steps", ci, len(c.Accountant))
+		}
+	}
+	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{2, 2, 2}) {
+		t.Fatalf("fixture delta log versions %v, want three v2 records", got)
+	}
+
+	ctl, err := NewRegistry().Create(deltaTestConfig("fixture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastKey string
+	var lastSteps []stream.BatchStep
+	v2FixtureScript(func(key string, steps []stream.BatchStep) {
+		if _, _, err := ctl.CollectBatch(key, steps); err != nil {
+			t.Fatal(err)
+		}
+		lastKey, lastSteps = key, steps
+	}, func() {}, func() {})
+
+	restore := func() *Session {
+		t.Helper()
+		r := durableRegistry(t, dir, 1<<20)
+		restored, failed := r.RestoreAll()
+		if len(failed) != 0 || !reflect.DeepEqual(restored, []string{"fixture"}) {
+			t.Fatalf("restore: restored %v failed %v", restored, failed)
+		}
+		s, err := r.Get("fixture")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatchSessions(t, ctl, s)
+		mustMatchWEvent(t, ctl, s)
+		if !reflect.DeepEqual(s.idem.entries(), ctl.idem.entries()) {
+			t.Fatal("restored idempotency memory differs from the control's")
+		}
+		return s
+	}
+	s := restore()
+	for _, sess := range []*Session{s, ctl} {
+		res, replayed, err := sess.CollectBatch(lastKey, lastSteps)
+		if err != nil || !replayed || res[len(res)-1].T != ctl.Server().T() {
+			t.Fatalf("retry of %s: replayed=%v err=%v", lastKey, replayed, err)
+		}
+	}
+	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{2, 2, 2, deltaSchemaVersion}) {
+		t.Fatalf("delta log versions after recovery %v, want the v2 records and one v%d", got, deltaSchemaVersion)
+	}
+	// More keyed batches, a v3 record, a journal tail, a second restart.
+	rng := rand.New(rand.NewSource(28))
 	for i := 0; i < 12; i++ {
 		steps := randomBatch(rng, 5, 3)
 		for _, sess := range []*Session{s, ctl} {

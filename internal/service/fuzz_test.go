@@ -190,12 +190,15 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 12; i++ {
+	// A base long enough that the five records below fit behind it
+	// without a compaction: a base holds the steps and no leakage
+	// series, so it is small.
+	for i := 0; i < 48; i++ {
 		if _, _, err := s.CollectBatch(fmt.Sprintf("k%d", i), randomBatch(rng, 5, 4)); err != nil {
 			f.Fatal(err)
 		}
 	}
-	s.cursor = nil // the next snapshot compacts: the base, at T > 0
+	s.cursor = noCursor // the next snapshot compacts: the base, at T > 0
 	if _, err := s.SnapshotNow(); err != nil {
 		f.Fatal(err)
 	}

@@ -31,35 +31,40 @@ import (
 
 // Snapshot, delta-log and journal schema versions inside the persist
 // envelopes. Bump on any change to the encodings. Restore reads these
-// versions, plus delta v1 (deltaSchemaWholeIdem), and refuses every
+// versions, plus snapshot v2 and delta v1 and v2, and refuses every
 // other one with a "not supported" error rather than guessing
 // (DESIGN.md §6).
 //
 // A snapshot is a sessionState (config, server state, idempotency
-// entries). A delta-log record is a sessionDelta. A journal record is
-// a batchRecord carrying a whole ingestion batch plus its optional
-// idempotency record, appended as ONE
-// checksummed envelope so a torn tail drops a batch and its key
-// together — the retry-safety invariant (a key on disk implies all its
-// steps are too) depends on exactly that atomicity.
+// entries): what the session released and the models it accounts
+// against, never a leakage series, which restore re-derives by
+// charging the budgets. A delta-log record is a sessionDelta. A
+// journal record is a batchRecord carrying a whole ingestion batch plus
+// its optional idempotency record, appended as ONE checksummed envelope
+// so a torn tail drops a batch and its key together — the retry-safety
+// invariant (a key on disk implies all its steps are too) depends on
+// exactly that atomicity.
 const (
-	sessionSchemaVersion = 2
+	sessionSchemaVersion = 3
 	batchSchemaVersion   = 2
-	deltaSchemaVersion   = 2
-	// deltaSchemaWholeIdem is the delta record written before v2: the
-	// same fields, but its Idem is the whole idempotency memory, which
-	// replaces the memory on restore instead of extending it. Read, no
-	// longer written.
+	deltaSchemaVersion   = 3
+	// schemaWithSeries is the snapshot and delta record written before
+	// v3: the same fields plus every cohort's stored leakage series,
+	// which decoding skips. Read, no longer written.
+	schemaWithSeries = 2
+	// deltaSchemaWholeIdem is the delta record written before v2: a v2
+	// record whose Idem is the whole idempotency memory, which replaces
+	// the memory on restore instead of extending it. Read, no longer
+	// written.
 	deltaSchemaWholeIdem = 1
 )
 
 // defaultSnapshotEvery is the snapshot coalescing interval in steps. A
 // journal record costs O(domain) per step; a coalesced snapshot costs
-// O((domain + cohorts)·N) for the N steps since the previous one plus
-// the idempotency keys added since, with the O(users + (domain +
-// 3·cohorts)·T) base rewrite amortised over the deltas that outgrow
-// it. Recovery replays at most N journal steps behind the last
-// snapshot.
+// O(domain·N) for the N steps since the previous one plus the
+// idempotency keys added since, with the O(users + domain·T) base
+// rewrite amortised over the deltas that outgrow it. Recovery replays
+// at most N journal steps behind the last snapshot.
 const defaultSnapshotEvery = 64
 
 // JournalSyncMode selects how journal appends reach stable storage.
@@ -131,9 +136,9 @@ func (r *Registry) SetJournalSync(mode JournalSyncMode, window time.Duration) er
 // eviction order survives the restart). BaseID is a random nonzero tag
 // naming this base to the delta records layered on it; a migration
 // body, which has none, and every snapshot written before delta logs
-// existed decode it as zero (an additive field: still schema v2).
+// existed decode it as zero (an additive field, added in schema v2).
 //
-//tplvet:wire v2 schema=8e65de803f9a
+//tplvet:wire v3 schema=8e65de803f9a
 type sessionState struct {
 	ConfigJSON []byte
 	Created    time.Time
@@ -151,7 +156,7 @@ type sessionState struct {
 // whole memory. In a v1 record (deltaSchemaWholeIdem) Idem is the whole
 // memory instead.
 //
-//tplvet:wire v2 schema=3d2ef11ebb0c
+//tplvet:wire v3 schema=3d2ef11ebb0c
 type sessionDelta struct {
 	BaseID uint64
 	Server *stream.ServerDelta
@@ -213,6 +218,11 @@ func (r *Registry) snapEvery() int {
 	return r.snapshotEvery
 }
 
+// noCursor is Session.cursor when no base + delta log on disk is known
+// to hold exactly the session's state up to a step: the next snapshot
+// compacts.
+const noCursor = -1
+
 // initPersistenceLocked opens the session's journal (and its delta log,
 // when restore left a cursor to extend) and writes its first snapshot,
 // which also truncates whatever the journal held. Behind a clean delta
@@ -230,9 +240,9 @@ func (s *Session) initPersistenceLocked(recovered bool) error {
 		return err
 	}
 	s.journal = j
-	if s.cursor != nil {
+	if s.cursor != noCursor {
 		if s.deltaLog, err = s.store.OpenDeltaLog(s.name); err != nil {
-			s.cursor = nil // the snapshot compacts, which reopens the log
+			s.cursor = noCursor // the snapshot compacts, which reopens the log
 		}
 	}
 	if err := s.snapshotLocked(); err != nil {
@@ -263,7 +273,7 @@ func (s *Session) snapshotLocked() error {
 	}
 	s.journalBad = false
 	s.persistMu.Lock()
-	s.lastSnapT = s.cursor.T()
+	s.lastSnapT = s.cursor
 	s.lastSnapAt = s.now()
 	s.journalRecords = 0
 	s.persistErr = nil
@@ -283,10 +293,10 @@ func (s *Session) snapshotLocked() error {
 // compaction writes the whole idempotency memory, so no addition the
 // failed record held is lost. Caller holds s.stepMu.
 func (s *Session) writeStateLocked() error {
-	if s.cursor == nil {
+	if s.cursor == noCursor {
 		return s.compactLocked()
 	}
-	d, next := s.srv.SnapshotDelta(s.cursor)
+	d := s.srv.SnapshotDelta(s.cursor)
 	adds := s.idem.additions()
 	body, err := gobEncode(sessionDelta{BaseID: s.baseID, Server: d, Idem: adds})
 	if err != nil {
@@ -304,7 +314,7 @@ func (s *Session) writeStateLocked() error {
 		s.dropDeltaLogLocked()
 		return fmt.Errorf("service: appending snapshot delta at step %d: %w", d.ToT, err)
 	}
-	s.cursor = next
+	s.cursor = d.ToT
 	s.deltaBytes += cost
 	s.idem.markLogged()
 	return nil
@@ -334,12 +344,12 @@ func deltaCost(body []byte, adds []idemRecord) int {
 // landed, so any failure leaves the next snapshot to compact again.
 // Caller holds s.stepMu.
 func (s *Session) compactLocked() error {
-	s.cursor = nil
+	s.cursor = noCursor
 	id, err := newBaseID()
 	if err != nil {
 		return err
 	}
-	st, cur := s.srv.Checkpoint()
+	st := s.srv.Snapshot()
 	body, err := s.encodeStateLocked(st, id)
 	if err != nil {
 		return err
@@ -356,7 +366,7 @@ func (s *Session) compactLocked() error {
 		s.dropDeltaLogLocked()
 		return err
 	}
-	s.cursor, s.baseID, s.baseBytes, s.deltaBytes = cur, id, len(body), 0
+	s.cursor, s.baseID, s.baseBytes, s.deltaBytes = st.T(), id, len(body), 0
 	s.idem.markLogged() // the base holds the whole memory
 	return nil
 }
@@ -381,7 +391,7 @@ func newBaseID() (uint64, error) {
 // Caller holds s.stepMu.
 func (s *Session) dropDeltaLogLocked() {
 	s.deltaLog.Close()
-	s.deltaLog, s.cursor = nil, nil
+	s.deltaLog, s.cursor = nil, noCursor
 }
 
 // encodeStateLocked gob-encodes the session's full portable state (the
@@ -560,7 +570,7 @@ func (s *Session) closeLogsLocked() error {
 		}
 		s.deltaLog = nil
 	}
-	s.cursor = nil
+	s.cursor = noCursor
 	return err
 }
 
@@ -579,9 +589,10 @@ func (s *Session) detachPersistenceLocked() *persist.Store {
 // RestoreAll rebuilds every session found in the attached store: for
 // each, the last good snapshot is loaded and verified, the delta log
 // layered on it, the plan and noise mode are rebuilt from the stored
-// config, the compiled leakage engines are re-attached by content hash
-// through the registry's shared model cache, and the journal tail is
-// replayed on top. A session that cannot be restored is skipped with
+// config, the compiled leakage engines are re-attached by content
+// through the registry's shared model cache, the accountants are
+// recharged with the stored budgets, and the journal tail is replayed
+// on top. A session that cannot be restored is skipped with
 // its error reported — its files stay on disk for inspection — so one
 // corrupt tenant cannot keep the rest of the fleet down.
 //
@@ -676,10 +687,11 @@ func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 }
 
 // decodeSessionState verifies a snapshot envelope body and decodes the
-// portable session value it carries.
+// portable session value it carries. A v2 body decodes the same way:
+// gob skips the leakage series it also stores.
 func decodeSessionState(version uint32, body []byte) (st sessionState, err error) {
-	if version != sessionSchemaVersion {
-		return st, fmt.Errorf("service: snapshot schema version %d not supported (want %d)", version, sessionSchemaVersion)
+	if version != sessionSchemaVersion && version != schemaWithSeries {
+		return st, fmt.Errorf("service: snapshot schema version %d not supported (want %d or %d)", version, sessionSchemaVersion, schemaWithSeries)
 	}
 	if err := gobDecode(body, &st); err != nil {
 		return st, fmt.Errorf("service: decoding snapshot: %w", err)
@@ -691,9 +703,9 @@ func decodeSessionState(version uint32, body []byte) (st sessionState, err error
 }
 
 // sessionFromState rebuilds a decoded session value into a session: its
-// stored config, its server with the plan and noise mode reconstructed
-// and the compiled engines re-attached by content hash through the
-// shared model cache. Both boot-time restore and cross-shard import go
+// stored config, its server with the plan and noise mode reconstructed,
+// the compiled engines re-attached by content through the shared model
+// cache and the leakage recharged from the stored budgets. Both boot-time restore and cross-shard import go
 // through it.
 func (r *Registry) sessionFromState(st sessionState) (*Session, error) {
 	var cfg SessionConfig
@@ -743,10 +755,12 @@ func (s *Session) adoptIdem(recs []idemRecord) {
 // same FromT/ToT whichever side of the compaction wrote it. Every other
 // record must continue the state exactly (FromT at the state's step),
 // or the restore fails; its idempotency records are put on the memory
-// in order (a v1 record's replace it). A torn final record ends the log
-// cleanly — the journal was not reset past it, so it still holds those
-// steps — but damage followed by more records fails the session loudly
-// rather than silently restoring a shorter history.
+// in order (a v1 record's replace it). Records of every version decode
+// the same way: gob skips the leakage series v1 and v2 records store.
+// A torn final record ends the log cleanly — the journal was not reset
+// past it, so it still holds those steps — but damage followed by more
+// records fails the session loudly rather than silently restoring a
+// shorter history.
 //
 // It reports what the log's records count toward compaction (deltaCost;
 // a v1 record counts whole) and whether it ended on a record boundary:
@@ -757,8 +771,8 @@ func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logByte
 		mem.put(rec)
 	}
 	res, err := store.ReplayDeltaLog(name, func(version uint32, body []byte) error {
-		if version != deltaSchemaVersion && version != deltaSchemaWholeIdem {
-			return fmt.Errorf("service: delta schema version %d not supported (want %d or %d)", version, deltaSchemaVersion, deltaSchemaWholeIdem)
+		if version != deltaSchemaVersion && version != schemaWithSeries && version != deltaSchemaWholeIdem {
+			return fmt.Errorf("service: delta schema version %d not supported (want %d, %d or %d)", version, deltaSchemaVersion, schemaWithSeries, deltaSchemaWholeIdem)
 		}
 		var rec sessionDelta
 		if err := gobDecode(body, &rec); err != nil {
@@ -826,7 +840,7 @@ func (r *Registry) loadSession(store *persist.Store, name string) (*Session, err
 	// torn tail, or a base from before delta logs) the first snapshot
 	// compacts.
 	if clean && st.BaseID != 0 {
-		s.cursor = s.srv.Cursor()
+		s.cursor = snapT
 	}
 	// Replay the journal tail, one batch record (steps + idempotency
 	// record) at a time. Records at or before the snapshot are expected

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/release"
 	"repro/internal/stream"
 )
@@ -135,7 +134,6 @@ var errIdemConflict = errors.New("service: idempotency key reused with a differe
 // single source of truth for every handler.
 func classify(err error) (status int, code string) {
 	var tooBig *http.MaxBytesError
-	var invalid *core.InvalidStateError
 	var wrongShard *WrongShardError
 	var pathErr *fs.PathError
 	var linkErr *os.LinkError
@@ -166,7 +164,7 @@ func classify(err error) (status int, code string) {
 		return http.StatusConflict, CodeModelNotFound
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge, CodePayloadTooLarge
-	case errors.As(err, &invalid), errors.Is(err, stream.ErrBadServerState):
+	case errors.Is(err, stream.ErrBadServerState):
 		return http.StatusUnprocessableEntity, CodeInvalidState
 	case errors.As(err, &pathErr), errors.As(err, &linkErr):
 		// The state dir failed (the file operations of internal/persist

@@ -65,11 +65,11 @@ type Session struct {
 	committer     *persist.GroupCommitter // shared group-commit leader (JournalSyncGroup)
 
 	// The delta log and what the snapshot files hold (guarded by stepMu;
-	// see writeStateLocked): cursor marks the state base + delta log
-	// cover (nil: the next snapshot compacts); baseID and baseBytes
+	// see writeStateLocked): cursor is the step count base + delta log
+	// cover (noCursor: the next snapshot compacts); baseID and baseBytes
 	// describe the base, deltaBytes the delta-log records appended since.
 	deltaLog   *persist.Journal
-	cursor     *stream.DeltaCursor
+	cursor     int
 	baseID     uint64
 	baseBytes  int
 	deltaBytes int // deltaCost of the records, not their raw size
@@ -354,6 +354,7 @@ func (r *Registry) newSession(cfg *SessionConfig, cfgJSON []byte, created time.T
 		snapshotEvery: r.snapshotEvery,
 		syncMode:      r.syncMode,
 		committer:     r.committer,
+		cursor:        noCursor,
 	}
 }
 

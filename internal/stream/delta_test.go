@@ -14,7 +14,7 @@ import (
 )
 
 // deltaServer is a planned, multi-cohort server with forward
-// correlation, so FPL refreshes change a suffix of the cached series.
+// correlation, so reads between captures refresh the forward series.
 func deltaServer(t *testing.T) *Server {
 	t.Helper()
 	pb := stateChain(t, [][]float64{{0.7, 0.2, 0.1}, {0.25, 0.5, 0.25}, {0.05, 0.15, 0.8}})
@@ -46,7 +46,7 @@ func roundTripGob(t *testing.T, v, out any) {
 }
 
 // TestSnapshotDeltaExtendsToSnapshot is the capture differential: at
-// every checkpoint of a stream with interleaved reads (FPL refreshes
+// every capture of a stream with interleaved reads (FPL refreshes
 // between captures, and captures with no new step), the first snapshot
 // extended by every delta since — each pushed through gob, as the
 // service persists them — equals Snapshot() exactly.
@@ -58,7 +58,8 @@ func TestSnapshotDeltaExtendsToSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base, cur := s.Checkpoint()
+	base := s.Snapshot()
+	cur := base.T()
 	st := snapshotRoundTrip(t, base)
 	for round := 0; round < 40; round++ {
 		for i := rng.Intn(4); i > 0; i-- {
@@ -76,13 +77,13 @@ func TestSnapshotDeltaExtendsToSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d, next := s.SnapshotDelta(cur)
+		d := s.SnapshotDelta(cur)
 		var back ServerDelta
 		roundTripGob(t, d, &back)
 		if err := st.Extend(&back); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		cur = next
+		cur = d.ToT
 		if want := s.Snapshot(); !reflect.DeepEqual(st, want) {
 			t.Fatalf("round %d (T=%d): base ⊕ deltas differs from Snapshot()", round, want.T())
 		}
@@ -94,8 +95,8 @@ func TestSnapshotDeltaExtendsToSnapshot(t *testing.T) {
 	mustAgree(t, s, restored, []int{0, 1, 2, 3, 4})
 }
 
-// TestSnapshotDeltaCopiesOnlyChanges: a delta holds the new steps and
-// only the forward-series suffix a refresh changed, not the history.
+// TestSnapshotDeltaCopiesOnlyChanges: a delta holds the new steps, not
+// the history, and reads between captures add nothing to it.
 func TestSnapshotDeltaCopiesOnlyChanges(t *testing.T) {
 	s := deltaServer(t)
 	rng := rand.New(rand.NewSource(9))
@@ -107,15 +108,9 @@ func TestSnapshotDeltaCopiesOnlyChanges(t *testing.T) {
 	if _, err := s.Report(); err != nil {
 		t.Fatal(err)
 	}
-	_, cur := s.Checkpoint()
-	d, cur := s.SnapshotDelta(cur)
-	if d.FromT != 200 || d.ToT != 200 || len(d.Budgets) != 0 {
-		t.Fatalf("idle delta covers %d..%d with %d budgets", d.FromT, d.ToT, len(d.Budgets))
-	}
-	for ci, cd := range d.Cohorts {
-		if len(cd.FPL) != 0 || cd.FPLFrom != 200 {
-			t.Fatalf("cohort %d: idle delta carries FPL [%d,%d)", ci, cd.FPLFrom, cd.FPLT)
-		}
+	d := s.SnapshotDelta(s.Snapshot().T())
+	if d.FromT != 200 || d.ToT != 200 || len(d.Budgets) != 0 || len(d.Published) != 0 {
+		t.Fatalf("idle delta covers %d..%d with %d budgets, %d rows", d.FromT, d.ToT, len(d.Budgets), len(d.Published))
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := s.Collect(stepValues(rng, s.Users(), s.Domain()), 0.1); err != nil {
@@ -125,19 +120,9 @@ func TestSnapshotDeltaCopiesOnlyChanges(t *testing.T) {
 	if _, err := s.Report(); err != nil {
 		t.Fatal(err)
 	}
-	d, _ = s.SnapshotDelta(cur)
-	if len(d.Budgets) != 5 || len(d.Published) != 5 {
-		t.Fatalf("delta carries %d budgets, %d rows; want 5", len(d.Budgets), len(d.Published))
-	}
-	for ci, cd := range d.Cohorts {
-		if len(cd.BPL) != 5 || cd.FPLT != 205 {
-			t.Fatalf("cohort %d: %d BPL values, FPL horizon %d", ci, len(cd.BPL), cd.FPLT)
-		}
-		// The forward series converges backward from the tail, so a
-		// refresh rewrites a short suffix, never the whole history.
-		if cd.FPLFrom < 100 {
-			t.Fatalf("cohort %d: FPL delta starts at %d of 205", ci, cd.FPLFrom)
-		}
+	d = s.SnapshotDelta(d.ToT)
+	if d.FromT != 200 || d.ToT != 205 || len(d.Budgets) != 5 || len(d.Published) != 5 {
+		t.Fatalf("delta covers %d..%d with %d budgets, %d rows; want 201..205 and 5", d.FromT+1, d.ToT, len(d.Budgets), len(d.Published))
 	}
 }
 
@@ -155,21 +140,17 @@ func TestExtendRejectsMismatchedDeltas(t *testing.T) {
 		}
 	}
 	collect(4)
-	base, c0 := s.Checkpoint()
+	base := s.Snapshot()
 	collect(3)
-	d1, c1 := s.SnapshotDelta(c0)
+	d1 := s.SnapshotDelta(base.T())
 	collect(2)
-	d2, _ := s.SnapshotDelta(c1)
+	d2 := s.SnapshotDelta(d1.ToT)
 	for name, mutate := range map[string]func(d *ServerDelta){
 		"gap":          func(d *ServerDelta) { *d = *d2 },
 		"overlap":      func(d *ServerDelta) { d.FromT-- },
 		"short-budget": func(d *ServerDelta) { d.Budgets = d.Budgets[1:] },
 		"bad-budget":   func(d *ServerDelta) { d.Budgets[0] = -1 },
 		"wide-row":     func(d *ServerDelta) { d.Published[0] = append(d.Published[0], 1) },
-		"cohorts":      func(d *ServerDelta) { d.Cohorts = d.Cohorts[1:] },
-		"short-bpl":    func(d *ServerDelta) { d.Cohorts[0].BPL = d.Cohorts[0].BPL[1:] },
-		"fpl-horizon":  func(d *ServerDelta) { d.Cohorts[0].FPLT = d.ToT + 1 },
-		"fpl-from":     func(d *ServerDelta) { d.Cohorts[0].FPLFrom = len(base.Cohorts[0].Accountant.FPL) + 1 },
 		"nil":          nil,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -242,10 +223,9 @@ func TestCohortNumberingByPointerPair(t *testing.T) {
 }
 
 // TestSnapshotDeltaUnderConcurrentReads: readers refresh the forward
-// series while captures run, so each capture must record the series it
-// copied, not one a reader refreshed a moment later. Every delta must
-// extend the state the previous ones built, and the result must
-// restore to a server that answers like the live one.
+// series while captures run. Every delta must extend the state the
+// previous ones built, and the result must restore to a server that
+// answers like the live one.
 func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 	s := deltaServer(t)
 	rng := rand.New(rand.NewSource(13))
@@ -265,7 +245,8 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 			}
 		}
 	}()
-	base, cur := s.Checkpoint()
+	base := s.Snapshot()
+	cur := base.T()
 	st := snapshotRoundTrip(t, base)
 	for round := 0; round < 300; round++ {
 		for i := 0; i < 1+round%3; i++ {
@@ -273,7 +254,7 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d, next := s.SnapshotDelta(cur)
+		d := s.SnapshotDelta(cur)
 		var back ServerDelta
 		roundTripGob(t, d, &back)
 		if err := st.Extend(&back); err != nil {
@@ -281,11 +262,10 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 			<-done
 			t.Fatalf("round %d: %v", round, err)
 		}
-		cur = next
+		cur = d.ToT
 		if round%50 == 49 { // a compaction: restart the chain
-			var base *ServerState
-			base, cur = s.Checkpoint()
-			st = snapshotRoundTrip(t, base)
+			base := s.Snapshot()
+			cur, st = base.T(), snapshotRoundTrip(t, base)
 		}
 	}
 	close(stop)
@@ -298,7 +278,7 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 }
 
 // TestSameCohortReadsDuringCaptures: readers of one cohort run
-// concurrently — through every read method at once — while Checkpoint
+// concurrently — through every read method at once — while Snapshot
 // and SnapshotDelta captures run between CollectBatch calls (run it
 // under -race: the forward-series cache a read rewrites is locked
 // inside core.Accountant, not by the stream package). Every read equals
@@ -363,7 +343,7 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	// read runs read method m against cohort 0 and checks the result at
 	// the T it saw. A method whose result does not reveal T is checked
 	// only when T did not move around the call.
-	const methods = 11
+	const methods = 10
 	read := func(m, i int) {
 		T0 := s.T()
 		u := []int{0, 4}[i%2]
@@ -434,17 +414,12 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 				}
 			}
 		case 8:
-			check("Cursor T", float64(s.Cursor().T()), float64(T0))
-		case 9:
-			// A capture holds each cohort's cache as it stood: the batch
-			// forward series of the first FPLT steps.
-			st := s.Snapshot()
-			acc := st.Cohorts[0].Accountant
-			if !reflect.DeepEqual(acc.BPL, bpl[0][st.T()]) || (acc.FPLT > 0 && !reflect.DeepEqual(acc.FPL, fpl[0][acc.FPLT])) {
-				t.Errorf("Snapshot at T=%d (FPL horizon %d) differs from the batch series", st.T(), acc.FPLT)
+			// A capture from a reader holds the budgets charged so far.
+			if st := s.Snapshot(); !reflect.DeepEqual(st.Budgets, eps[:st.T()]) {
+				t.Errorf("Snapshot at T=%d holds other budgets", st.T())
 			}
-		case 10:
-			_, _ = s.SnapshotDelta(s.Cursor()) // a capture from a reader
+		case 9:
+			_ = s.SnapshotDelta(T0) // a capture from a reader
 		}
 		if err != nil {
 			t.Errorf("read %d at T=%d: %v", m, T0, err)
@@ -452,7 +427,8 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	}
 
 	collect(3)
-	base, cur := s.Checkpoint()
+	base := s.Snapshot()
+	cur := base.T()
 	st := snapshotRoundTrip(t, base)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -472,7 +448,7 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	}
 	for round := 0; s.T() < steps; round++ {
 		collect(min(1+round%3, steps-s.T()))
-		d, next := s.SnapshotDelta(cur)
+		d := s.SnapshotDelta(cur)
 		var back ServerDelta
 		roundTripGob(t, d, &back)
 		if err := st.Extend(&back); err != nil {
@@ -480,11 +456,10 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 			wg.Wait()
 			t.Fatalf("round %d: %v", round, err)
 		}
-		cur = next
+		cur = d.ToT
 		if round%7 == 6 { // a compaction: restart the chain
-			var base *ServerState
-			base, cur = s.Checkpoint()
-			st = snapshotRoundTrip(t, base)
+			base := s.Snapshot()
+			cur, st = base.T(), snapshotRoundTrip(t, base)
 		}
 	}
 	close(stop)
@@ -492,7 +467,7 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	for m := 0; m < methods; m++ { // every method once more, at a fixed T
 		read(m, m)
 	}
-	d, _ := s.SnapshotDelta(cur)
+	d := s.SnapshotDelta(cur)
 	if err := st.Extend(d); err != nil {
 		t.Fatal(err)
 	}

@@ -19,23 +19,24 @@ import (
 var ErrBadServerState = errors.New("stream: invalid server state")
 
 // CohortState is one cohort's share of a snapshot: the adversary
-// model's chain content (from which the compiled engine is re-derived
-// on restore — engines are never serialized) and the accountant state.
+// model's chain content, from which the compiled engine is re-derived
+// on restore (engines are never serialized). Its leakage series are
+// not stored either: they are functions of the chains and the server's
+// budgets, and a restore rebuilds them by charging those budgets.
 //
-//tplvet:wire v2 schema=007e4468ff2c
+//tplvet:wire v3 schema=81fc85a5dd12
 type CohortState struct {
 	FirstUser int
 	// Backward, Forward are the transition rows of the cohort's chains;
 	// nil means no correlation in that direction.
 	Backward [][]float64
 	Forward  [][]float64
-	// Accountant carries the leakage series plus the content hashes the
-	// restore re-binds against.
-	Accountant *core.AccountantState
 }
 
-// ServerState is the explicit, serializable value of a Server: every
-// piece of state a restart would otherwise lose. It is a deep copy;
+// ServerState is the explicit, serializable value of a Server: what it
+// released (budgets, published rows, noise position) and the models it
+// accounts against — every piece of state a restart would otherwise
+// lose, and nothing derivable from the rest. It is a deep copy;
 // mutating it never affects the server it came from.
 //
 // Plans are not serialized — they are pure functions of their
@@ -43,11 +44,10 @@ type CohortState struct {
 // retains; the snapshot records only the attachment position so a
 // rebuilt plan resumes at the right step.
 //
-//tplvet:wire v2 schema=624116c4936f
+//tplvet:wire v3 schema=6a71ee3fdebd
 type ServerState struct {
 	Domain      int
 	Users       int
-	Workers     int // unused and written as zero: the observe fan-out follows GOMAXPROCS
 	Sensitivity float64
 	Noise       int // release.Noise
 	UserCohort  []int
@@ -71,24 +71,12 @@ func chainRows(c *markov.Chain) [][]float64 {
 }
 
 // Snapshot captures the server's complete state as an explicit value:
-// cohorts (model content + accountant series), the per-user cohort map,
-// the published history and budgets, the plan position, and the noise
-// stream position. Safe to call concurrently with readers; it takes the
-// same lock a Report does.
+// the cohorts' model content, the per-user cohort map, the published
+// history and budgets, the plan position, and the noise stream
+// position. Its T() is the cursor a later SnapshotDelta extends it
+// from. Safe to call concurrently with readers; it takes the same lock
+// a Report does.
 func (s *Server) Snapshot() *ServerState {
-	st, _ := s.capture(false)
-	return st
-}
-
-// Checkpoint is Snapshot plus the cursor describing it, captured under
-// the same lock, so a later SnapshotDelta extends exactly this state.
-func (s *Server) Checkpoint() (*ServerState, *DeltaCursor) {
-	return s.capture(true)
-}
-
-// capture takes a snapshot and, when withCursor is set, the cursor
-// describing it.
-func (s *Server) capture(withCursor bool) (*ServerState, *DeltaCursor) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := &ServerState{
@@ -107,25 +95,14 @@ func (s *Server) capture(withCursor bool) (*ServerState, *DeltaCursor) {
 		st.Published[i] = append([]float64(nil), s.published.At(i)...)
 	}
 	st.Cohorts = make([]CohortState, len(s.cohorts))
-	var cur *DeltaCursor
-	if withCursor {
-		cur = &DeltaCursor{t: st.T(), fpl: make([]core.FPLTail, len(s.cohorts))}
-	}
 	for i, c := range s.cohorts {
-		acc := c.acc.Snapshot()
-		if withCursor {
-			// From the copy, not the accountant: a reader may refresh
-			// the live series, and the cursor must describe this one.
-			cur.fpl[i] = acc.FPLTail(fplTailLen)
-		}
 		st.Cohorts[i] = CohortState{
-			FirstUser:  c.firstUser,
-			Backward:   chainRows(c.backward),
-			Forward:    chainRows(c.forward),
-			Accountant: acc,
+			FirstUser: c.firstUser,
+			Backward:  chainRows(c.backward),
+			Forward:   chainRows(c.forward),
 		}
 	}
-	return st, cur
+	return st
 }
 
 // RestoreOptions parameterizes RestoreServer.
@@ -171,9 +148,6 @@ func (st *ServerState) validate() error {
 	}
 	if st.Users <= 0 {
 		return badState("users %d", st.Users)
-	}
-	if st.Workers < 0 {
-		return badState("workers %d", st.Workers)
 	}
 	if len(st.UserCohort) != st.Users {
 		return badState("%d cohort assignments for %d users", len(st.UserCohort), st.Users)
@@ -236,25 +210,17 @@ func (st *ServerState) validate() error {
 	default:
 		return badState("unknown noise provenance %q", st.RNG.Provenance)
 	}
-	for ci, c := range st.Cohorts {
-		if c.Accountant == nil {
-			return badState("cohort %d has no accountant state", ci)
-		}
-		if c.Accountant.T() != len(st.Budgets) {
-			return badState("cohort %d accountant covers %d steps, server published %d", ci, c.Accountant.T(), len(st.Budgets))
-		}
-	}
 	return nil
 }
 
 // RestoreServer rebuilds a server from a snapshot. The compiled leakage
 // engines are re-attached by content: each cohort's chains are
-// revalidated, fingerprinted and resolved through the cache, then the
-// accountant state is re-bound against the resulting quantifiers'
-// content hashes (a mismatch — state captured against one model,
-// restored against another — is rejected). The restored server answers
-// Report, UserTPLSeries, WEvent and every other read identically to the
-// original, bit for bit.
+// revalidated, fingerprinted and resolved through the cache. Each
+// cohort's accountant is then rebuilt by charging it the stored budgets,
+// through the same fan-out ApplyStep replays the journal with, so a
+// restored leakage series cannot disagree with the budgets it was
+// charged. The restored server answers Report, UserTPLSeries, WEvent
+// and every other read identically to the original, bit for bit.
 func RestoreServer(st *ServerState, opts RestoreOptions) (*Server, error) {
 	if st == nil {
 		return nil, badState("nil state")
@@ -308,12 +274,10 @@ func RestoreServer(st *ServerState, opts RestoreOptions) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc, err := core.RestoreAccountant(cs.Accountant, cache.quantifier(pb, bfp), cache.quantifier(pf, ffp))
-		if err != nil {
-			return nil, fmt.Errorf("%w: cohort %d: %v", ErrBadServerState, ci, err)
-		}
+		acc := core.NewAccountantFromQuantifiers(cache.quantifier(pb, bfp), cache.quantifier(pf, ffp))
 		s.cohorts = append(s.cohorts, &cohort{acc: acc, firstUser: cs.FirstUser, backward: pb, forward: pf})
 	}
+	s.observeAll(st.Budgets)
 	if st.RNG.Provenance == NoiseSeeded {
 		s.setNoiseSourceLocked(st.RNG.Seed, NoiseSeeded)
 		s.noiseSrc.skip(st.RNG.Draws)

