@@ -620,9 +620,8 @@ func deltaLogCost(t *testing.T, keyed bool) (bytesPerStep float64, compactions i
 
 // TestDeltaBytesIndependentOfIdempotency is the byte bound on the delta
 // record: once the idempotency memory is full, a session that keys
-// every batch appends at most 1.5x one key's bytes per batch more
-// delta-log bytes per step than one that keys none, and compacts no
-// more often. A record carries the keys added since the previous one,
+// every batch appends at most one key's bytes per batch more delta-log
+// bytes per step than one that keys none, and compacts no more often. A record carries the keys added since the previous one,
 // not the whole memory; carrying all 256 entries made each keyed record
 // several times the unkeyed one. The bound is on the difference, not
 // the ratio: the unkeyed record is only the steps, so a ratio would
@@ -647,8 +646,8 @@ func TestDeltaBytesIndependentOfIdempotency(t *testing.T) {
 	}
 	perKey := float64(len(two) - len(one))
 	t.Logf("delta-log bytes per step: %.1f unkeyed, %.1f keyed (one key: %.0f bytes per 4-step batch); compactions %d vs %d", plain, keyed, perKey, plainCompactions, keyedCompactions)
-	if extra := keyed - plain; extra > 1.5*perKey/4 {
-		t.Fatalf("keyed batches cost %.1f delta-log bytes per step more than unkeyed (%.1f against %.1f), bound 1.5 keys per batch = %.1f", extra, keyed, plain, 1.5*perKey/4)
+	if extra := keyed - plain; extra > perKey/4 {
+		t.Fatalf("keyed batches cost %.1f delta-log bytes per step more than unkeyed (%.1f against %.1f), bound one key per batch = %.1f", extra, keyed, plain, perKey/4)
 	}
 	if keyedCompactions > plainCompactions {
 		t.Fatalf("keyed run compacted %d times, unkeyed %d", keyedCompactions, plainCompactions)
