@@ -12,12 +12,13 @@ import (
 	"path/filepath"
 )
 
-// The journal is the write-ahead half of recovery: snapshots are
-// coalesced (expensive, every N steps), journal records are appended
-// every step, and recovery replays the journal tail on top of the last
-// snapshot. Records are full envelopes back to back, so each carries
-// its own checksum; a SIGKILL mid-append leaves a torn final record,
-// which Replay detects and ignores — everything before it is intact.
+// The journal is the incremental half of a session's durable state:
+// snapshots are full bases, written only when a compaction is due,
+// journal records are appended every batch, and recovery folds the
+// journal on top of the base. Records are full envelopes back to back,
+// so each carries its own checksum; a SIGKILL mid-append leaves a torn
+// final record, which Replay detects and ignores — everything before it
+// is intact — and TruncateTo cuts off before the next append.
 //
 // Append is a plain write; durability against power loss comes from
 // Sync, which the caller's journal-sync mode decides when to call:
@@ -37,24 +38,10 @@ type Journal struct {
 // OpenJournal opens (creating if needed) the session's journal for
 // appending.
 func (s *Store) OpenJournal(name string) (*Journal, error) {
-	return s.openLog(name, s.journalPath)
-}
-
-// OpenDeltaLog opens (creating if needed) the session's delta log: a
-// second append-only log of the same envelopes, holding incremental
-// snapshots layered on <name>.snap. It is a Journal in every respect —
-// Append, Sync, Reset (truncate after a fresh full snapshot) — only
-// under another file name, so the service can keep two logs per
-// session without a second reader.
-func (s *Store) OpenDeltaLog(name string) (*Journal, error) {
-	return s.openLog(name, s.deltaPath)
-}
-
-func (s *Store) openLog(name string, path func(string) string) (*Journal, error) {
 	if err := checkSessionName(name); err != nil {
 		return nil, err
 	}
-	p := path(name)
+	p := s.journalPath(name)
 	f, err := os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening %s: %w", filepath.Base(p), err)
@@ -69,8 +56,9 @@ func (j *Journal) Append(version uint32, body []byte) error {
 	return EncodeEnvelope(j.f, version, body)
 }
 
-// Sync flushes appended records to stable storage.
-func (j *Journal) Sync() error { return j.f.Sync() }
+// Sync flushes appended records, and the file size that makes them
+// readable, to stable storage (fdatasync where the platform has it).
+func (j *Journal) Sync() error { return syncData(j.f) }
 
 // Close closes the journal file.
 func (j *Journal) Close() error { return j.f.Close() }
@@ -81,12 +69,18 @@ func (j *Journal) Close() error { return j.f.Close() }
 // leaves a journal whose records are all already in the snapshot;
 // replay must therefore tolerate records at or before the snapshot's
 // position, which the service does by skipping records by step index.
-func (j *Journal) Reset() error {
-	if err := j.f.Truncate(0); err != nil {
+func (j *Journal) Reset() error { return j.TruncateTo(0) }
+
+// TruncateTo cuts the journal back to its first n bytes — a replay's
+// End, to drop a torn tail before appending behind the last verified
+// record (replay stops at the first unverifiable record, so anything
+// appended behind a torn one would be unreachable).
+func (j *Journal) TruncateTo(n int64) error {
+	if err := j.f.Truncate(n); err != nil {
 		return fmt.Errorf("persist: truncating %s: %w", filepath.Base(j.path), err)
 	}
-	// O_APPEND writes position themselves at the (now zero) end; no seek
-	// is needed, and the file offset staying large is harmless.
+	// O_APPEND writes position themselves at the (new) end; no seek is
+	// needed, and the file offset staying large is harmless.
 	return nil
 }
 
@@ -102,6 +96,9 @@ type ReplayResult struct {
 	// data follows it. A crash mid-append tears only the final record,
 	// so this is damage to the middle of the log, not a torn tail.
 	Corrupt bool
+	// End is the offset just past the last intact record: the file's
+	// size for a clean log, where a torn tail starts otherwise.
+	End int64
 }
 
 // ReplayJournal streams every intact record of the session's journal to
@@ -114,7 +111,9 @@ func (s *Store) ReplayJournal(name string, fn func(version uint32, body []byte) 
 	return s.replayLog(name, s.journalPath, fn)
 }
 
-// ReplayDeltaLog is ReplayJournal over the session's delta log.
+// ReplayDeltaLog is ReplayJournal over the session's delta log: an
+// append-only log of incremental snapshots layered on <name>.snap,
+// which earlier versions wrote and restore still reads.
 func (s *Store) ReplayDeltaLog(name string, fn func(version uint32, body []byte) error) (ReplayResult, error) {
 	return s.replayLog(name, s.deltaPath, fn)
 }
@@ -134,7 +133,6 @@ func (s *Store) replayLog(name string, path func(string) string, fn func(version
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	var off int64 // start of the next record
 	for {
 		if _, err := br.Peek(1); errors.Is(err, io.EOF) {
 			return res, nil // file ends exactly on a record boundary
@@ -143,7 +141,7 @@ func (s *Store) replayLog(name string, path func(string) string, fn func(version
 		if err != nil {
 			if isTornTail(err) {
 				res.Torn = true
-				res.Corrupt = followedByData(f, off)
+				res.Corrupt = followedByData(f, res.End)
 				return res, nil
 			}
 			return res, err
@@ -152,7 +150,7 @@ func (s *Store) replayLog(name string, path func(string) string, fn func(version
 			return res, err
 		}
 		res.Records++
-		off += envelopeHeaderSize + int64(len(body))
+		res.End += envelopeHeaderSize + int64(len(body))
 	}
 }
 

@@ -253,7 +253,9 @@ func TestJournalAppendReplayReset(t *testing.T) {
 
 // TestJournalTornTail simulates a crash mid-append at every possible
 // byte boundary of the final record: the intact prefix must replay,
-// the tail must be flagged torn, and nothing must error or panic.
+// the tail must be flagged torn, and nothing must error or panic. The
+// replay's End is the last verified record's end, and a journal cut
+// back there with TruncateTo takes an append that replays behind it.
 func TestJournalTornTail(t *testing.T) {
 	s := testStore(t)
 	j, err := s.OpenJournal("sess")
@@ -303,6 +305,29 @@ func TestJournalTornTail(t *testing.T) {
 		if res.Corrupt {
 			t.Fatalf("cut %d: a torn tail reported as mid-log damage", cut)
 		}
+		wantEnd := int64(0)
+		if wantIntact > 0 {
+			wantEnd = offsets[wantIntact-1]
+		}
+		if res.End != wantEnd {
+			t.Fatalf("cut %d: replay ends at %d, want %d", cut, res.End, wantEnd)
+		}
+		j, err := s.OpenJournal("sess")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.TruncateTo(res.End); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(1, []byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		var last string
+		res, err = s.ReplayJournal("sess", func(_ uint32, body []byte) error { last = string(body); return nil })
+		if err != nil || res.Torn || res.Records != wantIntact+1 || last != "after" {
+			t.Fatalf("cut %d: after TruncateTo and an append: %+v, last %q, %v", cut, res, last, err)
+		}
 	}
 }
 
@@ -345,9 +370,11 @@ func TestJournalCorruptMiddleStopsReplay(t *testing.T) {
 	}
 }
 
-// TestDeltaLogIsASecondJournal: the delta log is a journal under its
-// own file name — its records replay through ReplayDeltaLog only, Reset
-// empties it, and Remove deletes it with the session's other files.
+// TestDeltaLogIsASecondJournal: the delta log earlier versions wrote
+// is read as a journal under its own file name — its records replay
+// through ReplayDeltaLog only, RemoveDeltaLog deletes it (and is a
+// no-op once it is gone), and Remove deletes it with the session's
+// other files.
 func TestDeltaLogIsASecondJournal(t *testing.T) {
 	s := testStore(t)
 	j, err := s.OpenJournal("sess")
@@ -355,22 +382,22 @@ func TestDeltaLogIsASecondJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	d, err := s.OpenDeltaLog("sess")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
 	if err := j.Append(2, []byte("step")); err != nil {
 		t.Fatal(err)
 	}
+	var log bytes.Buffer
 	for _, rec := range []string{"delta-1", "delta-2"} {
-		if err := d.Append(1, []byte(rec)); err != nil {
+		if err := EncodeEnvelope(&log, 1, []byte(rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
+	writeDelta := func() {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(s.Dir(), "sess.delta"), log.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	writeDelta()
 	var got []string
 	res, err := s.ReplayDeltaLog("sess", func(version uint32, body []byte) error {
 		if version != 1 {
@@ -379,18 +406,24 @@ func TestDeltaLogIsASecondJournal(t *testing.T) {
 		got = append(got, string(body))
 		return nil
 	})
-	if err != nil || res.Records != 2 || res.Torn || strings.Join(got, ",") != "delta-1,delta-2" {
+	if err != nil || res.Records != 2 || res.Torn || res.End != int64(log.Len()) || strings.Join(got, ",") != "delta-1,delta-2" {
 		t.Fatalf("delta replay %+v %q, %v", res, got, err)
 	}
 	if res, err := s.ReplayJournal("sess", func(uint32, []byte) error { return nil }); err != nil || res.Records != 1 {
 		t.Fatalf("journal replay %+v, %v", res, err)
 	}
-	if err := d.Reset(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := s.RemoveDeltaLog("sess"); err != nil {
+			t.Fatalf("RemoveDeltaLog #%d: %v", i+1, err)
+		}
 	}
 	if res, err := s.ReplayDeltaLog("sess", func(uint32, []byte) error { return nil }); err != nil || res.Records != 0 {
-		t.Fatalf("delta replay after reset %+v, %v", res, err)
+		t.Fatalf("delta replay after removal %+v, %v", res, err)
 	}
+	if _, err := s.ReplayJournal("sess", func(uint32, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	writeDelta()
 	if err := s.SaveSnapshot("sess", 2, []byte("base")); err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,9 @@ const (
 // no snapshot on disk.
 var ErrNoSnapshot = errors.New("persist: no snapshot")
 
-// Store is a directory of per-session snapshots, journals and delta
-// logs (a delta log is a journal of incremental snapshots layered on
-// the snapshot; see OpenDeltaLog). Snapshot
-// writes are atomic (write temp, fsync, rename), so the file named
+// Store is a directory of per-session snapshots and journals (plus the
+// delta logs earlier versions wrote, which are read and removed, never
+// written; see ReplayDeltaLog). Snapshot writes are atomic (write temp, fsync, rename), so the file named
 // <session>.snap is always the last good snapshot: a crash mid-write
 // leaves at worst an ignorable .snap.tmp next to it.
 //
@@ -201,6 +200,18 @@ func (s *Store) List() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// RemoveDeltaLog deletes the session's delta log, if it has one: once a
+// fresh base covers its records, nothing reads them.
+func (s *Store) RemoveDeltaLog(name string) error {
+	if err := checkSessionName(name); err != nil {
+		return err
+	}
+	if err := os.Remove(s.deltaPath(name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("persist: removing delta log: %w", err)
+	}
+	return nil
 }
 
 // Remove deletes the session's snapshot, journal and delta log (missing

@@ -36,7 +36,7 @@ type File struct {
 	Quiet bool `json:"quiet,omitempty"`
 	// StateDir enables durable accounting (empty = ephemeral).
 	StateDir string `json:"state_dir,omitempty"`
-	// SnapshotEvery is the snapshot coalescing interval in steps.
+	// SnapshotEvery is the minimum number of steps between compactions.
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
 	// JournalSync is "none", "group" or "step".
 	JournalSync string `json:"journal_sync,omitempty"`
@@ -90,7 +90,7 @@ func Parse(fs *flag.FlagSet, args []string) (f File, path string, err error) {
 	fs.StringVar(&f.Addr, "addr", f.Addr, "listen address (host:port; port 0 picks a free port)")
 	fs.BoolVar(&f.Quiet, "quiet", f.Quiet, "suppress serving logs")
 	fs.StringVar(&f.StateDir, "state-dir", f.StateDir, "directory for durable session state (snapshots + step journals); empty = ephemeral, state dies with the process")
-	fs.IntVar(&f.SnapshotEvery, "snapshot-every", f.SnapshotEvery, "steps between coalesced session snapshots (0 = default; journal records are appended every step regardless)")
+	fs.IntVar(&f.SnapshotEvery, "snapshot-every", f.SnapshotEvery, "minimum steps between compactions, which rewrite a session's base snapshot once its journal outgrows it (0 = default; journal records are appended every batch regardless)")
 	fs.StringVar(&f.JournalSync, "journal-sync", f.JournalSync, "journal durability: none (page-cache only), group (concurrent appends commit together; one fsync per journal per group) or step (fsync every batch)")
 	fs.Var(&f.JournalWindow, "journal-window", "group-commit linger: how long a commit group may wait for companions before its fsync (0 = the default: commit whatever is queued at once)")
 	fs.StringVar(&f.EngineCacheDir, "engine-cache-dir", f.EngineCacheDir, "directory for the on-disk compiled-engine cache: adversary models seen by any previous process warm-start instead of recompiling; empty = compile fresh every boot")

@@ -48,8 +48,12 @@ func TestDeletePurgesPersistedState(t *testing.T) {
 		if found == 0 {
 			t.Fatal("no persisted files before delete — test is vacuous")
 		}
-		if info, err := os.Stat(filepath.Join(dir, name+".delta")); err != nil || info.Size() == 0 {
-			t.Fatalf("no delta record before delete (%v) — the delta log is not covered", err)
+		if info, err := os.Stat(filepath.Join(dir, name+".journal")); err != nil || info.Size() == 0 {
+			t.Fatalf("no journal record before delete (%v) — the journal is not covered", err)
+		}
+		// A delta log an earlier version left goes too.
+		if err := os.WriteFile(filepath.Join(dir, name+".delta"), []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 
 		if rec = doJSON(t, h, "DELETE", "/v2/sessions/"+name, "", nil); rec.Code != http.StatusNoContent {

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/persist"
 	"repro/internal/stream"
@@ -49,8 +50,8 @@ func randomBatch(rng *rand.Rand, users, maxSteps int) []stream.BatchStep {
 }
 
 // persistedState decodes what the state dir holds for a session: the
-// base with every delta-log record layered on — exactly the state a
-// restore starts its journal replay from.
+// base with any delta log and the journal folded on, and the
+// idempotency memory those leave — exactly the state a restore charges.
 func persistedState(t *testing.T, store *persist.Store, name string) sessionState {
 	t.Helper()
 	version, body, err := store.LoadSnapshot(name)
@@ -61,10 +62,73 @@ func persistedState(t *testing.T, store *persist.Store, name string) sessionStat
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := applyDeltaLog(store, name, &st); err != nil {
+	if _, err := applyDeltaLog(store, name, &st); err != nil {
 		t.Fatal(err)
 	}
+	tail, _, _, err := foldJournal(store, name, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mem idemCache
+	for _, rec := range append(st.Idem, tail...) {
+		mem.put(rec)
+	}
+	st.Idem = mem.entries()
 	return st
+}
+
+// legacyDelta encodes the delta-log record a snapshot appended before
+// the journal became the incremental snapshot: the steps of s after
+// fromT, the keys adds, on the base tagged baseID.
+func legacyDelta(t testing.TB, s *Session, baseID uint64, fromT int, adds []idemRecord) []byte {
+	t.Helper()
+	st := s.Server().Snapshot()
+	body, err := gobEncode(sessionDelta{BaseID: baseID, Idem: adds, Server: &stream.ServerDelta{
+		FromT:       fromT,
+		ToT:         st.T(),
+		Budgets:     st.Budgets[fromT:],
+		Published:   st.Published[fromT:],
+		Sensitivity: st.Sensitivity,
+		Noise:       st.Noise,
+		HasPlan:     st.HasPlan,
+		PlanBase:    st.PlanBase,
+		RNG:         st.RNG,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// appendLegacyDelta does in dir what such a snapshot did: it appends a
+// legacyDelta record on the base on disk, covering the steps after
+// fromT and the last adds keys, and (when resetJournal) empties the
+// journal. It returns the record's last step.
+func appendLegacyDelta(t testing.TB, dir string, s *Session, fromT, adds int, resetJournal bool) int {
+	t.Helper()
+	base := readStateFile(t, dir, s.name+".snap")
+	_, body, err := persist.DecodeEnvelope(bytes.NewReader(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st sessionState
+	if err := gobDecode(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, s.name+".delta"), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := persist.EncodeEnvelope(f, deltaSchemaVersion, legacyDelta(t, s, st.BaseID, fromT, s.idem.newest(adds))); err != nil {
+		t.Fatal(err)
+	}
+	if resetJournal {
+		if err := os.Truncate(filepath.Join(dir, s.name+".journal"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.Server().T()
 }
 
 // mustMatchWEvent compares every user's and the population's w-event
@@ -104,11 +168,12 @@ func mustMatchWEvent(t *testing.T, a, b *Session) {
 }
 
 // TestSnapshotDeltaDifferential drives a durable session through
-// ingest with interleaved reads, idempotent retries, forced snapshots
-// and a plan. After every snapshot, the base ⊕ delta log on disk must
-// decode to exactly the live Snapshot() and idempotency memory; after a
-// restart, the session must answer every read like an uninterrupted
-// in-memory run fed the same batches, and keep doing so.
+// ingest with interleaved reads, idempotent retries, forced and due
+// compactions and a plan. The journal is the snapshot's delta: after
+// every batch, the base with the journal folded on must decode to
+// exactly the live Snapshot() and idempotency memory; after a restart,
+// the session must answer every read like an uninterrupted in-memory
+// run fed the same batches, and keep doing so.
 func TestSnapshotDeltaDifferential(t *testing.T) {
 	dir := t.TempDir()
 	r := durableRegistry(t, dir, 8)
@@ -123,7 +188,7 @@ func TestSnapshotDeltaDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var keys []string
 	var batches [][]stream.BatchStep
-	deltas, compactions, prevT := 0, 0, 0
+	appended, compactions := 0, 0
 	for i := 0; i < 150; i++ {
 		if i%3 == 0 {
 			if _, err := s.Server().Report(); err != nil {
@@ -138,7 +203,7 @@ func TestSnapshotDeltaDifferential(t *testing.T) {
 				t.Fatalf("retry of %s: replayed=%v err=%v", keys[k], replayed, err)
 			}
 			continue // a replay writes nothing
-		case i%11 == 10:
+		case i%23 == 22:
 			if _, err := s.SnapshotNow(); err != nil {
 				t.Fatal(err)
 			}
@@ -151,16 +216,12 @@ func TestSnapshotDeltaDifferential(t *testing.T) {
 			if _, _, err := ctl.CollectBatch(key, steps); err != nil {
 				t.Fatal(err)
 			}
+			if s.persistInfo().JournalRecords == 0 {
+				compactions++
+			} else {
+				appended++
+			}
 		}
-		if s.persistInfo().JournalRecords != 0 {
-			continue // no snapshot since the last batch
-		}
-		if s.deltaBytes == 0 {
-			compactions++
-		} else if T := s.Server().T(); T != prevT {
-			deltas++
-		}
-		prevT = s.Server().T()
 		got := persistedState(t, r.Store(), "sess")
 		if want := s.Server().Snapshot(); !reflect.DeepEqual(got.Server, want) {
 			t.Fatalf("batch %d (T=%d): persisted server state differs from Snapshot()", i, want.T())
@@ -169,10 +230,10 @@ func TestSnapshotDeltaDifferential(t *testing.T) {
 			t.Fatalf("batch %d: persisted idempotency memory differs", i)
 		}
 	}
-	if deltas < 10 || compactions < 3 {
-		t.Fatalf("%d delta snapshots and %d compactions: the test does not exercise both", deltas, compactions)
+	if appended < 50 || compactions < 3 {
+		t.Fatalf("%d journaled batches and %d due compactions: the test does not exercise both", appended, compactions)
 	}
-	// A journal tail behind the last snapshot, then the restart.
+	// A journal tail behind the last compaction, then the restart.
 	for i := 0; i < 3; i++ {
 		steps := randomBatch(rng, 5, 2)
 		for _, sess := range []*Session{s, ctl} {
@@ -231,7 +292,7 @@ func copyStateDir(t *testing.T, src string) string {
 }
 
 // readStateFile returns one of a state dir's files.
-func readStateFile(t *testing.T, dir, name string) []byte {
+func readStateFile(t testing.TB, dir, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
@@ -248,8 +309,19 @@ func writeStateFile(t *testing.T, dir, name string, data []byte) {
 	}
 }
 
-// deltaRecordEnds returns the end offset of every record in a delta log.
-func deltaRecordEnds(t *testing.T, log []byte) []int {
+// stateFileExists reports whether a state dir holds the named file.
+func stateFileExists(t *testing.T, dir, name string) bool {
+	t.Helper()
+	_, err := os.Stat(filepath.Join(dir, name))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return err == nil
+}
+
+// recordEnds returns the end offset of every record in a journal or a
+// delta log.
+func recordEnds(t *testing.T, log []byte) []int {
 	t.Helper()
 	rd := bytes.NewReader(log)
 	var ends []int
@@ -263,11 +335,14 @@ func deltaRecordEnds(t *testing.T, log []byte) []int {
 }
 
 // restoreCrashImage restores a state-dir image and requires the session
-// to match the live one exactly, and the recovery snapshot to leave an
-// empty journal behind a base ⊕ delta log that holds exactly the
-// restored state.
+// to match the live one exactly, the restore to have written neither
+// the base nor a delta log, and a compaction after it to leave a fresh
+// base, an empty journal and no delta log, which restore again to the
+// same session.
 func restoreCrashImage(t *testing.T, dir string, live *Session) *Session {
 	t.Helper()
+	base := readStateFile(t, dir, "sess.snap")
+	hadDelta := stateFileExists(t, dir, "sess.delta")
 	r := durableRegistry(t, dir, 1<<20)
 	if _, failed := r.RestoreAll(); len(failed) != 0 {
 		t.Fatalf("restore failures: %v", failed)
@@ -276,29 +351,51 @@ func restoreCrashImage(t *testing.T, dir string, live *Session) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(readStateFile(t, dir, "sess.journal")); n != 0 {
-		t.Fatalf("recovery left %d bytes in the journal", n)
-	}
-	got := persistedState(t, r.Store(), "sess")
-	if want := s.Server().Snapshot(); !reflect.DeepEqual(got.Server, want) {
-		t.Fatal("after recovery, base ⊕ delta log differs from the restored state")
-	}
-	if want := s.idem.entries(); !reflect.DeepEqual(got.Idem, want) {
-		t.Fatal("after recovery, the persisted idempotency memory differs")
+	if !bytes.Equal(readStateFile(t, dir, "sess.snap"), base) || stateFileExists(t, dir, "sess.delta") != hadDelta {
+		t.Fatal("recovery rewrote the base or the delta log")
 	}
 	mustMatchSessions(t, live, s)
 	mustMatchWEvent(t, live, s)
+	if !reflect.DeepEqual(s.idem.entries(), live.idem.entries()) {
+		t.Fatal("restored idempotency memory differs")
+	}
+	if _, err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(readStateFile(t, dir, "sess.journal")); n != 0 || stateFileExists(t, dir, "sess.delta") {
+		t.Fatalf("the compaction after recovery left %d journal bytes, delta log %v", n, stateFileExists(t, dir, "sess.delta"))
+	}
+	got := persistedState(t, r.Store(), "sess")
+	if want := s.Server().Snapshot(); !reflect.DeepEqual(got.Server, want) {
+		t.Fatal("after the compaction, the base differs from the restored state")
+	}
+	if want := s.idem.entries(); !reflect.DeepEqual(got.Idem, want) {
+		t.Fatal("after the compaction, the persisted idempotency memory differs")
+	}
+	r2 := durableRegistry(t, copyStateDir(t, dir), 1<<20)
+	if _, failed := r2.RestoreAll(); len(failed) != 0 {
+		t.Fatalf("restore after the compaction: %v", failed)
+	}
+	s2, err := r2.Get("sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMatchSessions(t, live, s2)
 	return s
 }
 
 // TestSnapshotDeltaCrashPoints restores the state-dir image each crash
-// point of the snapshot write order leaves, and each failure it must
-// survive: every one restores to the live session exactly, except a
-// damaged middle delta, which must fail loudly and keep its files.
+// point of a compaction (base, then delta-log removal, then journal
+// truncate) leaves, each image the delta log of an earlier version can
+// leave, and each failure restore must survive: every one restores to
+// the live session exactly, except a damaged middle delta record, which
+// must fail loudly and keep its files.
 func TestSnapshotDeltaCrashPoints(t *testing.T) {
-	// start returns a session with a base of a few hundred steps, four
-	// deltas and a journal tail (snapshots only when forced).
-	start := func(t *testing.T) (string, *Registry, *Session, func(n int)) {
+	// start returns a session with a base of a few hundred steps and a
+	// keyed journal tail (compactions only when forced); with legacy, it
+	// also has what an earlier version's snapshots wrote behind the base:
+	// four delta records, the journal emptied after each.
+	start := func(t *testing.T, legacy bool) (string, *Registry, *Session, func(n int), int) {
 		dir := t.TempDir()
 		r := durableRegistry(t, dir, 1<<20)
 		s, err := r.Create(deltaTestConfig("sess"))
@@ -323,119 +420,191 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
+		cur := s.Server().T()
 		for i := 0; i < 4; i++ {
 			ingest(3)
-			if _, err := s.Server().Report(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.SnapshotNow(); err != nil {
-				t.Fatal(err)
+			if legacy {
+				cur = appendLegacyDelta(t, dir, s, cur, 3, true)
 			}
 		}
-		if n := len(deltaRecordEnds(t, readStateFile(t, dir, "sess.delta"))); n != 4 {
-			t.Fatalf("setup wrote %d deltas, want 4", n)
+		if legacy {
+			if n := len(recordEnds(t, readStateFile(t, dir, "sess.delta"))); n != 4 {
+				t.Fatalf("setup wrote %d deltas, want 4", n)
+			}
 		}
 		ingest(2)
-		return dir, r, s, ingest
+		return dir, r, s, ingest, cur
 	}
 
-	t.Run("torn-final-delta", func(t *testing.T) {
-		dir, _, s, _ := start(t)
+	t.Run("after-base-save-before-journal-truncate", func(t *testing.T) {
+		// The new base beside the journal it covers: every journal
+		// record is at or before the base and must be skipped.
+		dir, _, s, _, _ := start(t, false)
 		pre := copyStateDir(t, dir)
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
-		log := readStateFile(t, dir, "sess.delta")
-		ends := deltaRecordEnds(t, log)
-		last := ends[len(ends)-2]
-		for _, cut := range []int{last + 1, last + 60, len(log) - 1} {
-			img := copyStateDir(t, pre)
-			writeStateFile(t, img, "sess.delta", log[:cut])
-			restoreCrashImage(t, img, s)
-			if n := len(readStateFile(t, img, "sess.delta")); n != 0 {
-				t.Fatalf("recovery behind a torn delta did not compact: %d delta bytes", n)
-			}
+		if n := len(readStateFile(t, dir, "sess.journal")); n != 0 {
+			t.Fatalf("compaction left %d bytes in the journal", n)
 		}
-	})
-
-	t.Run("after-delta-fsync-before-journal-reset", func(t *testing.T) {
-		dir, _, s, _ := start(t)
-		pre := copyStateDir(t, dir)
-		if _, err := s.SnapshotNow(); err != nil {
-			t.Fatal(err)
-		}
-		writeStateFile(t, pre, "sess.delta", readStateFile(t, dir, "sess.delta"))
+		writeStateFile(t, pre, "sess.snap", readStateFile(t, dir, "sess.snap"))
 		restoreCrashImage(t, pre, s)
 	})
 
-	t.Run("clean-restart-appends-a-delta", func(t *testing.T) {
-		// Behind a clean delta log, recovery bakes the journal tail into
-		// one more delta record instead of rewriting the base — and the
-		// restored session keeps extending that log.
-		dir, _, s, _ := start(t)
+	t.Run("clean-restart-writes-nothing", func(t *testing.T) {
+		// Behind a clean journal, recovery writes nothing: the base keeps
+		// its bytes and mtime, the journal its records, and the restored
+		// session appends behind them.
+		dir, _, s, _, _ := start(t, false)
 		img := copyStateDir(t, dir)
-		base := readStateFile(t, img, "sess.snap")
-		records := len(deltaRecordEnds(t, readStateFile(t, img, "sess.delta")))
-		s2 := restoreCrashImage(t, img, s)
-		if !bytes.Equal(readStateFile(t, img, "sess.snap"), base) {
-			t.Fatal("recovery behind a clean delta log rewrote the base")
+		old := time.Now().Add(-time.Hour).Truncate(time.Second)
+		if err := os.Chtimes(filepath.Join(img, "sess.snap"), old, old); err != nil {
+			t.Fatal(err)
 		}
-		if n := len(deltaRecordEnds(t, readStateFile(t, img, "sess.delta"))); n != records+1 {
-			t.Fatalf("%d delta records after recovery, want %d", n, records+1)
+		journal := readStateFile(t, img, "sess.journal")
+		records := len(recordEnds(t, journal))
+		r := durableRegistry(t, img, 1<<20)
+		if _, failed := r.RestoreAll(); len(failed) != 0 {
+			t.Fatalf("restore failures: %v", failed)
 		}
+		s2, err := r.Get("sess")
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(filepath.Join(img, "sess.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readStateFile(t, img, "sess.snap"), readStateFile(t, dir, "sess.snap")) || !info.ModTime().Equal(old) {
+			t.Fatalf("recovery rewrote the base (mtime %v, want %v)", info.ModTime(), old)
+		}
+		if !bytes.Equal(readStateFile(t, img, "sess.journal"), journal) {
+			t.Fatal("recovery rewrote the journal")
+		}
+		mustMatchSessions(t, s, s2)
 		if _, _, err := s2.CollectBatch("again", []stream.BatchStep{{Counts: []int{2, 3}}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s2.SnapshotNow(); err != nil {
-			t.Fatal(err)
-		}
-		if n := len(deltaRecordEnds(t, readStateFile(t, img, "sess.delta"))); n != records+2 {
-			t.Fatalf("%d delta records after one more snapshot, want %d", n, records+2)
+		after := readStateFile(t, img, "sess.journal")
+		if !bytes.HasPrefix(after, journal) || len(recordEnds(t, after)) != records+1 {
+			t.Fatalf("the next batch did not append one record behind the %d found", records)
 		}
 		restoreCrashImage(t, copyStateDir(t, img), s2)
 	})
 
-	t.Run("after-base-rename-before-delta-truncate", func(t *testing.T) {
-		dir, _, s, _ := start(t)
+	t.Run("torn-final-journal-record", func(t *testing.T) {
+		// Recovery cuts the torn record off and appends behind the last
+		// verified one; the base stays as it was.
+		dir, _, _, ingest, _ := start(t, false)
 		pre := copyStateDir(t, dir)
-		s.stepMu.Lock()
-		s.cursor = noCursor // the next snapshot compacts
-		s.stepMu.Unlock()
+		ingest(1)
+		journal := readStateFile(t, dir, "sess.journal")
+		ends := recordEnds(t, journal)
+		last := ends[len(ends)-2]
+		for _, cut := range []int{last + 1, last + 60, len(journal) - 1} {
+			img := copyStateDir(t, pre)
+			writeStateFile(t, img, "sess.journal", journal[:cut])
+			r := durableRegistry(t, img, 1<<20)
+			if _, failed := r.RestoreAll(); len(failed) != 0 {
+				t.Fatalf("cut %d: restore failures: %v", cut, failed)
+			}
+			s2, err := r.Get("sess")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(readStateFile(t, img, "sess.journal"), journal[:last]) {
+				t.Fatalf("cut %d: recovery did not truncate the journal to its last verified record", cut)
+			}
+			if !bytes.Equal(readStateFile(t, img, "sess.snap"), readStateFile(t, pre, "sess.snap")) {
+				t.Fatalf("cut %d: recovery rewrote the base", cut)
+			}
+			if s2.Server().T() != readT(t, pre) {
+				t.Fatalf("cut %d: restored T=%d, want %d", cut, s2.Server().T(), readT(t, pre))
+			}
+			if _, _, err := s2.CollectBatch("again", []stream.BatchStep{{Counts: []int{2, 3}}}); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(recordEnds(t, readStateFile(t, img, "sess.journal"))); n != len(ends) {
+				t.Fatalf("cut %d: %d journal records after one more batch, want %d", cut, n, len(ends))
+			}
+			restoreCrashImage(t, copyStateDir(t, img), s2)
+		}
+	})
+
+	t.Run("failed-compaction-keeps-the-journal", func(t *testing.T) {
+		// A compaction that cannot write its base is latched; batches keep
+		// landing in the journal behind the old base, and the next
+		// compaction that can write clears the error.
+		dir, r, s, ingest, _ := start(t, false)
+		blocker := filepath.Join(dir, "sess.snap.tmp")
+		if err := os.MkdirAll(filepath.Join(blocker, "pin"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SnapshotNow(); err == nil {
+			t.Fatal("a compaction over a blocked temp file succeeded")
+		}
+		if h := r.PersistenceHealth(); h.SessionsWithErrors != 1 {
+			t.Fatalf("failed compaction not latched: %+v", h)
+		}
+		ingest(2)
+		if err := os.RemoveAll(blocker); err != nil {
+			t.Fatal(err)
+		}
+		restoreCrashImage(t, copyStateDir(t, dir), s)
+		if _, err := s.SnapshotNow(); err != nil {
+			t.Fatalf("the compaction after a failed one: %v", err)
+		}
+		if h := r.PersistenceHealth(); h.SessionsWithErrors != 0 {
+			t.Fatalf("compaction did not clear the latched error: %+v", h)
+		}
+		ingest(2)
+		restoreCrashImage(t, copyStateDir(t, dir), s)
+	})
+
+	t.Run("torn-final-delta", func(t *testing.T) {
+		// A crash mid-append of an earlier version's delta record left
+		// the journal holding those steps.
+		dir, _, s, _, cur := start(t, true)
+		log := readStateFile(t, dir, "sess.delta")
+		appendLegacyDelta(t, dir, s, cur, 2, false)
+		full := readStateFile(t, dir, "sess.delta")
+		for _, cut := range []int{len(log) + 1, len(log) + 60, len(full) - 1} {
+			img := copyStateDir(t, dir)
+			writeStateFile(t, img, "sess.delta", full[:cut])
+			restoreCrashImage(t, img, s)
+		}
+	})
+
+	t.Run("after-delta-fsync-before-journal-reset", func(t *testing.T) {
+		dir, _, s, _, cur := start(t, true)
+		appendLegacyDelta(t, dir, s, cur, 2, false)
+		restoreCrashImage(t, copyStateDir(t, dir), s)
+	})
+
+	t.Run("after-base-rename-before-delta-truncate", func(t *testing.T) {
+		// A compaction's base beside the delta log it supersedes: every
+		// delta names the old base and must be skipped.
+		dir, _, s, _, _ := start(t, true)
+		pre := copyStateDir(t, dir)
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(readStateFile(t, dir, "sess.delta")); n != 0 {
-			t.Fatalf("compaction left %d bytes in the delta log", n)
-		}
-		// The new base beside the old delta log and journal: every
-		// delta is covered by the base and must be skipped.
 		writeStateFile(t, pre, "sess.snap", readStateFile(t, dir, "sess.snap"))
 		restoreCrashImage(t, pre, s)
 	})
 
 	t.Run("idle-delta-beside-stale-deltas", func(t *testing.T) {
-		// A compaction, a read that refreshes the forward series, then
-		// a snapshot with no new step: its delta has the same FromT/ToT
-		// as the superseded deltas a crash before the truncate leaves
-		// behind, and only it must be applied.
-		dir, _, s, _ := start(t)
+		// A compaction, then an idle record naming the new base behind
+		// the superseded ones: it has the same FromT/ToT as the last of
+		// them, and only it must be applied.
+		dir, _, s, _, _ := start(t, true)
 		stale := readStateFile(t, dir, "sess.delta")
-		s.stepMu.Lock()
-		s.cursor = noCursor
-		s.stepMu.Unlock()
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Server().Report(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.SnapshotNow(); err != nil {
-			t.Fatal(err)
-		}
+		T := s.Server().T()
+		appendLegacyDelta(t, dir, s, T, 0, false)
 		fresh := readStateFile(t, dir, "sess.delta")
-		if n := len(deltaRecordEnds(t, fresh)); n != 1 {
-			t.Fatalf("%d delta records after the idle snapshot, want 1", n)
-		}
 		writeStateFile(t, dir, "sess.delta", append(append([]byte(nil), stale...), fresh...))
 		got := persistedState(t, s.store, "sess")
 		if want := s.Server().Snapshot(); !reflect.DeepEqual(got.Server, want) {
@@ -444,47 +613,11 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 		restoreCrashImage(t, copyStateDir(t, dir), s)
 	})
 
-	t.Run("failed-delta-append-compacts-next", func(t *testing.T) {
-		dir, r, s, ingest := start(t)
-		s.stepMu.Lock()
-		s.deltaLog.Close() // every write through the handle now fails
-		s.stepMu.Unlock()
-		if _, err := s.SnapshotNow(); err == nil {
-			t.Fatal("snapshot through a closed delta log succeeded")
-		}
-		if h := r.PersistenceHealth(); h.SessionsWithErrors != 1 {
-			t.Fatalf("failed delta append not latched: %+v", h)
-		}
-		// What a failed append can leave: a partial record.
-		log := readStateFile(t, dir, "sess.delta")
-		writeStateFile(t, dir, "sess.delta", append(log, log[:40]...))
-		ingest(1)
-		restoreCrashImage(t, copyStateDir(t, dir), s)
-
-		if _, err := s.SnapshotNow(); err != nil {
-			t.Fatalf("the snapshot after a failed append: %v", err)
-		}
-		if n := len(readStateFile(t, dir, "sess.delta")); n != 0 {
-			t.Fatalf("the snapshot after a failed append did not compact: %d delta bytes", n)
-		}
-		if h := r.PersistenceHealth(); h.SessionsWithErrors != 0 {
-			t.Fatalf("compaction did not clear the latched error: %+v", h)
-		}
-		ingest(2)
-		if _, err := s.SnapshotNow(); err != nil {
-			t.Fatal(err)
-		}
-		if n := len(deltaRecordEnds(t, readStateFile(t, dir, "sess.delta"))); n != 1 {
-			t.Fatalf("%d delta records after the compaction and one snapshot, want 1", n)
-		}
-		restoreCrashImage(t, copyStateDir(t, dir), s)
-	})
-
 	t.Run("corrupt-middle-delta", func(t *testing.T) {
-		dir, _, _, _ := start(t)
+		dir, _, _, _, _ := start(t, true)
 		img := copyStateDir(t, dir)
 		log := readStateFile(t, img, "sess.delta")
-		ends := deltaRecordEnds(t, log)
+		ends := recordEnds(t, log)
 		log[ends[0]+60] ^= 0xFF // a body byte of the second record
 		writeStateFile(t, img, "sess.delta", log)
 		r := durableRegistry(t, img, 1<<20)
@@ -510,10 +643,21 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 	})
 }
 
-// TestSnapshotBytesLinearInT is the byte bound: the bytes snapshots
-// write to the base and the delta log grow linearly in T, where
-// rewriting the whole history at every snapshot grows quadratically.
-// It counts file sizes, not time, so it is deterministic.
+// readT is the step count the state dir's files restore to.
+func readT(t *testing.T, dir string) int {
+	t.Helper()
+	store, err := persist.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return persistedState(t, store, "sess").Server.T()
+}
+
+// TestSnapshotBytesLinearInT is the byte bound: the bytes a session's
+// durable state costs to write — the journal records and every base a
+// compaction rewrites — grow linearly in T, where rewriting the whole
+// history at every snapshot grows quadratically. It counts file sizes,
+// not time, so it is deterministic.
 func TestSnapshotBytesLinearInT(t *testing.T) {
 	dir := t.TempDir()
 	r := durableRegistry(t, dir, 64)
@@ -529,8 +673,9 @@ func TestSnapshotBytesLinearInT(t *testing.T) {
 		}
 		return info.Size()
 	}
-	var written, prevDelta int64
+	var written, prevJournal int64
 	writtenAt := map[int]int64{}
+	compactions := 0
 	for batch := 1; batch <= 4096; batch++ {
 		steps := make([]stream.BatchStep, 4)
 		for i := range steps {
@@ -540,25 +685,24 @@ func TestSnapshotBytesLinearInT(t *testing.T) {
 		if _, _, err := s.CollectBatch(fmt.Sprintf("key-%06d", batch), steps); err != nil {
 			t.Fatal(err)
 		}
-		if s.persistInfo().JournalRecords != 0 {
-			continue
-		}
-		// A snapshot landed: a compaction rewrote the base and emptied
-		// the delta log, a delta appended to it.
-		if d := size("sess.delta"); d == 0 {
+		journal := size("sess.journal")
+		if s.persistInfo().JournalRecords == 0 {
+			// A compaction rewrote the base and emptied the journal (this
+			// batch's record, which it had just taken, goes uncounted).
+			compactions++
 			written += size("sess.snap")
-			prevDelta = 0
-		} else {
-			written += d - prevDelta
-			prevDelta = d
 		}
+		if journal > prevJournal {
+			written += journal - prevJournal
+		}
+		prevJournal = journal
 		writtenAt[s.Server().T()] = written
 	}
-	// From T=1024 on, the idempotency memory the base carries is full,
-	// and a delta carries only the keys added since the previous one.
+	// From T=1024 on, the idempotency memory the base carries is full.
 	w1, w2 := writtenAt[4096], writtenAt[16384]
-	if w1 == 0 || w2 == 0 {
-		t.Fatalf("no snapshot at T=4096 or T=16384: %v", writtenAt)
+	t.Logf("%d compactions; %d bytes written by T=4096, %d by T=16384, final base %d", compactions, w1, w2, size("sess.snap"))
+	if compactions < 2 {
+		t.Fatalf("%d compactions: the bound does not cover the base rewrites", compactions)
 	}
 	// Linear growth quadruples the count from T to 4T; rewriting the
 	// history every 64 steps multiplies it by about 16.
@@ -570,12 +714,12 @@ func TestSnapshotBytesLinearInT(t *testing.T) {
 	}
 }
 
-// deltaLogCost runs one session of 4-step batches to T=8192, snapshots
-// every 64 steps, with an idempotency key on every batch or on none. It
-// returns the delta-log bytes appended per step by the records after
-// the memory is full (T >= 1024: 256 keys of 4 steps) and the number of
+// journalCost runs one session of 4-step batches to T=8192, at least 64
+// steps between compactions, with an idempotency key on every batch or
+// on none. It returns the journal bytes appended per step once the
+// memory is full (T >= 1024: 256 keys of 4 steps) and the number of
 // compactions.
-func deltaLogCost(t *testing.T, keyed bool) (bytesPerStep float64, compactions int) {
+func journalCost(t *testing.T, keyed bool) (bytesPerStep float64, compactions int) {
 	t.Helper()
 	dir := t.TempDir()
 	r := durableRegistry(t, dir, 64)
@@ -585,7 +729,7 @@ func deltaLogCost(t *testing.T, keyed bool) (bytesPerStep float64, compactions i
 	}
 	rng := rand.New(rand.NewSource(8))
 	var appended, prevSize int64
-	steps, prevT := 0, 0
+	steps := 0
 	for batch := 1; batch <= 2048; batch++ {
 		batchSteps := make([]stream.BatchStep, 4)
 		for i := range batchSteps {
@@ -599,69 +743,68 @@ func deltaLogCost(t *testing.T, keyed bool) (bytesPerStep float64, compactions i
 		if _, _, err := s.CollectBatch(key, batchSteps); err != nil {
 			t.Fatal(err)
 		}
-		if s.persistInfo().JournalRecords != 0 {
-			continue
-		}
-		info, err := os.Stat(filepath.Join(dir, "sess.delta"))
+		info, err := os.Stat(filepath.Join(dir, "sess.journal"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		T := s.Server().T()
-		if info.Size() == 0 {
+		if s.persistInfo().JournalRecords == 0 {
 			compactions++
-		} else if prevT >= 1024 {
+		} else if s.Server().T() > 1024 {
 			appended += info.Size() - prevSize
-			steps += T - prevT
+			steps += 4
 		}
-		prevSize, prevT = info.Size(), T
+		prevSize = info.Size()
 	}
 	return float64(appended) / float64(steps), compactions
 }
 
-// TestDeltaBytesIndependentOfIdempotency is the byte bound on the delta
-// record: once the idempotency memory is full, a session that keys
-// every batch appends at most one key's bytes per batch more delta-log
-// bytes per step than one that keys none, and compacts no more often. A record carries the keys added since the previous one,
-// not the whole memory; carrying all 256 entries made each keyed record
-// several times the unkeyed one. The bound is on the difference, not
-// the ratio: the unkeyed record is only the steps, so a ratio would
+// TestDeltaBytesIndependentOfIdempotency is the byte bound on what a
+// keyed batch adds to the incremental state: once the idempotency
+// memory is full, a session that keys every batch appends at most one
+// key's bytes per batch more journal bytes per step than one that keys
+// none, and compacts no more often. The bound is on the difference,
+// not the ratio: the unkeyed record is only the steps, so a ratio would
 // move with whatever else a record carries. Byte counts, not time, so
 // it is deterministic.
 func TestDeltaBytesIndependentOfIdempotency(t *testing.T) {
-	plain, plainCompactions := deltaLogCost(t, false)
-	keyed, keyedCompactions := deltaLogCost(t, true)
-	// One more key's bytes in a record: the marginal gob size of an
-	// idemRecord like deltaLogCost's (a 10-byte key, 4 steps).
+	plain, plainCompactions := journalCost(t, false)
+	keyed, keyedCompactions := journalCost(t, true)
+	// One key's bytes in a record: the marginal gob size of the
+	// idempotency record of a batch like journalCost's (a 10-byte key,
+	// 4 steps).
 	rec := idemRecord{Key: "key-001024", FirstT: 4093, Planned: make([]bool, 4)}
 	for i := range rec.Hash {
 		rec.Hash[i] = byte(255 - i)
 	}
-	one, err := gobEncode([]idemRecord{rec})
+	steps := make([]stream.StepRecord, 4)
+	for i := range steps {
+		steps[i] = stream.StepRecord{T: 4093 + i, Eps: 0.1, Published: []float64{1.5, 3.5}, NoiseDraws: uint64(8186 + 2*i)}
+	}
+	without, err := gobEncode(batchRecord{Steps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := gobEncode([]idemRecord{rec, rec})
+	with, err := gobEncode(batchRecord{Steps: steps, Idem: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perKey := float64(len(two) - len(one))
-	t.Logf("delta-log bytes per step: %.1f unkeyed, %.1f keyed (one key: %.0f bytes per 4-step batch); compactions %d vs %d", plain, keyed, perKey, plainCompactions, keyedCompactions)
+	perKey := float64(len(with) - len(without))
+	t.Logf("journal bytes per step: %.1f unkeyed, %.1f keyed (one key: %.0f bytes per 4-step batch); compactions %d vs %d", plain, keyed, perKey, plainCompactions, keyedCompactions)
 	if extra := keyed - plain; extra > perKey/4 {
-		t.Fatalf("keyed batches cost %.1f delta-log bytes per step more than unkeyed (%.1f against %.1f), bound one key per batch = %.1f", extra, keyed, plain, perKey/4)
+		t.Fatalf("keyed batches cost %.1f journal bytes per step more than unkeyed (%.1f against %.1f), bound one key per batch = %.1f", extra, keyed, plain, perKey/4)
 	}
 	if keyedCompactions > plainCompactions {
 		t.Fatalf("keyed run compacted %d times, unkeyed %d", keyedCompactions, plainCompactions)
 	}
 }
 
-// TestDeltaBytesIndependentOfReads: a delta record holds what was
-// released since the previous snapshot, whatever was read in between.
-// Two twins restore a base at T≈4096 that no read ever filled a forward
-// cache for; one reads a correlated user's TPL series, then both land
-// one more batch and snapshot. The read twin's delta record must stay
-// within 1.25x the unread one's. Storing the forward series put every
-// correlated cohort's whole series (8·T bytes) in the read twin's
-// record.
+// TestDeltaBytesIndependentOfReads: durable state holds what was
+// released, whatever was read in between. Two twins restore a base at
+// T≈4096 that no read ever filled a forward cache for; one reads a
+// correlated user's TPL series, then both land one more batch and
+// compact. The read twin's journal record and base must be exactly the
+// unread one's size. Storing the forward series put every correlated
+// cohort's whole series (8·T bytes) in the read twin's state.
 func TestDeltaBytesIndependentOfReads(t *testing.T) {
 	dir := t.TempDir()
 	r := durableRegistry(t, dir, 1<<20)
@@ -675,12 +818,13 @@ func TestDeltaBytesIndependentOfReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.SnapshotNow(); err != nil { // compacts: the base
+	if _, err := s.SnapshotNow(); err != nil { // the base
 		t.Fatal(err)
 	}
-	lastRecord := func(read bool) int {
+	written := func(read bool) (record, base int64) {
 		t.Helper()
-		r := durableRegistry(t, copyStateDir(t, dir), 1<<20)
+		img := copyStateDir(t, dir)
+		r := durableRegistry(t, img, 1<<20)
 		defer r.Close()
 		if restored, failed := r.RestoreAll(); len(restored) != 1 || len(failed) != 0 {
 			t.Fatalf("restore: restored %v failed %v", restored, failed)
@@ -697,22 +841,21 @@ func TestDeltaBytesIndependentOfReads(t *testing.T) {
 		if _, _, err := s.CollectBatch("", randomBatch(rand.New(rand.NewSource(30)), 5, 3)); err != nil {
 			t.Fatal(err)
 		}
+		record = int64(len(readStateFile(t, img, "sess.journal")))
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
-		last := 0
-		if _, err := r.Store().ReplayDeltaLog("sess", func(_ uint32, body []byte) error {
-			last = len(body)
-			return nil
-		}); err != nil {
+		_, base, err = r.Store().SnapshotStat("sess")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return last
+		return record, base
 	}
-	unread, read := lastRecord(false), lastRecord(true)
-	t.Logf("delta record at T=%d: %d bytes unread, %d bytes after a read", s.Server().T(), unread, read)
-	if float64(read) > 1.25*float64(unread) {
-		t.Fatalf("a read grew the next delta record from %d to %d bytes", unread, read)
+	unreadRecord, unreadBase := written(false)
+	readRecord, readBase := written(true)
+	t.Logf("at T=%d: journal record %d bytes unread, %d after a read; base %d and %d", s.Server().T(), unreadRecord, readRecord, unreadBase, readBase)
+	if readRecord != unreadRecord || readBase != unreadBase {
+		t.Fatalf("a read changed what was written: record %d -> %d bytes, base %d -> %d", unreadRecord, readRecord, unreadBase, readBase)
 	}
 }
 
@@ -776,6 +919,45 @@ func v2FixtureScript(collect func(key string, steps []stream.BatchStep), read, s
 	}
 }
 
+// seriesBlob receives the binary encoding a v2 snapshot stored each
+// cohort's leakage series in, to measure it.
+type seriesBlob []byte
+
+func (b *seriesBlob) UnmarshalBinary(data []byte) error {
+	*b = append((*b)[:0], data...)
+	return nil
+}
+
+// v3FixtureScript is the batch sequence that wrote testdata/v3-state:
+// the state dir of session "fixture" (deltaTestConfig) as written while
+// each snapshot appended a delta record behind the base (snapshot and
+// delta schema v3, the journal emptied at every snapshot). snapshot
+// marks where that build forced one. It holds a base at T=914 whose
+// memory holds ten keys, three v3 delta records of twenty keyed batches
+// each, and a journal tail of five keyed batches (T=1059).
+func v3FixtureScript(collect func(key string, steps []stream.BatchStep), snapshot func()) {
+	rng := rand.New(rand.NewSource(33))
+	for i := 0; i < 40; i++ {
+		key := ""
+		if i%4 == 0 {
+			key = fmt.Sprintf("b%d", i)
+		}
+		collect(key, randomBatch(rng, 5, 40))
+	}
+	snapshot() // compacts: the first delta would outgrow the empty base
+	key := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20; i++ {
+			collect(fmt.Sprintf("k%d", key), randomBatch(rng, 5, 3))
+			key++
+		}
+		snapshot()
+	}
+	for i := 0; i < 5; i++ {
+		collect(fmt.Sprintf("tail%d", i), randomBatch(rng, 5, 3))
+	}
+}
+
 // deltaLogVersions returns the schema version of every record in a
 // delta log.
 func deltaLogVersions(t *testing.T, log []byte) []uint32 {
@@ -792,30 +974,17 @@ func deltaLogVersions(t *testing.T, log []byte) []uint32 {
 	return out
 }
 
-// TestRestoreV1StateDir restores the committed v1 state dir and requires
-// it to match an uninterrupted in-memory run of the same batches: every
-// leakage answer bit for bit, and the idempotency memory entry for
-// entry, order included. The recovery snapshot appends a v2 record
-// behind the v1 ones, and a second restart reads that mixed log to the
-// same state.
-func TestRestoreV1StateDir(t *testing.T) {
-	dir := copyStateDir(t, filepath.Join("testdata", "v1-state"))
-	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{1, 1, 1, 1}) {
-		t.Fatalf("fixture delta log versions %v, want four v1 records", got)
-	}
-	ctl, err := NewRegistry().Create(deltaTestConfig("fixture"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastKey string
-	var lastSteps []stream.BatchStep
-	v1FixtureScript(func(key string, steps []stream.BatchStep) {
-		if _, _, err := ctl.CollectBatch(key, steps); err != nil {
-			t.Fatal(err)
-		}
-		lastKey, lastSteps = key, steps
-	}, func() {})
-
+// checkFixtureRestore restores a committed state dir (copied to dir)
+// and requires it to match ctl, an uninterrupted in-memory run of the
+// same batches: every leakage answer bit for bit, and the idempotency
+// memory entry for entry, order included. The restore writes nothing:
+// base, delta log and journal keep their bytes. A retry of the last
+// batch replays on both; then both take more keyed batches, with a
+// compaction partway that leaves no delta log behind, and a second
+// restart of the base and journal reaches the same state. It returns
+// the first restored session.
+func checkFixtureRestore(t *testing.T, dir string, ctl *Session, lastKey string, lastSteps []stream.BatchStep, seed int64) *Session {
+	t.Helper()
 	restore := func() *Session {
 		t.Helper()
 		r := durableRegistry(t, dir, 1<<20)
@@ -834,12 +1003,15 @@ func TestRestoreV1StateDir(t *testing.T) {
 		}
 		return s
 	}
-	s := restore()
-	if n := len(s.idem.entries()); n != idemCacheSize {
-		t.Fatalf("restored memory holds %d keys, want %d", n, idemCacheSize)
+	files := map[string][]byte{}
+	for _, f := range []string{"fixture.snap", "fixture.delta", "fixture.journal"} {
+		files[f] = readStateFile(t, dir, f)
 	}
-	if _, ok := s.idem.get("k13"); ok {
-		t.Fatal("k13, evicted before the third record, is remembered")
+	s := restore()
+	for f, data := range files {
+		if !bytes.Equal(readStateFile(t, dir, f), data) {
+			t.Fatalf("restore rewrote %s", f)
+		}
 	}
 	for _, sess := range []*Session{s, ctl} {
 		res, replayed, err := sess.CollectBatch(lastKey, lastSteps)
@@ -847,11 +1019,7 @@ func TestRestoreV1StateDir(t *testing.T) {
 			t.Fatalf("retry of %s: replayed=%v err=%v", lastKey, replayed, err)
 		}
 	}
-	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{1, 1, 1, 1, deltaSchemaVersion}) {
-		t.Fatalf("delta log versions after recovery %v, want the v1 records and one v2", got)
-	}
-	// More keyed batches, a v2 record, a journal tail, a second restart.
-	rng := rand.New(rand.NewSource(26))
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 12; i++ {
 		steps := randomBatch(rng, 5, 3)
 		for _, sess := range []*Session{s, ctl} {
@@ -863,27 +1031,53 @@ func TestRestoreV1StateDir(t *testing.T) {
 			if _, err := s.SnapshotNow(); err != nil {
 				t.Fatal(err)
 			}
+			if stateFileExists(t, dir, "fixture.delta") {
+				t.Fatal("the first compaction after the restore left the delta log")
+			}
 		}
 	}
 	restore()
+	return s
 }
 
-// seriesBlob receives the binary encoding a v2 snapshot stored each
-// cohort's leakage series in, to measure it.
-type seriesBlob []byte
+// fixtureControl runs a fixture script on a fresh in-memory session and
+// returns it with the script's last batch.
+func fixtureControl(t *testing.T, run func(collect func(key string, steps []stream.BatchStep))) (ctl *Session, lastKey string, lastSteps []stream.BatchStep) {
+	t.Helper()
+	ctl, err := NewRegistry().Create(deltaTestConfig("fixture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(func(key string, steps []stream.BatchStep) {
+		if _, _, err := ctl.CollectBatch(key, steps); err != nil {
+			t.Fatal(err)
+		}
+		lastKey, lastSteps = key, steps
+	})
+	return ctl, lastKey, lastSteps
+}
 
-func (b *seriesBlob) UnmarshalBinary(data []byte) error {
-	*b = append((*b)[:0], data...)
-	return nil
+// TestRestoreV1StateDir restores the committed v1 state dir — four
+// delta records that each hold the whole idempotency memory — through
+// checkFixtureRestore.
+func TestRestoreV1StateDir(t *testing.T) {
+	dir := copyStateDir(t, filepath.Join("testdata", "v1-state"))
+	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{1, 1, 1, 1}) {
+		t.Fatalf("fixture delta log versions %v, want four v1 records", got)
+	}
+	ctl, lastKey, lastSteps := fixtureControl(t, func(collect func(string, []stream.BatchStep)) {
+		v1FixtureScript(collect, func() {})
+	})
+	s := checkFixtureRestore(t, dir, ctl, lastKey, lastSteps, 26)
+	if _, ok := s.idem.get("k13"); ok {
+		t.Fatal("k13, evicted before the third record, is remembered")
+	}
 }
 
 // TestRestoreV2StateDir restores the committed v2 state dir — a base and
-// delta records that store every cohort's leakage series — and requires
-// it to match an uninterrupted in-memory run of the same batches: every
-// leakage answer bit for bit, and the idempotency memory entry for
-// entry. Restore decodes the stored series away and rebuilds them from
-// the budgets. The recovery snapshot appends a v3 record behind the v2
-// ones, and a second restart reads that mixed log to the same state.
+// delta records that store every cohort's leakage series — through
+// checkFixtureRestore: restore decodes the stored series away and
+// rebuilds them from the budgets.
 func TestRestoreV2StateDir(t *testing.T) {
 	dir := copyStateDir(t, filepath.Join("testdata", "v2-state"))
 	// The fixture is what it claims to be: a v2 base whose two cohorts
@@ -917,62 +1111,41 @@ func TestRestoreV2StateDir(t *testing.T) {
 	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{2, 2, 2}) {
 		t.Fatalf("fixture delta log versions %v, want three v2 records", got)
 	}
+	ctl, lastKey, lastSteps := fixtureControl(t, func(collect func(string, []stream.BatchStep)) {
+		v2FixtureScript(collect, func() {}, func() {})
+	})
+	checkFixtureRestore(t, dir, ctl, lastKey, lastSteps, 28)
+}
 
-	ctl, err := NewRegistry().Create(deltaTestConfig("fixture"))
+// TestRestoreV3StateDir restores the committed v3 state dir — written by
+// the last version that appended delta records: a v3 base holding keys,
+// three v3 delta records and a keyed journal tail — through
+// checkFixtureRestore.
+func TestRestoreV3StateDir(t *testing.T) {
+	dir := copyStateDir(t, filepath.Join("testdata", "v3-state"))
+	store, err := persist.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lastKey string
-	var lastSteps []stream.BatchStep
-	v2FixtureScript(func(key string, steps []stream.BatchStep) {
-		if _, _, err := ctl.CollectBatch(key, steps); err != nil {
-			t.Fatal(err)
-		}
-		lastKey, lastSteps = key, steps
-	}, func() {}, func() {})
-
-	restore := func() *Session {
-		t.Helper()
-		r := durableRegistry(t, dir, 1<<20)
-		restored, failed := r.RestoreAll()
-		if len(failed) != 0 || !reflect.DeepEqual(restored, []string{"fixture"}) {
-			t.Fatalf("restore: restored %v failed %v", restored, failed)
-		}
-		s, err := r.Get("fixture")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustMatchSessions(t, ctl, s)
-		mustMatchWEvent(t, ctl, s)
-		if !reflect.DeepEqual(s.idem.entries(), ctl.idem.entries()) {
-			t.Fatal("restored idempotency memory differs from the control's")
-		}
-		return s
+	version, body, err := store.LoadSnapshot("fixture")
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := restore()
-	for _, sess := range []*Session{s, ctl} {
-		res, replayed, err := sess.CollectBatch(lastKey, lastSteps)
-		if err != nil || !replayed || res[len(res)-1].T != ctl.Server().T() {
-			t.Fatalf("retry of %s: replayed=%v err=%v", lastKey, replayed, err)
-		}
+	base, err := decodeSessionState(version, body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{2, 2, 2, deltaSchemaVersion}) {
-		t.Fatalf("delta log versions after recovery %v, want the v2 records and one v%d", got, deltaSchemaVersion)
+	if version != sessionSchemaVersion || base.Server.T() != 914 || len(base.Idem) != 10 {
+		t.Fatalf("fixture base: version %d at T=%d with %d keys", version, base.Server.T(), len(base.Idem))
 	}
-	// More keyed batches, a v3 record, a journal tail, a second restart.
-	rng := rand.New(rand.NewSource(28))
-	for i := 0; i < 12; i++ {
-		steps := randomBatch(rng, 5, 3)
-		for _, sess := range []*Session{s, ctl} {
-			if _, _, err := sess.CollectBatch(fmt.Sprintf("more%d", i), steps); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i == 7 {
-			if _, err := s.SnapshotNow(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{3, 3, 3}) {
+		t.Fatalf("fixture delta log versions %v, want three v3 records", got)
 	}
-	restore()
+	if n := len(recordEnds(t, readStateFile(t, dir, "fixture.journal"))); n != 5 {
+		t.Fatalf("fixture journal holds %d records, want 5", n)
+	}
+	ctl, lastKey, lastSteps := fixtureControl(t, func(collect func(string, []stream.BatchStep)) {
+		v3FixtureScript(collect, func() {})
+	})
+	checkFixtureRestore(t, dir, ctl, lastKey, lastSteps, 34)
 }

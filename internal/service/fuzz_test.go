@@ -198,46 +198,41 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	s.cursor = noCursor // the next snapshot compacts: the base, at T > 0
-	if _, err := s.SnapshotNow(); err != nil {
+	if _, err := s.SnapshotNow(); err != nil { // the base, at T > 0
 		f.Fatal(err)
 	}
 	base, err := os.ReadFile(filepath.Join(template, "sess.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	baseT, baseID := s.Server().T(), s.baseID
-	// The seeds: an idle record (no step, no key) and keyed records
-	// (steps plus the keys added since the previous record), then an
-	// unkeyed one (steps, no key) — all applying in order on the base.
-	if _, err := s.SnapshotNow(); err != nil {
+	baseT := s.Server().T()
+	version, body, err := persist.DecodeEnvelope(bytes.NewReader(base))
+	if err != nil {
 		f.Fatal(err)
 	}
+	st, err := decodeSessionState(version, body)
+	if err != nil {
+		f.Fatal(err)
+	}
+	baseID := st.BaseID
+	// The seeds, as an earlier version's snapshots wrote them: an idle
+	// record (no step, no key) and keyed records (steps plus the keys
+	// added since the previous record), then an unkeyed one (steps, no
+	// key) — all applying in order on the base.
+	idle := legacyDelta(f, s, baseID, baseT, nil)
+	f.Add(idle)
+	cur := baseT
 	for i := 0; i < 3; i++ {
 		if _, _, err := s.CollectBatch(fmt.Sprintf("d%d", i), randomBatch(rng, 5, 4)); err != nil {
 			f.Fatal(err)
 		}
-		if _, err := s.SnapshotNow(); err != nil {
-			f.Fatal(err)
-		}
+		f.Add(legacyDelta(f, s, baseID, cur, s.idem.newest(1)))
+		cur = s.Server().T()
 	}
 	if _, _, err := s.CollectBatch("", randomBatch(rng, 5, 4)); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := s.SnapshotNow(); err != nil {
-		f.Fatal(err)
-	}
-	var idle []byte
-	res, err := r.Store().ReplayDeltaLog("sess", func(_ uint32, body []byte) error {
-		if idle == nil {
-			idle = body
-		}
-		f.Add(body)
-		return nil
-	})
-	if err != nil || res.Records != 5 {
-		f.Fatalf("template delta log: %d records (want 5), %v", res.Records, err)
-	}
+	f.Add(legacyDelta(f, s, baseID, cur, nil))
 	// Additions only: the idle record carrying keys for steps the base
 	// holds, one of them twice.
 	var rec sessionDelta

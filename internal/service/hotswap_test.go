@@ -25,6 +25,9 @@ func TestBundleHotSwapUnderLoad(t *testing.T) {
 	api := NewAPI()
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
+	// Runs first: a failing check must not leave Close waiting on the
+	// open watch streams.
+	defer srv.CloseClientConnections()
 	cache := api.Registry().ModelCache()
 
 	mk := func(rows [][]float64) *markov.Chain {
@@ -55,9 +58,12 @@ func TestBundleHotSwapUnderLoad(t *testing.T) {
 		watchers[w] = openWatch(t, srv.URL, name)
 	}
 
-	// One activator flips revisions while the writers ingest.
+	// One activator flips revisions while the writers ingest. The
+	// writers hold their last batch until it has activated twice, so a
+	// late wake-up of its sleep cannot let them finish first.
 	stopSwap := make(chan struct{})
 	activatorDone := make(chan struct{})
+	twoSwaps := make(chan struct{})
 	var swaps atomic.Int64
 	go func() {
 		defer close(activatorDone)
@@ -72,7 +78,9 @@ func TestBundleHotSwapUnderLoad(t *testing.T) {
 			} else {
 				cache.ActivateNamed("rev1", rev1)
 			}
-			swaps.Add(1)
+			if swaps.Add(1) == 2 {
+				close(twoSwaps)
+			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -86,6 +94,14 @@ func TestBundleHotSwapUnderLoad(t *testing.T) {
 			h := api.Handler()
 			name := fmt.Sprintf("swap-%d", w)
 			for b := 0; b < batches; b++ {
+				if b == batches-1 {
+					select {
+					case <-twoSwaps:
+					case <-time.After(10 * time.Second):
+						errs <- fmt.Errorf("writer %d: fewer than two activations in 10s", w)
+						return
+					}
+				}
 				body := fmt.Sprintf(`[{"values":[%d,%d,%d],"eps":0.1},{"values":[%d,%d,%d],"eps":0.1}]`,
 					b%2, (b+w)%2, (b+1)%2, (b+1)%2, w%2, b%2)
 				rec := httptest.NewRecorder()

@@ -16,10 +16,9 @@ import (
 // dropped connection, 5xx — gets the original batch's results back
 // instead of double-charging every user's privacy budget. The memory
 // rides the existing durability pipeline: the whole batch (step
-// records + idempotency record) is journaled as one checksummed record,
-// a base snapshot carries the whole memory and each delta record the
-// keys added since the previous one, so exactly-once holds across
-// crashes too — a torn journal tail drops a batch and its key together,
+// records + idempotency record) is journaled as one checksummed record
+// and a base snapshot carries the whole memory, so exactly-once holds
+// across crashes too — a torn journal tail drops a batch and its key together,
 // and a batch that survived keeps its key. Replayed responses are
 // reconstructed from the published history rather than stored, so an
 // entry costs O(key + batch length), not O(batch x domain).
@@ -55,14 +54,12 @@ func (e *idemRecord) lastT() int { return e.FirstT + len(e.Planned) - 1 }
 
 // idemCache is a FIFO of at most idemCacheSize idemRecords: a ring
 // (grown up to the bound, then overwritten oldest-first) plus a key
-// index into it. added counts the records put since the last delta
-// record took them (see additions). Not safe for concurrent use; the
-// owning session serializes access under stepMu.
+// index into it. Not safe for concurrent use; the owning session
+// serializes access under stepMu.
 type idemCache struct {
 	ring  []idemRecord
 	head  int // slot of the oldest record once the ring is full
 	byKey map[string]int
-	added int
 }
 
 // get returns the record for key. A hit does not refresh the key.
@@ -86,7 +83,6 @@ func (c *idemCache) put(rec idemRecord) {
 		c.ring[i] = rec
 		return
 	}
-	c.added++
 	if len(c.ring) < idemCacheSize {
 		c.byKey[rec.Key] = len(c.ring)
 		c.ring = append(c.ring, rec)
@@ -103,18 +99,6 @@ func (c *idemCache) put(rec idemRecord) {
 func (c *idemCache) entries() []idemRecord {
 	return c.newest(len(c.ring))
 }
-
-// additions returns the records put since the last markLogged,
-// oldest-first — what a delta record carries. Past the capacity only
-// the newest idemCacheSize matter: appending them to the previous
-// memory evicts everything older.
-func (c *idemCache) additions() []idemRecord {
-	return c.newest(min(c.added, len(c.ring)))
-}
-
-// markLogged notes that every record so far is on disk (a delta record
-// or a base carries it).
-func (c *idemCache) markLogged() { c.added = 0 }
 
 // newest returns the n most recent records, oldest-first.
 func (c *idemCache) newest(n int) []idemRecord {

@@ -106,21 +106,24 @@ func TestMigrateMovesSession(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, body)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		code, body = h.post(h.srvA.URL, "/v2/sessions/web/steps", `[{"values":[0,1],"eps":0.2}]`, nil)
 		if code != http.StatusOK {
 			t.Fatalf("steps: %d %s", code, body)
 		}
 	}
-	var before reportResponse
-	if code := h.get(h.srvA.URL, "/v2/sessions/web/report", &before); code != http.StatusOK {
-		t.Fatalf("report before: %d", code)
-	}
 	if code, body = h.post(h.srvA.URL, "/v2/sessions/web/snapshot", "", nil); code != http.StatusOK {
 		t.Fatalf("snapshot: %d %s", code, body)
 	}
-	if info, err := os.Stat(filepath.Join(h.stateDir, "web.delta")); err != nil || info.Size() == 0 {
-		t.Fatalf("no delta record before the migration (%v): the test does not cover the delta log", err)
+	if code, body = h.post(h.srvA.URL, "/v2/sessions/web/steps", `[{"values":[1,0],"eps":0.2}]`, nil); code != http.StatusOK {
+		t.Fatalf("steps: %d %s", code, body)
+	}
+	if info, err := os.Stat(filepath.Join(h.stateDir, "web.journal")); err != nil || info.Size() == 0 {
+		t.Fatalf("no journal record before the migration (%v): the test does not cover the journal", err)
+	}
+	var before reportResponse
+	if code := h.get(h.srvA.URL, "/v2/sessions/web/report", &before); code != http.StatusOK {
+		t.Fatalf("report before: %d", code)
 	}
 
 	code, body = h.post(h.srvA.URL, "/v2/sessions/web/migrate", `{"target":"`+h.srvB.URL+`"}`, nil)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -15,25 +16,27 @@ import (
 )
 
 // Durable accounting. With a store attached, every session's leakage
-// state survives process death: the registry writes an initial snapshot
-// at creation, appends one journal record per ingestion batch,
-// coalesces a snapshot every snapshotEvery steps, and on boot restores
-// every session from last-good-snapshot + delta log + replayed journal
-// tail. Restarting tplserved therefore cannot reset anyone's privacy
-// budget — which is the whole point of the accounting.
+// state survives process death: the registry writes a base snapshot at
+// creation, appends one journal record per ingestion batch, and on boot
+// restores every session from its base plus the journal folded on top.
+// Restarting tplserved therefore cannot reset anyone's privacy budget —
+// which is the whole point of the accounting.
 //
-// A coalesced snapshot is incremental: <name>.snap holds a full base,
-// and each later snapshot appends only what changed since the previous
-// one (a sessionDelta) to <name>.delta. When the delta log would grow
-// past the base, the next snapshot compacts instead — a fresh base,
-// then an emptied delta log — so the bytes written stay amortised O(1)
-// per step rather than O(T).
+// The journal is the incremental snapshot: <name>.snap holds a full
+// base, and <name>.journal everything released since. Only a
+// compaction — a fresh base, then an emptied journal — rewrites the
+// base, and one is due when at least snapshotEvery steps have passed
+// since the last and the journal has outgrown the base. So each batch
+// is written once, the bytes written stay amortised O(1) per step
+// rather than O(T), and a restore reads at most about twice the base.
+// <name>.delta, the incremental log earlier versions kept between
+// bases, is read on restore and removed by the next compaction.
 
 // Snapshot, delta-log and journal schema versions inside the persist
 // envelopes. Bump on any change to the encodings. Restore reads these
-// versions, plus snapshot v2 and delta v1 and v2, and refuses every
-// other one with a "not supported" error rather than guessing
-// (DESIGN.md §6).
+// versions, plus snapshot v2 and delta v1 and v2 (nothing writes delta
+// records any more), and refuses every other one with a "not
+// supported" error rather than guessing (DESIGN.md §6).
 //
 // A snapshot is a sessionState (config, server state, idempotency
 // entries): what the session released and the models it accounts
@@ -59,12 +62,10 @@ const (
 	deltaSchemaWholeIdem = 1
 )
 
-// defaultSnapshotEvery is the snapshot coalescing interval in steps. A
-// journal record costs O(domain) per step; a coalesced snapshot costs
-// O(domain·N) for the N steps since the previous one plus the
-// idempotency keys added since, with the O(users + domain·T) base
-// rewrite amortised over the deltas that outgrow it. Recovery replays
-// at most N journal steps behind the last snapshot.
+// defaultSnapshotEvery is the minimum number of steps between
+// compactions. A journal record costs O(domain) per step; a compaction
+// costs O(users + domain·T) and is only due once the journal outgrows
+// the base, so the interval matters only while the base is small.
 const defaultSnapshotEvery = 64
 
 // JournalSyncMode selects how journal appends reach stable storage.
@@ -134,9 +135,11 @@ func (r *Registry) SetJournalSync(mode JournalSyncMode, window time.Duration) er
 // rebuilt from it rather than serialized), the creation time, the full
 // server state, and the idempotency-key memory (oldest-first, so the
 // eviction order survives the restart). BaseID is a random nonzero tag
-// naming this base to the delta records layered on it; a migration
-// body, which has none, and every snapshot written before delta logs
-// existed decode it as zero (an additive field, added in schema v2).
+// naming this base to the delta records layered on it: each compaction
+// draws a fresh one, so records an older base left behind are skipped.
+// A migration body, which has none, and every snapshot written before
+// delta logs existed decode it as zero (an additive field, added in
+// schema v2).
 //
 //tplvet:wire v3 schema=8e65de803f9a
 type sessionState struct {
@@ -147,7 +150,8 @@ type sessionState struct {
 	BaseID     uint64
 }
 
-// sessionDelta is the body of a delta-log record: the base it extends,
+// sessionDelta is the body of a delta-log record (read, no longer
+// written): the base it extends,
 // what changed in the server since the previous snapshot, and the
 // idempotency records added since the previous snapshot, oldest-first
 // (at most idemCacheSize). Restore puts them, in order, on the memory
@@ -189,7 +193,8 @@ func gobDecode(data []byte, v any) error {
 
 // EnablePersistence attaches a snapshot store to the registry. Must be
 // called before any session exists (boot-time wiring, not a runtime
-// toggle); snapshotEvery <= 0 selects the default interval.
+// toggle). snapshotEvery is the minimum number of steps between
+// compactions; <= 0 selects the default.
 func (r *Registry) EnablePersistence(store *persist.Store, snapshotEvery int) error {
 	if snapshotEvery <= 0 {
 		snapshotEvery = defaultSnapshotEvery
@@ -211,140 +216,51 @@ func (r *Registry) Store() *persist.Store {
 	return r.store
 }
 
-// snapEvery returns the configured snapshot coalescing interval.
+// snapEvery returns the configured minimum steps between compactions.
 func (r *Registry) snapEvery() int {
 	r.pmu.Lock()
 	defer r.pmu.Unlock()
 	return r.snapshotEvery
 }
 
-// noCursor is Session.cursor when no base + delta log on disk is known
-// to hold exactly the session's state up to a step: the next snapshot
-// compacts.
-const noCursor = -1
-
-// initPersistenceLocked opens the session's journal (and its delta log,
-// when restore left a cursor to extend) and writes its first snapshot,
-// which also truncates whatever the journal held. Behind a clean delta
-// log a restored session's snapshot is one more delta record; otherwise
-// it is a compaction that empties the delta log of whatever a crash left
-// (a torn final record). Without it, the logs would reopen in append
-// mode behind that debris — and since replay stops at the first
+// initPersistenceLocked opens the session's journal. A new session then
+// writes its base, which also truncates whatever the journal held. A
+// recovered session writes nothing when its journal ended cleanly: the
+// base and the journal already hold its state, and new records append
+// behind them. Behind a torn final record the journal is cut back to
+// its last verified record first — since replay stops at the first
 // unverifiable record, everything appended after it would be lost to
-// the next crash. For a recovered session a failed snapshot is latched,
-// not returned: its files already hold its state, and persistBatch
-// retries the snapshot instead of appending. Caller holds s.stepMu.
+// the next crash. For a recovered session a failed cut is latched, not
+// returned: its files already hold its state, and persistBatch compacts
+// instead of appending. Caller holds s.stepMu.
 func (s *Session) initPersistenceLocked(recovered bool) error {
 	j, err := s.store.OpenJournal(s.name)
 	if err != nil {
 		return err
 	}
 	s.journal = j
-	if s.cursor != noCursor {
-		if s.deltaLog, err = s.store.OpenDeltaLog(s.name); err != nil {
-			s.cursor = noCursor // the snapshot compacts, which reopens the log
-		}
+	if !recovered {
+		return s.snapshotLocked()
 	}
-	if err := s.snapshotLocked(); err != nil {
-		if !recovered {
-			return err
+	if s.replayed.Torn {
+		if err := j.TruncateTo(s.replayed.End); err != nil {
+			s.journalBad = true
+			s.latchPersistErr(err)
 		}
-		s.journalBad = true
-		s.latchPersistErr(err)
 	}
 	return nil
 }
 
-// snapshotLocked makes the session's current state durable — as a delta
-// record when the delta log can take one, otherwise as a compaction —
-// then resets the journal (state first, reset second: a crash between
-// the two leaves journal records the snapshot already covers, which
-// replay skips by step index). A successful snapshot also heals a
-// poisoned journal — the reset truncates whatever partial record a
-// failed append left behind. Caller holds s.stepMu.
-func (s *Session) snapshotLocked() error {
-	if err := s.writeStateLocked(); err != nil {
-		return err
-	}
-	if s.journal != nil {
-		if err := s.journal.Reset(); err != nil {
-			return err
-		}
-	}
-	s.journalBad = false
-	s.persistMu.Lock()
-	s.lastSnapT = s.cursor
-	s.lastSnapAt = s.now()
-	s.journalRecords = 0
-	s.persistErr = nil
-	s.persistMu.Unlock()
-	return nil
-}
-
-// writeStateLocked appends what changed since the last snapshot to the
-// delta log (append, then fsync): the server's new steps and the
-// idempotency keys added since. It compacts instead when there is no
-// cursor (first snapshot, after restore, or after a failed write) or
-// when the delta log would outgrow the base, counted by deltaCost. A
-// failed append drops the cursor and the log's handle, so the next
-// snapshot compacts past whatever partial record it left, through a
-// freshly opened file (a retried write or fsync on a handle that
-// already failed can claim success for data the kernel dropped); the
-// compaction writes the whole idempotency memory, so no addition the
-// failed record held is lost. Caller holds s.stepMu.
-func (s *Session) writeStateLocked() error {
-	if s.cursor == noCursor {
-		return s.compactLocked()
-	}
-	d := s.srv.SnapshotDelta(s.cursor)
-	adds := s.idem.additions()
-	body, err := gobEncode(sessionDelta{BaseID: s.baseID, Server: d, Idem: adds})
-	if err != nil {
-		return fmt.Errorf("service: encoding snapshot delta: %w", err)
-	}
-	cost := deltaCost(body, adds)
-	if s.deltaBytes+cost > s.baseBytes {
-		return s.compactLocked()
-	}
-	err = s.deltaLog.Append(deltaSchemaVersion, body)
-	if err == nil {
-		err = s.deltaLog.Sync()
-	}
-	if err != nil {
-		s.dropDeltaLogLocked()
-		return fmt.Errorf("service: appending snapshot delta at step %d: %w", d.ToT, err)
-	}
-	s.cursor = d.ToT
-	s.deltaBytes += cost
-	s.idem.markLogged()
-	return nil
-}
-
-// deltaCost is what a delta record counts toward compaction: its bytes
-// less those of its idempotency additions. Compaction bounds the bytes
-// written and the bytes a restore reads to amortised O(1) per step;
-// the additions are at most one per batch, so they are within that
-// bound already, and counting them would only make a session that keys
-// its batches compact sooner than one that does not.
-func deltaCost(body []byte, adds []idemRecord) int {
-	if len(adds) == 0 {
-		return len(body)
-	}
-	enc, err := gobEncode(adds)
-	if err != nil {
-		return len(body)
-	}
-	return max(len(body)-len(enc), 0)
-}
-
-// compactLocked writes a fresh base under a new BaseID and empties the
-// delta log (base first, truncate second: a crash between the two
-// leaves delta records the base already covers, which restore skips
-// because they name an earlier base). The cursor is set only once both
-// landed, so any failure leaves the next snapshot to compact again.
+// snapshotLocked compacts: it writes the session's whole state as a
+// fresh base under a new BaseID, then empties the journal (base first,
+// truncate second: a crash between the two leaves journal records the
+// base already covers, which restore skips by step index). A restored
+// session's first compaction also removes the delta log an earlier
+// version may have left, whose records the new BaseID already
+// disowns. A successful compaction also heals a poisoned journal — the
+// truncate drops whatever partial record a failed append left behind.
 // Caller holds s.stepMu.
-func (s *Session) compactLocked() error {
-	s.cursor = noCursor
+func (s *Session) snapshotLocked() error {
 	id, err := newBaseID()
 	if err != nil {
 		return err
@@ -357,17 +273,25 @@ func (s *Session) compactLocked() error {
 	if err := s.store.SaveSnapshot(s.name, sessionSchemaVersion, body); err != nil {
 		return err
 	}
-	if s.deltaLog == nil {
-		if s.deltaLog, err = s.store.OpenDeltaLog(s.name); err != nil {
+	if s.recovered {
+		if err := s.store.RemoveDeltaLog(s.name); err != nil {
+			return err
+		}
+		s.recovered = false
+	}
+	if s.journal != nil {
+		if err := s.journal.Reset(); err != nil {
 			return err
 		}
 	}
-	if err := s.deltaLog.Reset(); err != nil {
-		s.dropDeltaLogLocked()
-		return err
-	}
-	s.cursor, s.baseID, s.baseBytes, s.deltaBytes = st.T(), id, len(body), 0
-	s.idem.markLogged() // the base holds the whole memory
+	s.journalBad = false
+	s.baseBytes, s.logBytes = len(body), 0
+	s.persistMu.Lock()
+	s.lastSnapT = st.T()
+	s.lastSnapAt = s.now()
+	s.journalRecords = 0
+	s.persistErr = nil
+	s.persistMu.Unlock()
 	return nil
 }
 
@@ -384,14 +308,6 @@ func newBaseID() (uint64, error) {
 			return uint64(seed), nil
 		}
 	}
-}
-
-// dropDeltaLogLocked closes the delta log after a failed write and
-// drops the cursor, so the next snapshot compacts and reopens the log.
-// Caller holds s.stepMu.
-func (s *Session) dropDeltaLogLocked() {
-	s.deltaLog.Close()
-	s.deltaLog, s.cursor = nil, noCursor
 }
 
 // encodeStateLocked gob-encodes the session's full portable state (the
@@ -414,8 +330,9 @@ func (s *Session) latchPersistErr(err error) {
 }
 
 // persistBatch journals one just-landed ingestion batch (with its
-// optional idempotency record) as a single checksummed journal record
-// and coalesces a snapshot every snapshotEvery steps. Persist failures
+// optional idempotency record) as a single checksummed journal record,
+// and compacts once at least snapshotEvery steps have passed since the
+// last base and the journal's bytes exceed the base's. Persist failures
 // never fail the batch — the in-memory accounting is already correct —
 // but they are latched into the session's health so operators see
 // durability degrade instead of discovering it at the next crash.
@@ -423,11 +340,10 @@ func (s *Session) latchPersistErr(err error) {
 // A failed append may leave a partial record on disk, and nothing
 // appended after such a poisoned tail is reachable by replay (recovery
 // stops at the first unverifiable record). So after an append failure
-// the session stops journaling and instead tries to resnapshot on
-// every step until one succeeds, which truncates the poisoned tail and
-// restores durability — and the snapshot carries the idempotency
-// memory, so exactly-once survives the degradation too. Caller holds
-// s.stepMu.
+// the session stops journaling and instead tries to compact on every
+// step until one succeeds, which truncates the poisoned tail and
+// restores durability — and the base carries the idempotency memory,
+// so exactly-once survives the degradation too. Caller holds s.stepMu.
 func (s *Session) persistBatch(results []stream.StepResult, idem *idemRecord) {
 	if s.journal == nil {
 		return
@@ -436,7 +352,7 @@ func (s *Session) persistBatch(results []stream.StepResult, idem *idemRecord) {
 		if err := s.snapshotLocked(); err != nil {
 			s.latchPersistErr(err)
 		}
-		return // on success the snapshot covers this batch
+		return // on success the base covers this batch
 	}
 	rec := batchRecord{Steps: make([]stream.StepRecord, len(results)), Idem: idem}
 	for i, r := range results {
@@ -455,11 +371,12 @@ func (s *Session) persistBatch(results []stream.StepResult, idem *idemRecord) {
 		}
 		return
 	}
+	s.logBytes += len(body)
 	s.persistMu.Lock()
 	s.journalRecords += len(results)
-	snapDue := lastT-s.lastSnapT >= s.snapshotEvery
+	due := lastT-s.lastSnapT >= s.snapshotEvery && s.logBytes > s.baseBytes
 	s.persistMu.Unlock()
-	if snapDue {
+	if due {
 		if err := s.snapshotLocked(); err != nil {
 			s.latchPersistErr(err)
 		}
@@ -556,21 +473,13 @@ func (s *Session) closePersistenceLocked() error {
 	return err
 }
 
-// closeLogsLocked closes the journal and the delta log. Caller holds
-// s.stepMu.
+// closeLogsLocked closes the journal. Caller holds s.stepMu.
 func (s *Session) closeLogsLocked() error {
 	var err error
 	if s.journal != nil {
 		err = s.journal.Close()
 		s.journal = nil
 	}
-	if s.deltaLog != nil {
-		if cerr := s.deltaLog.Close(); err == nil {
-			err = cerr
-		}
-		s.deltaLog = nil
-	}
-	s.cursor = noCursor
 	return err
 }
 
@@ -587,12 +496,13 @@ func (s *Session) detachPersistenceLocked() *persist.Store {
 }
 
 // RestoreAll rebuilds every session found in the attached store: for
-// each, the last good snapshot is loaded and verified, the delta log
-// layered on it, the plan and noise mode are rebuilt from the stored
-// config, the compiled leakage engines are re-attached by content
-// through the registry's shared model cache, the accountants are
-// recharged with the stored budgets, and the journal tail is replayed
-// on top. A session that cannot be restored is skipped with
+// each, the last good snapshot is loaded and verified, any delta log
+// and then the journal are folded into it, the plan and noise mode are
+// rebuilt from the stored config, the compiled leakage engines are
+// re-attached by content through the registry's shared model cache, and
+// the accountants are charged the whole history at once. A restore
+// writes nothing unless the journal ends in a torn record, which is cut
+// off. A session that cannot be restored is skipped with
 // its error reported — its files stay on disk for inspection — so one
 // corrupt tenant cannot keep the rest of the fleet down.
 //
@@ -677,13 +587,33 @@ func (r *Registry) RestoreAll() (restored []string, failed map[string]error) {
 		}
 		restored = append(restored, name)
 	}
-	// Decoding every snapshot at once peaks the heap far above what the
-	// restored sessions keep; hand that back now rather than carrying it
-	// into serving, as Delete does.
 	if len(restored) > 0 {
-		debug.FreeOSMemory()
+		returnRestoreGarbage()
 	}
 	return restored, failed
+}
+
+// returnRestoreGarbage hands the heap a restore leaves behind back to
+// the OS when that pays. Decoding several snapshots at once can peak
+// the heap far above what the restored sessions keep; but serving grows
+// the heap back to the collector's goal (twice the live heap at the
+// default GOGC), so releasing memory below the goal only makes the
+// first requests fault it back in. After one collection, which measures
+// the live heap, the memory is returned only when the heap holds more
+// than that goal.
+func returnRestoreGarbage() {
+	runtime.GC()
+	s := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/memory/classes/heap/free:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+	}
+	metrics.Read(s)
+	held := s[0].Value.Uint64() + s[1].Value.Uint64() + s[2].Value.Uint64()
+	if held > s[3].Value.Uint64() {
+		debug.FreeOSMemory()
+	}
 }
 
 // decodeSessionState verifies a snapshot envelope body and decodes the
@@ -748,24 +678,22 @@ func (s *Session) adoptIdem(recs []idemRecord) {
 	}
 }
 
-// applyDeltaLog layers the session's delta log onto a decoded base.
-// Records naming an earlier base are already covered by this one (a
-// crash between a compaction's rename and its truncate leaves them) and
-// are skipped — by BaseID, since a record that added no step has the
-// same FromT/ToT whichever side of the compaction wrote it. Every other
-// record must continue the state exactly (FromT at the state's step),
-// or the restore fails; its idempotency records are put on the memory
-// in order (a v1 record's replace it). Records of every version decode
-// the same way: gob skips the leakage series v1 and v2 records store.
-// A torn final record ends the log cleanly — the journal was not reset
-// past it, so it still holds those steps — but damage followed by more
-// records fails the session loudly rather than silently restoring a
-// shorter history.
-//
-// It reports what the log's records count toward compaction (deltaCost;
-// a v1 record counts whole) and whether it ended on a record boundary:
-// only then can new records be appended behind it.
-func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logBytes int, clean bool, err error) {
+// applyDeltaLog layers the delta log an earlier version may have left
+// onto a decoded base. Records naming an earlier base are already
+// covered by this one (a crash between a compaction's rename and the
+// log's removal leaves them) and are skipped — by BaseID, since a
+// record that added no step has the same FromT/ToT whichever side of
+// the compaction wrote it. Every other record must continue the state
+// exactly (FromT at the state's step), or the restore fails; its
+// idempotency records are put on the memory in order (a v1 record's
+// replace it). Records of every version decode the same way: gob skips
+// the leakage series v1 and v2 records store. A torn final record ends
+// the log cleanly — the journal was not reset past it, so it still
+// holds those steps — but damage followed by more records fails the
+// session loudly rather than silently restoring a shorter history. It
+// reports the bytes of the records read, which count toward the next
+// compaction like journal bytes.
+func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logBytes int, err error) {
 	var mem idemCache
 	for _, rec := range st.Idem {
 		mem.put(rec)
@@ -781,11 +709,7 @@ func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logByte
 		if rec.Server == nil {
 			return fmt.Errorf("service: snapshot delta has no server state")
 		}
-		if version == deltaSchemaWholeIdem {
-			logBytes += len(body)
-		} else {
-			logBytes += deltaCost(body, rec.Idem)
-		}
+		logBytes += len(body)
 		if rec.BaseID != st.BaseID {
 			return nil
 		}
@@ -801,19 +725,59 @@ func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logByte
 		return nil
 	})
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if res.Corrupt {
-		return 0, false, fmt.Errorf("service: delta log is damaged after %d intact records", res.Records)
+		return 0, fmt.Errorf("service: delta log is damaged after %d intact records", res.Records)
 	}
 	st.Idem = mem.entries()
-	return logBytes, !res.Torn, nil
+	return logBytes, nil
 }
 
-// loadSession loads, verifies and replays one session from the store,
-// ready for admit. It changes no registry state (the shared model cache
-// aside, which is safe for concurrent use), so RestoreAll runs it for
-// several sessions at once.
+// foldJournal folds the session's journal into a decoded base, one
+// batch record (steps + idempotency record) at a time, and returns the
+// idempotency records to layer over the base's memory, in journal
+// order. Records at or before the base are expected (a crash between a
+// compaction's base and its journal truncate) and skipped, their key
+// with them: the base's memory already accounts for it, evicted or not.
+// A gap or a schema mismatch beyond it fails the session, and so does
+// damage followed by more records; a torn final record ends the journal
+// (res reports where, for admit to cut it off).
+func foldJournal(store *persist.Store, name string, st *sessionState) (tail []idemRecord, res persist.ReplayResult, logBytes int, err error) {
+	baseT := st.Server.T()
+	res, err = store.ReplayJournal(name, func(version uint32, body []byte) error {
+		if version != batchSchemaVersion {
+			return fmt.Errorf("service: journal schema version %d not supported (want %d)", version, batchSchemaVersion)
+		}
+		var rec batchRecord
+		if err := gobDecode(body, &rec); err != nil {
+			return fmt.Errorf("service: decoding journal batch record: %w", err)
+		}
+		logBytes += len(body)
+		for _, step := range rec.Steps {
+			if step.T <= baseT {
+				continue
+			}
+			if err := st.Server.AppendStep(step); err != nil {
+				return err
+			}
+		}
+		if rec.Idem != nil && rec.Idem.FirstT > baseT {
+			tail = append(tail, *rec.Idem)
+		}
+		return nil
+	})
+	if err == nil && res.Corrupt {
+		err = fmt.Errorf("service: journal is damaged after %d intact records", res.Records)
+	}
+	return tail, res, logBytes, err
+}
+
+// loadSession loads, verifies and folds one session from the store,
+// ready for admit: base, delta log and journal make one state, which
+// one RestoreServer charges. It changes no registry state and writes
+// nothing (the shared model cache aside, which is safe for concurrent
+// use), so RestoreAll runs it for several sessions at once.
 func (r *Registry) loadSession(store *persist.Store, name string) (*Session, error) {
 	version, body, err := store.LoadSnapshot(name)
 	if err != nil {
@@ -823,7 +787,12 @@ func (r *Registry) loadSession(store *persist.Store, name string) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	logBytes, clean, err := applyDeltaLog(store, name, &st)
+	deltaBytes, err := applyDeltaLog(store, name, &st)
+	if err != nil {
+		return nil, err
+	}
+	baseT := st.Server.T()
+	idemTail, res, journalBytes, err := foldJournal(store, name, &st)
 	if err != nil {
 		return nil, err
 	}
@@ -834,60 +803,15 @@ func (r *Registry) loadSession(store *persist.Store, name string) (*Session, err
 	if s.name != name {
 		return nil, fmt.Errorf("service: snapshot file %q holds config for session %q", name, s.name)
 	}
-	snapT := s.srv.T()
-	// When the delta log ended cleanly, what is on disk is exactly the
-	// state restored so far, and new deltas can extend it; otherwise (a
-	// torn tail, or a base from before delta logs) the first snapshot
-	// compacts.
-	if clean && st.BaseID != 0 {
-		s.cursor = snapT
-	}
-	// Replay the journal tail, one batch record (steps + idempotency
-	// record) at a time. Records at or before the snapshot are expected
-	// (crash between snapshot and journal reset) and skipped, their key
-	// with them: the snapshot's memory already accounts for it, evicted
-	// or not. Gaps or schema mismatches beyond it fail the session.
-	// Idempotency records are collected in journal order and layered
-	// over the snapshot's entries below.
-	var idemTail []idemRecord
-	replayedSteps := 0
-	_, err = store.ReplayJournal(name, func(version uint32, body []byte) error {
-		if version != batchSchemaVersion {
-			return fmt.Errorf("service: journal schema version %d not supported (want %d)", version, batchSchemaVersion)
-		}
-		var rec batchRecord
-		if err := gobDecode(body, &rec); err != nil {
-			return fmt.Errorf("service: decoding journal batch record: %w", err)
-		}
-		for _, step := range rec.Steps {
-			if step.T <= snapT {
-				continue
-			}
-			replayedSteps++
-			if err := s.srv.ApplyStep(step); err != nil {
-				return err
-			}
-		}
-		if rec.Idem != nil && rec.Idem.FirstT > snapT {
-			idemTail = append(idemTail, *rec.Idem)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// What the files hold is logged; the journal's keys are additions
-	// the next delta record must carry.
 	s.adoptIdem(st.Idem)
-	s.idem.markLogged()
 	s.adoptIdem(idemTail)
-	// The health bookkeeping describes the files as found, until the
-	// post-recovery snapshot admit writes replaces them.
-	s.lastSnapT, s.lastSnapAt, s.journalRecords = snapT, r.now(), replayedSteps
+	s.recovered, s.replayed = true, res
+	s.baseBytes, s.logBytes = len(body), deltaBytes+journalBytes
+	// The health bookkeeping describes the files as found.
+	s.lastSnapT, s.lastSnapAt, s.journalRecords = baseT, r.now(), s.srv.T()-baseT
 	if mod, _, err := store.SnapshotStat(name); err == nil {
 		s.lastSnapAt = mod
 	}
-	s.baseID, s.baseBytes, s.deltaBytes = st.BaseID, len(body), logBytes
 	return s, nil
 }
 
@@ -924,11 +848,11 @@ type PersistenceHealth struct {
 	Mode string `json:"mode"`
 	// StateDir is the snapshot directory (durable mode only).
 	StateDir string `json:"state_dir,omitempty"`
-	// SnapshotEvery is the coalescing interval in steps.
+	// SnapshotEvery is the minimum number of steps between compactions.
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
-	// LastSnapshotAgeSeconds is the age of the *stalest* session
-	// snapshot — the worst-case recovery window. Omitted when no
-	// session exists.
+	// LastSnapshotAgeSeconds is the age of the *stalest* session base
+	// (its last compaction): everything since is in its journal, which a
+	// restore folds. Omitted when no session exists.
 	LastSnapshotAgeSeconds *float64 `json:"last_snapshot_age_seconds,omitempty"`
 	// SessionsWithErrors counts sessions whose last persist attempt
 	// failed (non-zero means durability is degraded).

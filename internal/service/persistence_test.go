@@ -634,8 +634,8 @@ func TestPersistenceHealthStaleness(t *testing.T) {
 
 // TestDoubleCrashWithTornTail is the regression test for the
 // append-after-torn-tail hole: crash #1 tears the journal's final
-// record; the restored process must bake the replayed tail into a
-// fresh snapshot before appending, so steps served after recovery
+// record; the restored process must cut the journal back to its last
+// verified record before appending, so steps served after recovery
 // survive crash #2 instead of being stranded behind the torn record.
 func TestDoubleCrashWithTornTail(t *testing.T) {
 	dir := t.TempDir()
@@ -667,8 +667,11 @@ func TestDoubleCrashWithTornTail(t *testing.T) {
 	if s2.Server().T() != 4 {
 		t.Fatalf("after torn-tail recovery T=%d, want 4 (intact records)", s2.Server().T())
 	}
-	if info := s2.persistInfo(); info.LastSnapshotT != 4 || info.JournalRecords != 0 || info.Error != "" {
-		t.Fatalf("recovery must resnapshot and reset the journal: %+v", info)
+	if info := s2.persistInfo(); info.LastSnapshotT != 0 || info.JournalRecords != 4 || info.Error != "" {
+		t.Fatalf("recovery must keep the base and the four intact records: %+v", info)
+	}
+	if after, err := os.ReadFile(jpath); err != nil || len(recordEnds(t, after)) != 4 || !strings.HasPrefix(string(raw), string(after)) {
+		t.Fatalf("recovery must truncate the journal to its four intact records (%v)", err)
 	}
 	stepSession(t, s2, rand.New(rand.NewSource(5)), 3)
 
@@ -690,7 +693,7 @@ func TestDoubleCrashWithTornTail(t *testing.T) {
 
 // TestRestoreConcurrentMatchesSerial restores the same eight sessions
 // with one loader and with eight at a time. One session has a damaged
-// middle delta record, one lies behind a migration tombstone, and the
+// middle journal record, one lies behind a migration tombstone, and the
 // user ceiling fits every healthy session but the last in List() order.
 // Both restores must restore and fail the same sessions with the same
 // errors, in the same order; every restored session must match an
@@ -725,7 +728,7 @@ func TestRestoreConcurrentMatchesSerial(t *testing.T) {
 			}
 			last[name] = batch{key, steps}
 		}
-		// A base of a few hundred steps, four delta records and a keyed
+		// A base of a few hundred steps, four compactions and a keyed
 		// journal tail.
 		for i := 0; i < 40; i++ {
 			collect("", randomBatch(rng, 5, 16))
@@ -743,13 +746,12 @@ func TestRestoreConcurrentMatchesSerial(t *testing.T) {
 		collect(name+"-tail0", randomBatch(rng, 5, 4))
 		collect(name+"-tail1", randomBatch(rng, 5, 4))
 	}
-	log := readStateFile(t, dir, "r2.delta")
-	if ends := deltaRecordEnds(t, log); len(ends) != 4 {
-		t.Fatalf("r2 has %d delta records, want 4", len(ends))
-	} else {
-		log[ends[0]+60] ^= 0xFF // a body byte of the second record
+	log := readStateFile(t, dir, "r2.journal")
+	if ends := recordEnds(t, log); len(ends) != 2 {
+		t.Fatalf("r2 has %d journal records, want 2", len(ends))
 	}
-	writeStateFile(t, dir, "r2.delta", log)
+	log[60] ^= 0xFF // a body byte of the first record
+	writeStateFile(t, dir, "r2.journal", log)
 	const owner = "http://shard-b:8344"
 	if err := r.Store().SaveTombstone("r4", owner); err != nil {
 		t.Fatal(err)
@@ -771,7 +773,7 @@ func TestRestoreConcurrentMatchesSerial(t *testing.T) {
 	if len(failed) != 2 || len(serialFailed) != 2 {
 		t.Fatalf("failed %v concurrently and %v one at a time, want r2 and r7", failed, serialFailed)
 	}
-	for name, want := range map[string]string{"r2": "delta log is damaged", "r7": "capacity"} {
+	for name, want := range map[string]string{"r2": "journal is damaged", "r7": "capacity"} {
 		err, serr := failed[name], serialFailed[name]
 		if err == nil || serr == nil || err.Error() != serr.Error() || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: failed with %v concurrently and %v one at a time, want %q", name, err, serr, want)

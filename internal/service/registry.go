@@ -58,21 +58,22 @@ type Session struct {
 	stepMu        sync.Mutex
 	store         *persist.Store
 	journal       *persist.Journal
-	journalBad    bool   // a failed append poisoned the tail; stop appending until a snapshot resets it
+	journalBad    bool   // a failed append poisoned the tail; stop appending until a compaction resets it
 	cfgJSON       []byte // the creating config, for restore-time rebuilds
 	snapshotEvery int
 	syncMode      JournalSyncMode         // how appends reach stable storage
 	committer     *persist.GroupCommitter // shared group-commit leader (JournalSyncGroup)
 
-	// The delta log and what the snapshot files hold (guarded by stepMu;
-	// see writeStateLocked): cursor is the step count base + delta log
-	// cover (noCursor: the next snapshot compacts); baseID and baseBytes
-	// describe the base, deltaBytes the delta-log records appended since.
-	deltaLog   *persist.Journal
-	cursor     int
-	baseID     uint64
-	baseBytes  int
-	deltaBytes int // deltaCost of the records, not their raw size
+	// What the files hold (guarded by stepMu; see snapshotLocked):
+	// baseBytes is the base's size, logBytes what was logged behind it
+	// (journal records, and the delta log of a restored session), which
+	// compaction weighs against it. A restored session carries what its
+	// journal replay found, for admit to cut off a torn tail, and removes
+	// any delta log at its first compaction (recovered).
+	baseBytes int
+	logBytes  int
+	recovered bool
+	replayed  persist.ReplayResult
 
 	// persistMu guards only the bookkeeping below, so health and
 	// summary reads never block behind an in-flight collect or an
@@ -354,7 +355,6 @@ func (r *Registry) newSession(cfg *SessionConfig, cfgJSON []byte, created time.T
 		snapshotEvery: r.snapshotEvery,
 		syncMode:      r.syncMode,
 		committer:     r.committer,
-		cursor:        noCursor,
 	}
 }
 

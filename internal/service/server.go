@@ -30,7 +30,7 @@ type Options struct {
 	// state is snapshotted and journaled there, and every session found
 	// there is restored at construction.
 	StateDir string
-	// SnapshotEvery is the snapshot coalescing interval in steps
+	// SnapshotEvery is the minimum number of steps between compactions
 	// (<= 0 selects the default).
 	SnapshotEvery int
 	// JournalSync selects the journal durability mode ("none", "group"

@@ -4,23 +4,23 @@ import (
 	"repro/internal/core"
 )
 
-// Incremental capture. A Server's durable state grows with T — the
+// Incremental state. A Server's durable state grows with T — the
 // budgets and the published rows — so re-capturing all of it at every
-// checkpoint costs O(T) each time and O(T²) over a session's life. A
-// ServerDelta carries only what changed since an earlier capture, and
-// ServerState.Extend layers it back on: state(t₀) ⊕ delta(t₀ → t₁)
-// equals Snapshot() at t₁ exactly.
+// checkpoint would cost O(T) each time. Durable state is a full
+// ServerState (a base) plus what happened since, which the state takes
+// back in place: AppendStep folds one journaled step onto it, and
+// Extend layers on a ServerDelta, the incremental record earlier
+// versions wrote between bases. Either way RestoreServer then charges
+// the whole history once.
 //
 // What never changes after construction — domain, users, the cohort
-// map, the cohorts' chains — is not in a delta. Since a snapshot stores
-// no leakage series, a capture's cursor is just its step count: the
-// delta from step t₀ is the steps after t₀ plus the small mutable state
-// a capture replaces whole.
+// map, the cohorts' chains — is in neither.
 
-// ServerDelta is what changed in a Server between two captures: steps
-// FromT+1..ToT (budgets and published rows) and the small mutable state
-// a capture replaces whole (noise position, plan position and the
-// setter-controlled scalars).
+// ServerDelta is the incremental record earlier versions wrote between
+// bases, read and no longer written: what changed in a Server between
+// two captures, steps FromT+1..ToT (budgets and published rows) and the
+// small mutable state a capture replaced whole (noise position, plan
+// position and the setter-controlled scalars).
 //
 //tplvet:wire v2 schema=49a013e32f82
 type ServerDelta struct {
@@ -32,31 +32,6 @@ type ServerDelta struct {
 	HasPlan     bool
 	PlanBase    int
 	RNG         NoiseState
-}
-
-// SnapshotDelta captures what changed since the capture that covered
-// the first fromT steps (a Snapshot's T(), or an earlier delta's ToT),
-// under the same lock Snapshot takes. It copies only the rows from
-// fromT onward; its ToT is the cursor the next delta extends from.
-func (s *Server) SnapshotDelta(fromT int) *ServerDelta {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	T := s.budgets.Len()
-	d := &ServerDelta{
-		FromT:       fromT,
-		ToT:         T,
-		Budgets:     s.budgets.AppendRange(nil, fromT, T),
-		Published:   make([][]float64, 0, T-fromT),
-		Sensitivity: s.sensitivity,
-		Noise:       int(s.noise),
-		HasPlan:     s.plan != nil,
-		PlanBase:    s.planBase,
-		RNG:         s.noiseStateLocked(),
-	}
-	for t := fromT; t < T; t++ {
-		d.Published = append(d.Published, append([]float64(nil), s.published.At(t)...))
-	}
-	return d
 }
 
 // Extend layers a delta onto the state in place, reusing its slices'
@@ -91,5 +66,21 @@ func (st *ServerState) Extend(d *ServerDelta) error {
 	st.Published = append(st.Published, d.Published...)
 	st.Sensitivity, st.Noise = d.Sensitivity, d.Noise
 	st.HasPlan, st.PlanBase, st.RNG = d.HasPlan, d.PlanBase, d.RNG
+	return nil
+}
+
+// AppendStep folds one journal record onto the state in place: its
+// budget and published row, and the noise position if it is further
+// along. The record must continue the state exactly (T == T()+1); a gap
+// or an overlap is rejected with ErrBadServerState and leaves st
+// untouched. Budgets and row widths are checked by RestoreServer's
+// validation, as for any snapshot.
+func (st *ServerState) AppendStep(rec StepRecord) error {
+	if rec.T != st.T()+1 {
+		return badState("step record for t=%d but the state ends at t=%d", rec.T, st.T())
+	}
+	st.Budgets = append(st.Budgets, rec.Eps)
+	st.Published = append(st.Published, rec.Published)
+	st.RNG.Draws = max(st.RNG.Draws, rec.NoiseDraws)
 	return nil
 }

@@ -32,6 +32,24 @@ func deltaServer(t *testing.T) *Server {
 	return s
 }
 
+// snapshotDelta builds the delta from step fromT to the server's T out
+// of a full Snapshot: the incremental record earlier versions wrote
+// between bases, which Extend still reads.
+func snapshotDelta(s *Server, fromT int) *ServerDelta {
+	st := s.Snapshot()
+	return &ServerDelta{
+		FromT:       fromT,
+		ToT:         st.T(),
+		Budgets:     st.Budgets[fromT:],
+		Published:   st.Published[fromT:],
+		Sensitivity: st.Sensitivity,
+		Noise:       st.Noise,
+		HasPlan:     st.HasPlan,
+		PlanBase:    st.PlanBase,
+		RNG:         st.RNG,
+	}
+}
+
 // roundTripGob pushes v through gob into out, as the service persists
 // every delta.
 func roundTripGob(t *testing.T, v, out any) {
@@ -77,7 +95,7 @@ func TestSnapshotDeltaExtendsToSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d := s.SnapshotDelta(cur)
+		d := snapshotDelta(s, cur)
 		var back ServerDelta
 		roundTripGob(t, d, &back)
 		if err := st.Extend(&back); err != nil {
@@ -95,34 +113,64 @@ func TestSnapshotDeltaExtendsToSnapshot(t *testing.T) {
 	mustAgree(t, s, restored, []int{0, 1, 2, 3, 4})
 }
 
-// TestSnapshotDeltaCopiesOnlyChanges: a delta holds the new steps, not
-// the history, and reads between captures add nothing to it.
-func TestSnapshotDeltaCopiesOnlyChanges(t *testing.T) {
+// TestAppendStepFoldsJournal: a base with every later step's journal
+// record folded on — each pushed through gob, as the service journals
+// them — equals Snapshot() exactly, noise position included, and
+// restores to a server that answers like the live one. A record that
+// does not continue the state is refused and leaves it untouched.
+func TestAppendStepFoldsJournal(t *testing.T) {
 	s := deltaServer(t)
+	s.SetNoiseSeed(17)
 	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 200; i++ {
-		if _, err := s.Collect(stepValues(rng, s.Users(), s.Domain()), 0.1); err != nil {
+	var journal []StepRecord
+	collect := func(n int) {
+		t.Helper()
+		steps := make([]BatchStep, n)
+		for i := range steps {
+			steps[i].Values = stepValues(rng, s.Users(), s.Domain())
+			if rng.Intn(2) == 0 {
+				eps := 0.05 + 0.1*rng.Float64()
+				steps[i].Eps = &eps
+			}
+		}
+		res, err := s.CollectBatch(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			var rec StepRecord
+			roundTripGob(t, StepRecord{T: r.T, Eps: r.Eps, Published: r.Published, NoiseDraws: r.Draws}, &rec)
+			journal = append(journal, rec)
+		}
+	}
+	collect(7)
+	base := s.Snapshot()
+	journal = journal[:0]
+	for i := 0; i < 30; i++ {
+		collect(1 + rng.Intn(4))
+	}
+	st := snapshotRoundTrip(t, base)
+	for _, rec := range journal {
+		if err := st.AppendStep(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Report(); err != nil {
+	if want := s.Snapshot(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("base ⊕ journal differs from Snapshot() at T=%d", want.T())
+	}
+	restored, err := RestoreServer(st, RestoreOptions{Plan: s.plan})
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := s.SnapshotDelta(s.Snapshot().T())
-	if d.FromT != 200 || d.ToT != 200 || len(d.Budgets) != 0 || len(d.Published) != 0 {
-		t.Fatalf("idle delta covers %d..%d with %d budgets, %d rows", d.FromT, d.ToT, len(d.Budgets), len(d.Published))
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := s.Collect(stepValues(rng, s.Users(), s.Domain()), 0.1); err != nil {
-			t.Fatal(err)
+	mustAgree(t, s, restored, []int{0, 1, 2, 3, 4})
+	for name, rec := range map[string]StepRecord{"gap": journal[1], "overlap": journal[len(journal)-1]} {
+		before := snapshotRoundTrip(t, st)
+		if err := st.AppendStep(rec); !errors.Is(err, ErrBadServerState) {
+			t.Fatalf("%s: AppendStep = %v, want ErrBadServerState", name, err)
 		}
-	}
-	if _, err := s.Report(); err != nil {
-		t.Fatal(err)
-	}
-	d = s.SnapshotDelta(d.ToT)
-	if d.FromT != 200 || d.ToT != 205 || len(d.Budgets) != 5 || len(d.Published) != 5 {
-		t.Fatalf("delta covers %d..%d with %d budgets, %d rows; want 201..205 and 5", d.FromT+1, d.ToT, len(d.Budgets), len(d.Published))
+		if !reflect.DeepEqual(st, before) {
+			t.Fatalf("%s: a refused record modified the state", name)
+		}
 	}
 }
 
@@ -142,9 +190,9 @@ func TestExtendRejectsMismatchedDeltas(t *testing.T) {
 	collect(4)
 	base := s.Snapshot()
 	collect(3)
-	d1 := s.SnapshotDelta(base.T())
+	d1 := snapshotDelta(s, base.T())
 	collect(2)
-	d2 := s.SnapshotDelta(d1.ToT)
+	d2 := snapshotDelta(s, d1.ToT)
 	for name, mutate := range map[string]func(d *ServerDelta){
 		"gap":          func(d *ServerDelta) { *d = *d2 },
 		"overlap":      func(d *ServerDelta) { d.FromT-- },
@@ -254,7 +302,7 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d := s.SnapshotDelta(cur)
+		d := snapshotDelta(s, cur)
 		var back ServerDelta
 		roundTripGob(t, d, &back)
 		if err := st.Extend(&back); err != nil {
@@ -279,7 +327,7 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 
 // TestSameCohortReadsDuringCaptures: readers of one cohort run
 // concurrently — through every read method at once — while Snapshot
-// and SnapshotDelta captures run between CollectBatch calls (run it
+// captures run between CollectBatch calls (run it
 // under -race: the forward-series cache a read rewrites is locked
 // inside core.Accountant, not by the stream package). Every read equals
 // the batch series (core.TPLSeries, WEventTPL) at the T it saw, and the
@@ -419,7 +467,7 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 				t.Errorf("Snapshot at T=%d holds other budgets", st.T())
 			}
 		case 9:
-			_ = s.SnapshotDelta(T0) // a capture from a reader
+			_ = snapshotDelta(s, T0) // a capture from a reader
 		}
 		if err != nil {
 			t.Errorf("read %d at T=%d: %v", m, T0, err)
@@ -448,7 +496,7 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	}
 	for round := 0; s.T() < steps; round++ {
 		collect(min(1+round%3, steps-s.T()))
-		d := s.SnapshotDelta(cur)
+		d := snapshotDelta(s, cur)
 		var back ServerDelta
 		roundTripGob(t, d, &back)
 		if err := st.Extend(&back); err != nil {
@@ -467,7 +515,7 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	for m := 0; m < methods; m++ { // every method once more, at a fixed T
 		read(m, m)
 	}
-	d := s.SnapshotDelta(cur)
+	d := snapshotDelta(s, cur)
 	if err := st.Extend(d); err != nil {
 		t.Fatal(err)
 	}

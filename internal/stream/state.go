@@ -73,9 +73,8 @@ func chainRows(c *markov.Chain) [][]float64 {
 // Snapshot captures the server's complete state as an explicit value:
 // the cohorts' model content, the per-user cohort map, the published
 // history and budgets, the plan position, and the noise stream
-// position. Its T() is the cursor a later SnapshotDelta extends it
-// from. Safe to call concurrently with readers; it takes the same lock
-// a Report does.
+// position. Safe to call concurrently with readers; it takes the same
+// lock a Report does.
 func (s *Server) Snapshot() *ServerState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -129,7 +129,7 @@ type Report struct {
 type PersistenceHealth struct {
 	Mode                   string   `json:"mode"`
 	StateDir               string   `json:"state_dir,omitempty"`
-	SnapshotEvery          int      `json:"snapshot_every,omitempty"`
+	SnapshotEvery          int      `json:"snapshot_every,omitempty"` // minimum steps between compactions
 	LastSnapshotAgeSeconds *float64 `json:"last_snapshot_age_seconds,omitempty"`
 	SessionsWithErrors     int      `json:"sessions_with_errors,omitempty"`
 }
