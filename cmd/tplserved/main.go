@@ -10,13 +10,13 @@
 //	tplserved -config config.json -validate-config
 //
 // With -state-dir the accounting is durable: each session's leakage
-// state is snapshotted (coalesced, atomically replaced) and every step
-// is appended to a per-session journal, so a crash — even SIGKILL —
-// recovers to the exact leakage series via snapshot + journal replay,
-// and a restart restores all sessions before serving. Without it a
-// restart forgets all sessions (and with them every user's accumulated
-// leakage), which would let an operator reset privacy budgets by
-// bouncing the process.
+// state is a base snapshot (atomically replaced when the journal
+// outgrows it) plus a per-session journal every batch is appended to,
+// so a crash — even SIGKILL — recovers to the exact leakage series via
+// snapshot + journal replay, and a restart restores all sessions
+// before serving. Without it a restart forgets all sessions (and with
+// them every user's accumulated leakage), which would let an operator
+// reset privacy budgets by bouncing the process.
 //
 // With -config the server loads a declarative JSON config file
 // (schema: internal/plugins/plugincfg) that additionally drives the

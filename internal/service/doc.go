@@ -53,11 +53,12 @@
 // # Durability
 //
 // Durability is opt-in per process (tplserved -state-dir): the
-// registry snapshots each session's full accounting state (coalesced,
-// atomically replaced) and journals every ingestion batch — steps plus
-// idempotency record, one checksummed journal record per batch —
-// through internal/persist, restores all sessions on boot from the
-// last snapshot plus the journal tail, and survives SIGKILL with a
+// registry snapshots each session's full accounting state (a base,
+// atomically replaced when the journal outgrows it) and journals every
+// ingestion batch — steps plus idempotency record, one checksummed
+// journal record per batch — through internal/persist, restores all
+// sessions on boot from the last snapshot plus the journal, and
+// survives SIGKILL with a
 // bit-identical leakage series; the idempotency memory survives with
 // it, so a retry of a batch that landed just before a crash is
 // replayed, not double-charged. Restore reads only the current
