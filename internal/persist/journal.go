@@ -15,10 +15,11 @@ import (
 // The journal is the incremental half of a session's durable state:
 // snapshots are full bases, written only when a compaction is due,
 // journal records are appended every batch, and recovery folds the
-// journal on top of the base. Records are full envelopes back to back,
-// so each carries its own checksum; a SIGKILL mid-append leaves a torn
-// final record, which Replay detects and ignores — everything before it
-// is intact — and TruncateTo cuts off before the next append.
+// journal on top of the base — the one log a restore reads. Records are
+// full envelopes back to back, so each carries its own checksum; a
+// SIGKILL mid-append leaves a torn final record, which Replay detects
+// and ignores — everything before it is intact — and TruncateTo cuts
+// off before the next append.
 //
 // Append is a plain write; durability against power loss comes from
 // Sync, which the caller's journal-sync mode decides when to call:
@@ -108,22 +109,11 @@ type ReplayResult struct {
 // journal file replays zero records: a session that never stepped has
 // nothing to recover. An error from fn aborts the replay.
 func (s *Store) ReplayJournal(name string, fn func(version uint32, body []byte) error) (ReplayResult, error) {
-	return s.replayLog(name, s.journalPath, fn)
-}
-
-// ReplayDeltaLog is ReplayJournal over the session's delta log: an
-// append-only log of incremental snapshots layered on <name>.snap,
-// which earlier versions wrote and restore still reads.
-func (s *Store) ReplayDeltaLog(name string, fn func(version uint32, body []byte) error) (ReplayResult, error) {
-	return s.replayLog(name, s.deltaPath, fn)
-}
-
-func (s *Store) replayLog(name string, path func(string) string, fn func(version uint32, body []byte) error) (ReplayResult, error) {
 	var res ReplayResult
 	if err := checkSessionName(name); err != nil {
 		return res, err
 	}
-	p := path(name)
+	p := s.journalPath(name)
 	f, err := os.Open(p)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -370,11 +369,11 @@ func TestJournalCorruptMiddleStopsReplay(t *testing.T) {
 	}
 }
 
-// TestDeltaLogIsASecondJournal: the delta log earlier versions wrote
-// is read as a journal under its own file name — its records replay
-// through ReplayDeltaLog only, RemoveDeltaLog deletes it (and is a
-// no-op once it is gone), and Remove deletes it with the session's
-// other files.
+// TestDeltaLogIsASecondJournal: the delta log older versions wrote is
+// a file of its own beside the journal, which nothing replays —
+// HasDeltaLog reports it, RemoveDeltaLog deletes it (and is a no-op once
+// it is gone) without touching the journal, and Remove deletes it with
+// the session's other files.
 func TestDeltaLogIsASecondJournal(t *testing.T) {
 	s := testStore(t)
 	j, err := s.OpenJournal("sess")
@@ -385,11 +384,20 @@ func TestDeltaLogIsASecondJournal(t *testing.T) {
 	if err := j.Append(2, []byte("step")); err != nil {
 		t.Fatal(err)
 	}
-	var log bytes.Buffer
-	for _, rec := range []string{"delta-1", "delta-2"} {
-		if err := EncodeEnvelope(&log, 1, []byte(rec)); err != nil {
+	has := func() bool {
+		t.Helper()
+		ok, err := s.HasDeltaLog("sess")
+		if err != nil {
 			t.Fatal(err)
 		}
+		return ok
+	}
+	if has() {
+		t.Fatal("HasDeltaLog reports a log that was never written")
+	}
+	var log bytes.Buffer
+	if err := EncodeEnvelope(&log, 3, []byte("delta-1")); err != nil {
+		t.Fatal(err)
 	}
 	writeDelta := func() {
 		t.Helper()
@@ -398,30 +406,22 @@ func TestDeltaLogIsASecondJournal(t *testing.T) {
 		}
 	}
 	writeDelta()
-	var got []string
-	res, err := s.ReplayDeltaLog("sess", func(version uint32, body []byte) error {
-		if version != 1 {
-			t.Fatalf("delta record version %d", version)
-		}
-		got = append(got, string(body))
-		return nil
-	})
-	if err != nil || res.Records != 2 || res.Torn || res.End != int64(log.Len()) || strings.Join(got, ",") != "delta-1,delta-2" {
-		t.Fatalf("delta replay %+v %q, %v", res, got, err)
+	if !has() {
+		t.Fatal("HasDeltaLog misses a delta log")
 	}
-	if res, err := s.ReplayJournal("sess", func(uint32, []byte) error { return nil }); err != nil || res.Records != 1 {
-		t.Fatalf("journal replay %+v, %v", res, err)
+	if _, err := s.HasDeltaLog("../escape"); err == nil {
+		t.Fatal("HasDeltaLog accepted a name with a path separator")
 	}
 	for i := 0; i < 2; i++ {
 		if err := s.RemoveDeltaLog("sess"); err != nil {
 			t.Fatalf("RemoveDeltaLog #%d: %v", i+1, err)
 		}
 	}
-	if res, err := s.ReplayDeltaLog("sess", func(uint32, []byte) error { return nil }); err != nil || res.Records != 0 {
-		t.Fatalf("delta replay after removal %+v, %v", res, err)
+	if has() {
+		t.Fatal("RemoveDeltaLog left the delta log")
 	}
-	if _, err := s.ReplayJournal("sess", func(uint32, []byte) error { return nil }); err != nil {
-		t.Fatal(err)
+	if res, err := s.ReplayJournal("sess", func(uint32, []byte) error { return nil }); err != nil || res.Records != 1 {
+		t.Fatalf("journal replay after removing the delta log %+v, %v", res, err)
 	}
 	writeDelta()
 	if err := s.SaveSnapshot("sess", 2, []byte("base")); err != nil {

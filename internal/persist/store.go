@@ -27,11 +27,13 @@ const (
 // no snapshot on disk.
 var ErrNoSnapshot = errors.New("persist: no snapshot")
 
-// Store is a directory of per-session snapshots and journals (plus the
-// delta logs earlier versions wrote, which are read and removed, never
-// written; see ReplayDeltaLog). Snapshot writes are atomic (write temp, fsync, rename), so the file named
+// Store is a directory of per-session snapshots and journals. Snapshot
+// writes are atomic (write temp, fsync, rename), so the file named
 // <session>.snap is always the last good snapshot: a crash mid-write
-// leaves at worst an ignorable .snap.tmp next to it.
+// leaves at worst an ignorable .snap.tmp next to it. A <session>.delta,
+// the log of incremental snapshots older versions kept, is never read
+// or written: HasDeltaLog reports one so a restore can refuse the
+// session, and RemoveDeltaLog and Remove delete it.
 //
 // A Store's methods are safe for concurrent use on distinct session
 // names; per-name serialization is the caller's job (the service holds
@@ -202,8 +204,25 @@ func (s *Store) List() ([]string, error) {
 	return names, nil
 }
 
-// RemoveDeltaLog deletes the session's delta log, if it has one: once a
-// fresh base covers its records, nothing reads them.
+// HasDeltaLog reports whether the session has a delta log beside its
+// snapshot: records an older version layered on the base, which nothing
+// here reads, so the snapshot alone may hold a shorter history.
+func (s *Store) HasDeltaLog(name string) (bool, error) {
+	if err := checkSessionName(name); err != nil {
+		return false, err
+	}
+	_, err := os.Stat(s.deltaPath(name))
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("persist: stat delta log: %w", err)
+	}
+	return true, nil
+}
+
+// RemoveDeltaLog deletes the session's delta log, if it has one (a new
+// session's first snapshot supersedes a stale one of its name).
 func (s *Store) RemoveDeltaLog(name string) error {
 	if err := checkSessionName(name); err != nil {
 		return err

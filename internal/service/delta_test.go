@@ -50,8 +50,8 @@ func randomBatch(rng *rand.Rand, users, maxSteps int) []stream.BatchStep {
 }
 
 // persistedState decodes what the state dir holds for a session: the
-// base with any delta log and the journal folded on, and the
-// idempotency memory those leave — exactly the state a restore charges.
+// base with the journal folded on, and the idempotency memory those
+// leave — exactly the state a restore charges.
 func persistedState(t *testing.T, store *persist.Store, name string) sessionState {
 	t.Helper()
 	version, body, err := store.LoadSnapshot(name)
@@ -60,9 +60,6 @@ func persistedState(t *testing.T, store *persist.Store, name string) sessionStat
 	}
 	st, err := decodeSessionState(version, body)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := applyDeltaLog(store, name, &st); err != nil {
 		t.Fatal(err)
 	}
 	tail, _, _, err := foldJournal(store, name, &st)
@@ -75,60 +72,6 @@ func persistedState(t *testing.T, store *persist.Store, name string) sessionStat
 	}
 	st.Idem = mem.entries()
 	return st
-}
-
-// legacyDelta encodes the delta-log record a snapshot appended before
-// the journal became the incremental snapshot: the steps of s after
-// fromT, the keys adds, on the base tagged baseID.
-func legacyDelta(t testing.TB, s *Session, baseID uint64, fromT int, adds []idemRecord) []byte {
-	t.Helper()
-	st := s.Server().Snapshot()
-	body, err := gobEncode(sessionDelta{BaseID: baseID, Idem: adds, Server: &stream.ServerDelta{
-		FromT:       fromT,
-		ToT:         st.T(),
-		Budgets:     st.Budgets[fromT:],
-		Published:   st.Published[fromT:],
-		Sensitivity: st.Sensitivity,
-		Noise:       st.Noise,
-		HasPlan:     st.HasPlan,
-		PlanBase:    st.PlanBase,
-		RNG:         st.RNG,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
-}
-
-// appendLegacyDelta does in dir what such a snapshot did: it appends a
-// legacyDelta record on the base on disk, covering the steps after
-// fromT and the last adds keys, and (when resetJournal) empties the
-// journal. It returns the record's last step.
-func appendLegacyDelta(t testing.TB, dir string, s *Session, fromT, adds int, resetJournal bool) int {
-	t.Helper()
-	base := readStateFile(t, dir, s.name+".snap")
-	_, body, err := persist.DecodeEnvelope(bytes.NewReader(base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st sessionState
-	if err := gobDecode(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, s.name+".delta"), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := persist.EncodeEnvelope(f, deltaSchemaVersion, legacyDelta(t, s, st.BaseID, fromT, s.idem.newest(adds))); err != nil {
-		t.Fatal(err)
-	}
-	if resetJournal {
-		if err := os.Truncate(filepath.Join(dir, s.name+".journal"), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s.Server().T()
 }
 
 // mustMatchWEvent compares every user's and the population's w-event
@@ -319,8 +262,7 @@ func stateFileExists(t *testing.T, dir, name string) bool {
 	return err == nil
 }
 
-// recordEnds returns the end offset of every record in a journal or a
-// delta log.
+// recordEnds returns the end offset of every record in a journal.
 func recordEnds(t *testing.T, log []byte) []int {
 	t.Helper()
 	rd := bytes.NewReader(log)
@@ -335,14 +277,12 @@ func recordEnds(t *testing.T, log []byte) []int {
 }
 
 // restoreCrashImage restores a state-dir image and requires the session
-// to match the live one exactly, the restore to have written neither
-// the base nor a delta log, and a compaction after it to leave a fresh
-// base, an empty journal and no delta log, which restore again to the
-// same session.
+// to match the live one exactly, the restore not to have rewritten the
+// base, and a compaction after it to leave a fresh base and an empty
+// journal, which restore again to the same session.
 func restoreCrashImage(t *testing.T, dir string, live *Session) *Session {
 	t.Helper()
 	base := readStateFile(t, dir, "sess.snap")
-	hadDelta := stateFileExists(t, dir, "sess.delta")
 	r := durableRegistry(t, dir, 1<<20)
 	if _, failed := r.RestoreAll(); len(failed) != 0 {
 		t.Fatalf("restore failures: %v", failed)
@@ -351,8 +291,8 @@ func restoreCrashImage(t *testing.T, dir string, live *Session) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(readStateFile(t, dir, "sess.snap"), base) || stateFileExists(t, dir, "sess.delta") != hadDelta {
-		t.Fatal("recovery rewrote the base or the delta log")
+	if !bytes.Equal(readStateFile(t, dir, "sess.snap"), base) {
+		t.Fatal("recovery rewrote the base")
 	}
 	mustMatchSessions(t, live, s)
 	mustMatchWEvent(t, live, s)
@@ -362,8 +302,8 @@ func restoreCrashImage(t *testing.T, dir string, live *Session) *Session {
 	if _, err := s.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(readStateFile(t, dir, "sess.journal")); n != 0 || stateFileExists(t, dir, "sess.delta") {
-		t.Fatalf("the compaction after recovery left %d journal bytes, delta log %v", n, stateFileExists(t, dir, "sess.delta"))
+	if n := len(readStateFile(t, dir, "sess.journal")); n != 0 {
+		t.Fatalf("the compaction after recovery left %d journal bytes", n)
 	}
 	got := persistedState(t, r.Store(), "sess")
 	if want := s.Server().Snapshot(); !reflect.DeepEqual(got.Server, want) {
@@ -385,17 +325,13 @@ func restoreCrashImage(t *testing.T, dir string, live *Session) *Session {
 }
 
 // TestSnapshotDeltaCrashPoints restores the state-dir image each crash
-// point of a compaction (base, then delta-log removal, then journal
-// truncate) leaves, each image the delta log of an earlier version can
-// leave, and each failure restore must survive: every one restores to
-// the live session exactly, except a damaged middle delta record, which
-// must fail loudly and keep its files.
+// point of a compaction (base, then journal truncate) and of a journal
+// append leaves, and each failure restore must survive: every one
+// restores to the live session exactly.
 func TestSnapshotDeltaCrashPoints(t *testing.T) {
 	// start returns a session with a base of a few hundred steps and a
-	// keyed journal tail (compactions only when forced); with legacy, it
-	// also has what an earlier version's snapshots wrote behind the base:
-	// four delta records, the journal emptied after each.
-	start := func(t *testing.T, legacy bool) (string, *Registry, *Session, func(n int), int) {
+	// keyed journal tail (compactions only when forced).
+	start := func(t *testing.T) (string, *Registry, *Session, func(n int)) {
 		dir := t.TempDir()
 		r := durableRegistry(t, dir, 1<<20)
 		s, err := r.Create(deltaTestConfig("sess"))
@@ -420,26 +356,14 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
-		cur := s.Server().T()
-		for i := 0; i < 4; i++ {
-			ingest(3)
-			if legacy {
-				cur = appendLegacyDelta(t, dir, s, cur, 3, true)
-			}
-		}
-		if legacy {
-			if n := len(recordEnds(t, readStateFile(t, dir, "sess.delta"))); n != 4 {
-				t.Fatalf("setup wrote %d deltas, want 4", n)
-			}
-		}
-		ingest(2)
-		return dir, r, s, ingest, cur
+		ingest(14)
+		return dir, r, s, ingest
 	}
 
 	t.Run("after-base-save-before-journal-truncate", func(t *testing.T) {
 		// The new base beside the journal it covers: every journal
 		// record is at or before the base and must be skipped.
-		dir, _, s, _, _ := start(t, false)
+		dir, _, s, _ := start(t)
 		pre := copyStateDir(t, dir)
 		if _, err := s.SnapshotNow(); err != nil {
 			t.Fatal(err)
@@ -455,7 +379,7 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 		// Behind a clean journal, recovery writes nothing: the base keeps
 		// its bytes and mtime, the journal its records, and the restored
 		// session appends behind them.
-		dir, _, s, _, _ := start(t, false)
+		dir, _, s, _ := start(t)
 		img := copyStateDir(t, dir)
 		old := time.Now().Add(-time.Hour).Truncate(time.Second)
 		if err := os.Chtimes(filepath.Join(img, "sess.snap"), old, old); err != nil {
@@ -495,7 +419,7 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 	t.Run("torn-final-journal-record", func(t *testing.T) {
 		// Recovery cuts the torn record off and appends behind the last
 		// verified one; the base stays as it was.
-		dir, _, _, ingest, _ := start(t, false)
+		dir, _, _, ingest := start(t)
 		pre := copyStateDir(t, dir)
 		ingest(1)
 		journal := readStateFile(t, dir, "sess.journal")
@@ -535,7 +459,7 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 		// A compaction that cannot write its base is latched; batches keep
 		// landing in the journal behind the old base, and the next
 		// compaction that can write clears the error.
-		dir, r, s, ingest, _ := start(t, false)
+		dir, r, s, ingest := start(t)
 		blocker := filepath.Join(dir, "sess.snap.tmp")
 		if err := os.MkdirAll(filepath.Join(blocker, "pin"), 0o755); err != nil {
 			t.Fatal(err)
@@ -559,87 +483,6 @@ func TestSnapshotDeltaCrashPoints(t *testing.T) {
 		}
 		ingest(2)
 		restoreCrashImage(t, copyStateDir(t, dir), s)
-	})
-
-	t.Run("torn-final-delta", func(t *testing.T) {
-		// A crash mid-append of an earlier version's delta record left
-		// the journal holding those steps.
-		dir, _, s, _, cur := start(t, true)
-		log := readStateFile(t, dir, "sess.delta")
-		appendLegacyDelta(t, dir, s, cur, 2, false)
-		full := readStateFile(t, dir, "sess.delta")
-		for _, cut := range []int{len(log) + 1, len(log) + 60, len(full) - 1} {
-			img := copyStateDir(t, dir)
-			writeStateFile(t, img, "sess.delta", full[:cut])
-			restoreCrashImage(t, img, s)
-		}
-	})
-
-	t.Run("after-delta-fsync-before-journal-reset", func(t *testing.T) {
-		dir, _, s, _, cur := start(t, true)
-		appendLegacyDelta(t, dir, s, cur, 2, false)
-		restoreCrashImage(t, copyStateDir(t, dir), s)
-	})
-
-	t.Run("after-base-rename-before-delta-truncate", func(t *testing.T) {
-		// A compaction's base beside the delta log it supersedes: every
-		// delta names the old base and must be skipped.
-		dir, _, s, _, _ := start(t, true)
-		pre := copyStateDir(t, dir)
-		if _, err := s.SnapshotNow(); err != nil {
-			t.Fatal(err)
-		}
-		writeStateFile(t, pre, "sess.snap", readStateFile(t, dir, "sess.snap"))
-		restoreCrashImage(t, pre, s)
-	})
-
-	t.Run("idle-delta-beside-stale-deltas", func(t *testing.T) {
-		// A compaction, then an idle record naming the new base behind
-		// the superseded ones: it has the same FromT/ToT as the last of
-		// them, and only it must be applied.
-		dir, _, s, _, _ := start(t, true)
-		stale := readStateFile(t, dir, "sess.delta")
-		if _, err := s.SnapshotNow(); err != nil {
-			t.Fatal(err)
-		}
-		T := s.Server().T()
-		appendLegacyDelta(t, dir, s, T, 0, false)
-		fresh := readStateFile(t, dir, "sess.delta")
-		writeStateFile(t, dir, "sess.delta", append(append([]byte(nil), stale...), fresh...))
-		got := persistedState(t, s.store, "sess")
-		if want := s.Server().Snapshot(); !reflect.DeepEqual(got.Server, want) {
-			t.Fatal("base ⊕ delta log differs from Snapshot() beside superseded deltas")
-		}
-		restoreCrashImage(t, copyStateDir(t, dir), s)
-	})
-
-	t.Run("corrupt-middle-delta", func(t *testing.T) {
-		dir, _, _, _, _ := start(t, true)
-		img := copyStateDir(t, dir)
-		log := readStateFile(t, img, "sess.delta")
-		ends := recordEnds(t, log)
-		log[ends[0]+60] ^= 0xFF // a body byte of the second record
-		writeStateFile(t, img, "sess.delta", log)
-		r := durableRegistry(t, img, 1<<20)
-		restored, failed := r.RestoreAll()
-		if len(restored) != 0 {
-			t.Fatalf("restored %v from a damaged delta log", restored)
-		}
-		if err := failed["sess"]; err == nil || !strings.Contains(err.Error(), "delta log is damaged") {
-			t.Fatalf("restore error %v, want the damaged delta log", err)
-		}
-		if _, err := r.Get("sess"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("damaged session is live: %v", err)
-		}
-		for f, want := range map[string][]byte{
-			"sess.snap":    readStateFile(t, dir, "sess.snap"),
-			"sess.journal": readStateFile(t, dir, "sess.journal"),
-			"sess.delta":   log,
-		} {
-			if !bytes.Equal(readStateFile(t, img, f), want) {
-				t.Fatalf("failed restore modified %s", f)
-			}
-		}
 	})
 }
 
@@ -859,130 +702,15 @@ func TestDeltaBytesIndependentOfReads(t *testing.T) {
 	}
 }
 
-// v1FixtureScript is the batch sequence that wrote testdata/v1-state:
-// the state dir of session "fixture" (deltaTestConfig) as written
-// before a delta record carried only the keys added since the previous
-// one (delta schema v1, whose records each hold the whole memory). It
-// holds a base at T=1326, four v1 delta records whose memories grow
-// from 100 keys to the full 256 (k0..k13 are evicted between the
-// second and the third), and a journal tail of five keyed batches.
-// snapshot marks where that build forced a snapshot. No batch retries
-// a key, so the memory's order there (least recently used first) is its
-// insertion order.
-func v1FixtureScript(collect func(key string, steps []stream.BatchStep), snapshot func()) {
-	rng := rand.New(rand.NewSource(25))
-	for i := 0; i < 64; i++ {
-		collect("", randomBatch(rng, 5, 40))
-	}
-	snapshot()
-	key := 0
-	for _, upTo := range []int{100, 200, 270, 300} {
-		for ; key < upTo; key++ {
-			collect(fmt.Sprintf("k%d", key), randomBatch(rng, 5, 1))
-		}
-		snapshot()
-	}
-	for i := 0; i < 5; i++ {
-		collect(fmt.Sprintf("tail%d", i), randomBatch(rng, 5, 3))
-	}
-}
-
-// v2FixtureScript is the batch sequence that wrote testdata/v2-state:
-// the state dir of session "fixture" (deltaTestConfig) as written while
-// snapshots still stored every cohort's leakage series (snapshot and
-// delta schema v2). read marks where that build read the leakage,
-// which filled the forward caches those snapshots stored; snapshot
-// marks where it forced a snapshot. It holds a base at T=887 whose two
-// cohorts carry BPL and a forward cache over all 887 steps, three v2
-// delta records carrying new BPL values and changed forward suffixes
-// (the second after no read), and a journal tail of five keyed batches.
-func v2FixtureScript(collect func(key string, steps []stream.BatchStep), read, snapshot func()) {
-	rng := rand.New(rand.NewSource(27))
-	for i := 0; i < 48; i++ {
-		collect("", randomBatch(rng, 5, 40))
-	}
-	read()
-	snapshot() // compacts: the first delta would outgrow the empty base
-	key := 0
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 20; i++ {
-			collect(fmt.Sprintf("k%d", key), randomBatch(rng, 5, 3))
-			key++
-		}
-		if round != 1 {
-			read()
-		}
-		snapshot()
-	}
-	for i := 0; i < 5; i++ {
-		collect(fmt.Sprintf("tail%d", i), randomBatch(rng, 5, 3))
-	}
-}
-
-// seriesBlob receives the binary encoding a v2 snapshot stored each
-// cohort's leakage series in, to measure it.
-type seriesBlob []byte
-
-func (b *seriesBlob) UnmarshalBinary(data []byte) error {
-	*b = append((*b)[:0], data...)
-	return nil
-}
-
-// v3FixtureScript is the batch sequence that wrote testdata/v3-state:
-// the state dir of session "fixture" (deltaTestConfig) as written while
-// each snapshot appended a delta record behind the base (snapshot and
-// delta schema v3, the journal emptied at every snapshot). snapshot
-// marks where that build forced one. It holds a base at T=914 whose
-// memory holds ten keys, three v3 delta records of twenty keyed batches
-// each, and a journal tail of five keyed batches (T=1059).
-func v3FixtureScript(collect func(key string, steps []stream.BatchStep), snapshot func()) {
-	rng := rand.New(rand.NewSource(33))
-	for i := 0; i < 40; i++ {
-		key := ""
-		if i%4 == 0 {
-			key = fmt.Sprintf("b%d", i)
-		}
-		collect(key, randomBatch(rng, 5, 40))
-	}
-	snapshot() // compacts: the first delta would outgrow the empty base
-	key := 0
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 20; i++ {
-			collect(fmt.Sprintf("k%d", key), randomBatch(rng, 5, 3))
-			key++
-		}
-		snapshot()
-	}
-	for i := 0; i < 5; i++ {
-		collect(fmt.Sprintf("tail%d", i), randomBatch(rng, 5, 3))
-	}
-}
-
-// deltaLogVersions returns the schema version of every record in a
-// delta log.
-func deltaLogVersions(t *testing.T, log []byte) []uint32 {
-	t.Helper()
-	rd := bytes.NewReader(log)
-	var out []uint32
-	for rd.Len() > 0 {
-		v, _, err := persist.DecodeEnvelope(rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // checkFixtureRestore restores a committed state dir (copied to dir)
 // and requires it to match ctl, an uninterrupted in-memory run of the
 // same batches: every leakage answer bit for bit, and the idempotency
 // memory entry for entry, order included. The restore writes nothing:
-// base, delta log and journal keep their bytes. A retry of the last
-// batch replays on both; then both take more keyed batches, with a
-// compaction partway that leaves no delta log behind, and a second
-// restart of the base and journal reaches the same state. It returns
-// the first restored session.
+// base and journal keep their bytes. A retry of the last batch replays
+// on both; then both take more keyed batches, with a compaction partway
+// that writes a base of the current schema, and a second restart of the
+// base and journal reaches the same state. It returns the first
+// restored session.
 func checkFixtureRestore(t *testing.T, dir string, ctl *Session, lastKey string, lastSteps []stream.BatchStep, seed int64) *Session {
 	t.Helper()
 	restore := func() *Session {
@@ -1004,7 +732,7 @@ func checkFixtureRestore(t *testing.T, dir string, ctl *Session, lastKey string,
 		return s
 	}
 	files := map[string][]byte{}
-	for _, f := range []string{"fixture.snap", "fixture.delta", "fixture.journal"} {
+	for _, f := range []string{"fixture.snap", "fixture.journal"} {
 		files[f] = readStateFile(t, dir, f)
 	}
 	s := restore()
@@ -1031,8 +759,8 @@ func checkFixtureRestore(t *testing.T, dir string, ctl *Session, lastKey string,
 			if _, err := s.SnapshotNow(); err != nil {
 				t.Fatal(err)
 			}
-			if stateFileExists(t, dir, "fixture.delta") {
-				t.Fatal("the first compaction after the restore left the delta log")
+			if version, _, err := s.store.LoadSnapshot("fixture"); err != nil || version != sessionSchemaVersion {
+				t.Fatalf("the first compaction after the restore wrote a v%d base (%v), want v%d", version, err, sessionSchemaVersion)
 			}
 		}
 	}
@@ -1057,95 +785,183 @@ func fixtureControl(t *testing.T, run func(collect func(key string, steps []stre
 	return ctl, lastKey, lastSteps
 }
 
-// TestRestoreV1StateDir restores the committed v1 state dir — four
-// delta records that each hold the whole idempotency memory — through
-// checkFixtureRestore.
-func TestRestoreV1StateDir(t *testing.T) {
-	dir := copyStateDir(t, filepath.Join("testdata", "v1-state"))
-	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{1, 1, 1, 1}) {
-		t.Fatalf("fixture delta log versions %v, want four v1 records", got)
+// v3JournalFixtureScript is the batch sequence that wrote
+// testdata/v3-journal-state: the state dir of session "fixture"
+// (deltaTestConfig) as written once the journal was the incremental
+// snapshot (snapshot schema v3, whose base carries a BaseID, and journal
+// schema v2, no delta log). snapshot marks where that build forced a
+// compaction. It holds a base at T=1107 whose memory holds sixteen keys,
+// and a journal tail of eight batches, seven keyed (T=1124).
+func v3JournalFixtureScript(collect func(key string, steps []stream.BatchStep), snapshot func()) {
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 48; i++ {
+		key := ""
+		if i%3 == 0 {
+			key = fmt.Sprintf("b%d", i)
+		}
+		collect(key, randomBatch(rng, 5, 40))
 	}
-	ctl, lastKey, lastSteps := fixtureControl(t, func(collect func(string, []stream.BatchStep)) {
-		v1FixtureScript(collect, func() {})
-	})
-	s := checkFixtureRestore(t, dir, ctl, lastKey, lastSteps, 26)
-	if _, ok := s.idem.get("k13"); ok {
-		t.Fatal("k13, evicted before the third record, is remembered")
+	snapshot()
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprintf("tail%d", i)
+		if i == 5 {
+			key = ""
+		}
+		collect(key, randomBatch(rng, 5, 3))
 	}
 }
 
-// TestRestoreV2StateDir restores the committed v2 state dir — a base and
-// delta records that store every cohort's leakage series — through
-// checkFixtureRestore: restore decodes the stored series away and
-// rebuilds them from the budgets.
-func TestRestoreV2StateDir(t *testing.T) {
-	dir := copyStateDir(t, filepath.Join("testdata", "v2-state"))
-	// The fixture is what it claims to be: a v2 base whose two cohorts
-	// store BPL and a full forward cache, and three v2 delta records.
-	store, err := persist.NewStore(dir)
+// TestRestoreV3JournalStateDir restores the committed v3-journal state
+// dir — a v3 base whose BaseID is set and whose memory holds sixteen
+// keys, a keyed journal tail and no delta log, as the last version to
+// write BaseIDs left it — through checkFixtureRestore.
+func TestRestoreV3JournalStateDir(t *testing.T) {
+	dir := copyStateDir(t, filepath.Join("testdata", "v3-journal-state"))
+	// The fixture is what it claims to be.
+	version, body, err := persist.DecodeEnvelope(bytes.NewReader(readStateFile(t, dir, "fixture.snap")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	version, body, err := store.LoadSnapshot("fixture")
-	if err != nil {
+	var base struct {
+		Server *stream.ServerState
+		Idem   []idemRecord
+		BaseID uint64
+	}
+	if err := gobDecode(body, &base); err != nil {
 		t.Fatal(err)
 	}
-	var stored struct {
-		Server *struct {
-			Cohorts []struct{ Accountant seriesBlob }
-		}
+	if version != schemaWithBaseTag || base.BaseID == 0 || base.Server.T() != 1107 || len(base.Idem) != 16 {
+		t.Fatalf("fixture base: version %d, BaseID %x, T=%d, %d keys", version, base.BaseID, base.Server.T(), len(base.Idem))
 	}
-	if err := gobDecode(body, &stored); err != nil {
-		t.Fatal(err)
+	if n := len(recordEnds(t, readStateFile(t, dir, "fixture.journal"))); n != 8 {
+		t.Fatalf("fixture journal holds %d records, want 8", n)
 	}
-	if version != schemaWithSeries || stored.Server == nil || len(stored.Server.Cohorts) != 2 {
-		t.Fatalf("fixture base: version %d, server %v", version, stored.Server != nil)
+	if stateFileExists(t, dir, "fixture.delta") {
+		t.Fatal("fixture has a delta log")
 	}
-	for ci, c := range stored.Server.Cohorts {
-		// Three float64 series over 887 steps: budgets, BPL and the
-		// forward cache (without the cache, two and a few hash bytes).
-		if len(c.Accountant) < 3*8*887 {
-			t.Fatalf("fixture base cohort %d stores %d bytes of series, not three over 887 steps", ci, len(c.Accountant))
-		}
-	}
-	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{2, 2, 2}) {
-		t.Fatalf("fixture delta log versions %v, want three v2 records", got)
+	// A migration that version pushes carries the same v3 body.
+	if _, err := NewRegistry().ImportSession(version, body); err != nil {
+		t.Fatalf("importing a v3 body: %v", err)
 	}
 	ctl, lastKey, lastSteps := fixtureControl(t, func(collect func(string, []stream.BatchStep)) {
-		v2FixtureScript(collect, func() {}, func() {})
+		v3JournalFixtureScript(collect, func() {})
 	})
-	checkFixtureRestore(t, dir, ctl, lastKey, lastSteps, 28)
+	checkFixtureRestore(t, dir, ctl, lastKey, lastSteps, 42)
 }
 
-// TestRestoreV3StateDir restores the committed v3 state dir — written by
-// the last version that appended delta records: a v3 base holding keys,
-// three v3 delta records and a keyed journal tail — through
-// checkFixtureRestore.
-func TestRestoreV3StateDir(t *testing.T) {
-	dir := copyStateDir(t, filepath.Join("testdata", "v3-state"))
-	store, err := persist.NewStore(dir)
+// TestRestoreRefusesLegacyState: restore reads one layout, a v3 or v4
+// base plus a journal. A state dir in any other fails closed — the
+// session is reported in failed, nothing is registered under its name,
+// and every file keeps its bytes, for the operator to upgrade through
+// the previous version. A session created under the name afterwards
+// owns it: its first base removes a stale delta log, and it restores.
+func TestRestoreRefusesLegacyState(t *testing.T) {
+	v3 := filepath.Join("testdata", "v3-state")
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+		want  string
+	}{
+		// The last layout that wrote delta records: a base, three delta
+		// records and a keyed journal tail.
+		{"v3-state", map[string][]byte{
+			"fixture.snap":    readStateFile(t, v3, "fixture.snap"),
+			"fixture.delta":   readStateFile(t, v3, "fixture.delta"),
+			"fixture.journal": readStateFile(t, v3, "fixture.journal"),
+		}, "has a delta log"},
+		// That layout right after a snapshot's delta append emptied the
+		// journal: the base and its delta records, an empty journal. The
+		// base alone is a valid session at a shorter T, so only the
+		// delta-log check keeps it from restoring and under-charging.
+		{"delta-beside-empty-journal", map[string][]byte{
+			"fixture.snap":    readStateFile(t, v3, "fixture.snap"),
+			"fixture.delta":   readStateFile(t, v3, "fixture.delta"),
+			"fixture.journal": {},
+		}, "has a delta log"},
+		// A base of a schema this version does not read.
+		{"v2-snapshot", map[string][]byte{
+			"fixture.snap": readStateFile(t, filepath.Join("testdata", "v2-state"), "fixture.snap"),
+		}, "snapshot schema version 2 not supported"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for f, data := range tc.files {
+				writeStateFile(t, dir, f, data)
+			}
+			r := durableRegistry(t, dir, 1<<20)
+			restored, failed := r.RestoreAll()
+			if len(restored) != 0 || len(failed) != 1 {
+				t.Fatalf("restored %v, failed %v", restored, failed)
+			}
+			if err := failed["fixture"]; err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore error %v, want %q", err, tc.want)
+			}
+			if _, err := r.Get("fixture"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("refused session is live: %v", err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(tc.files) {
+				t.Fatalf("the refused restore left %d files, want %d", len(entries), len(tc.files))
+			}
+			for f, data := range tc.files {
+				if !bytes.Equal(readStateFile(t, dir, f), data) {
+					t.Fatalf("the refused restore modified %s", f)
+				}
+			}
+
+			s, err := r.Create(deltaTestConfig("fixture"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(44))
+			for i := 0; i < 6; i++ {
+				if _, _, err := s.CollectBatch(fmt.Sprintf("new%d", i), randomBatch(rng, 5, 3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if stateFileExists(t, dir, "fixture.delta") {
+				t.Fatal("the new session's first base left the stale delta log")
+			}
+			r2 := durableRegistry(t, copyStateDir(t, dir), 1<<20)
+			if restored, failed := r2.RestoreAll(); len(failed) != 0 || !reflect.DeepEqual(restored, []string{"fixture"}) {
+				t.Fatalf("restart of the new session: restored %v failed %v", restored, failed)
+			}
+			s2, err := r2.Get("fixture")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustMatchSessions(t, s, s2)
+			if !reflect.DeepEqual(s2.idem.entries(), s.idem.entries()) {
+				t.Fatal("restored idempotency memory differs")
+			}
+		})
+	}
+	// The second image without its delta log restores, to the base's T,
+	// though the journal tail that followed those records starts steps
+	// later: the delta log held history the base does not.
+	dir := t.TempDir()
+	writeStateFile(t, dir, "fixture.snap", readStateFile(t, v3, "fixture.snap"))
+	writeStateFile(t, dir, "fixture.journal", nil)
+	r := durableRegistry(t, dir, 1<<20)
+	if restored, failed := r.RestoreAll(); len(failed) != 0 || len(restored) != 1 {
+		t.Fatalf("the base alone: restored %v failed %v", restored, failed)
+	}
+	s, err := r.Get("fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	version, body, err := store.LoadSnapshot("fixture")
+	_, body, err := persist.DecodeEnvelope(bytes.NewReader(readStateFile(t, v3, "fixture.journal")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := decodeSessionState(version, body)
-	if err != nil {
+	var next batchRecord
+	if err := gobDecode(body, &next); err != nil {
 		t.Fatal(err)
 	}
-	if version != sessionSchemaVersion || base.Server.T() != 914 || len(base.Idem) != 10 {
-		t.Fatalf("fixture base: version %d at T=%d with %d keys", version, base.Server.T(), len(base.Idem))
+	if T, first := s.Server().T(), next.Steps[0].T; first <= T+1 {
+		t.Fatalf("the base alone restores to T=%d and the journal tail starts at step %d: the delta log adds nothing", T, first)
 	}
-	if got := deltaLogVersions(t, readStateFile(t, dir, "fixture.delta")); !reflect.DeepEqual(got, []uint32{3, 3, 3}) {
-		t.Fatalf("fixture delta log versions %v, want three v3 records", got)
-	}
-	if n := len(recordEnds(t, readStateFile(t, dir, "fixture.journal"))); n != 5 {
-		t.Fatalf("fixture journal holds %d records, want 5", n)
-	}
-	ctl, lastKey, lastSteps := fixtureControl(t, func(collect func(string, []stream.BatchStep)) {
-		v3FixtureScript(collect, func() {})
-	})
-	checkFixtureRestore(t, dir, ctl, lastKey, lastSteps, 34)
 }

@@ -61,7 +61,9 @@
 // survives SIGKILL with a
 // bit-identical leakage series; the idempotency memory survives with
 // it, so a retry of a batch that landed just before a crash is
-// replayed, not double-charged. Restore reads only the current
-// snapshot and journal schema versions and refuses any other loudly —
-// see DESIGN.md §6 and §7.
+// replayed, not double-charged. Restore reads one layout, a base
+// (snapshot schema v3 or v4) plus a v2 journal, and refuses any other
+// loudly — another schema version, or a delta log an older version
+// left beside the base — keeping the session's files; see DESIGN.md §6
+// and §7.
 package service

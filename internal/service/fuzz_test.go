@@ -176,13 +176,13 @@ func TestArenaDecodeRecyclingSeeds(t *testing.T) {
 	}
 }
 
-// FuzzRestoreDeltaRecord feeds arbitrary bytes as the body of a
-// checksum-valid delta-log record behind a real base: decoding and
-// applying it must never panic, a body that does not decode to a delta
-// must never restore, and a session that does restore must hold exactly
-// the base's steps (a record naming another base is skipped) or the
-// record's, and answer its reads.
-func FuzzRestoreDeltaRecord(f *testing.F) {
+// FuzzRestoreJournalRecord feeds arbitrary bytes as the body of a
+// checksum-valid journal record behind a real base: folding it must
+// never panic, a body that does not decode to a batchRecord must never
+// restore, and a session that does restore must hold exactly the base's
+// steps or the record's, remember the record's key when the steps it
+// names are restored, and answer its reads.
+func FuzzRestoreJournalRecord(f *testing.F) {
 	template := f.TempDir()
 	r := durableRegistry(f, template, 1<<20)
 	s, err := r.Create(deltaTestConfig("sess"))
@@ -190,9 +190,6 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	// A base long enough that the five records below fit behind it
-	// without a compaction: a base holds the steps and no leakage
-	// series, so it is small.
 	for i := 0; i < 48; i++ {
 		if _, _, err := s.CollectBatch(fmt.Sprintf("k%d", i), randomBatch(rng, 5, 4)); err != nil {
 			f.Fatal(err)
@@ -206,47 +203,46 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	baseT := s.Server().T()
-	version, body, err := persist.DecodeEnvelope(bytes.NewReader(base))
+	// The seeds. The first is the journal's record of the next keyed
+	// batch, as the session wrote it; the others vary it.
+	if _, _, err := s.CollectBatch("j0", randomBatch(rng, 5, 4)); err != nil {
+		f.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(template, "sess.journal"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	st, err := decodeSessionState(version, body)
+	_, keyed, err := persist.DecodeEnvelope(bytes.NewReader(journal))
 	if err != nil {
 		f.Fatal(err)
 	}
-	baseID := st.BaseID
-	// The seeds, as an earlier version's snapshots wrote them: an idle
-	// record (no step, no key) and keyed records (steps plus the keys
-	// added since the previous record), then an unkeyed one (steps, no
-	// key) — all applying in order on the base.
-	idle := legacyDelta(f, s, baseID, baseT, nil)
-	f.Add(idle)
-	cur := baseT
-	for i := 0; i < 3; i++ {
-		if _, _, err := s.CollectBatch(fmt.Sprintf("d%d", i), randomBatch(rng, 5, 4)); err != nil {
+	var rec batchRecord
+	if err := gobDecode(keyed, &rec); err != nil {
+		f.Fatal(err)
+	}
+	history := s.Server().Snapshot()
+	step := func(t int) stream.StepRecord {
+		return stream.StepRecord{T: t, Eps: history.Budgets[t-1], Published: history.Published[t-1], NoiseDraws: history.RNG.Draws}
+	}
+	seed := func(rec batchRecord) {
+		body, err := gobEncode(rec)
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(legacyDelta(f, s, baseID, cur, s.idem.newest(1)))
-		cur = s.Server().T()
+		f.Add(body)
 	}
-	if _, _, err := s.CollectBatch("", randomBatch(rng, 5, 4)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacyDelta(f, s, baseID, cur, nil))
-	// Additions only: the idle record carrying keys for steps the base
-	// holds, one of them twice.
-	var rec sessionDelta
-	if err := gobDecode(idle, &rec); err != nil {
-		f.Fatal(err)
-	}
-	rec.Idem = []idemRecord{{Key: "x", FirstT: 1, Planned: []bool{true}}, {Key: "y", FirstT: 2, Planned: []bool{false, true}}, {Key: "x", FirstT: 4, Planned: []bool{true}}}
-	additionsOnly, err := gobEncode(rec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(additionsOnly)
+	f.Add(keyed)
+	seed(batchRecord{Steps: rec.Steps}) // unkeyed
+	// At or before the base: a compaction's base beside the journal it
+	// covers.
+	seed(batchRecord{Steps: []stream.StepRecord{step(baseT - 1), step(baseT)}, Idem: &idemRecord{Key: "old", FirstT: baseT - 1, Planned: make([]bool, 2)}})
+	// Across the base: the covered steps are skipped, the rest fold.
+	seed(batchRecord{Steps: append([]stream.StepRecord{step(baseT)}, rec.Steps...), Idem: &idemRecord{Key: "across", FirstT: baseT, Planned: make([]bool, 1+len(rec.Steps))}})
+	seed(batchRecord{Steps: rec.Steps, Idem: &idemRecord{Key: "empty", FirstT: baseT + 1}})
+	// A key the base's memory already holds.
+	seed(batchRecord{Steps: rec.Steps, Idem: &idemRecord{Key: "k3", Hash: rec.Idem.Hash, FirstT: baseT + 1, Planned: rec.Idem.Planned}})
 	f.Add([]byte{})
-	f.Add([]byte("not a delta"))
+	f.Add([]byte("not a journal record"))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
@@ -254,10 +250,10 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		var log bytes.Buffer
-		if err := persist.EncodeEnvelope(&log, deltaSchemaVersion, body); err != nil {
+		if err := persist.EncodeEnvelope(&log, batchSchemaVersion, body); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "sess.delta"), log.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "sess.journal"), log.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		r := durableRegistry(t, dir, 1<<20)
@@ -266,32 +262,29 @@ func FuzzRestoreDeltaRecord(f *testing.F) {
 		if len(restored) == 0 {
 			return
 		}
-		var rec sessionDelta
-		if err := gobDecode(body, &rec); err != nil || rec.Server == nil {
-			t.Fatalf("restored from a body that is not a delta (%v)", err)
+		var rec batchRecord
+		if err := gobDecode(body, &rec); err != nil {
+			t.Fatalf("restored from a body that is not a journal record (%v)", err)
 		}
 		s, err := r.Get("sess")
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := baseT
-		if rec.BaseID == baseID {
-			want = rec.Server.ToT
+		for _, st := range rec.Steps {
+			if st.T > baseT {
+				want = st.T
+			}
 		}
 		if T := s.Server().T(); T != want {
-			t.Fatalf("restored T=%d, want %d (base at %d, delta to %d)", T, want, baseT, rec.Server.ToT)
+			t.Fatalf("restored T=%d, want %d (base at %d)", T, want, baseT)
 		}
-		// The record's keys go on the memory in order: the last one a
-		// restore keeps is remembered as that record.
 		if len(s.idem.entries()) > idemCacheSize {
 			t.Fatalf("restored memory holds %d keys", len(s.idem.entries()))
 		}
-		for i := len(rec.Idem) - 1; rec.BaseID == baseID && i >= 0; i-- {
-			if e := rec.Idem[i]; e.FirstT >= 1 && e.lastT() <= want {
-				if got, ok := s.idem.get(e.Key); !ok || got.Hash != e.Hash || got.FirstT != e.FirstT {
-					t.Fatalf("restored memory lost the record's last key %q", e.Key)
-				}
-				break
+		if e := rec.Idem; e != nil && e.FirstT > baseT && e.lastT() <= want {
+			if got, ok := s.idem.get(e.Key); !ok || got.Hash != e.Hash || got.FirstT != e.FirstT {
+				t.Fatalf("restored memory lost the record's key %q", e.Key)
 			}
 		}
 		if _, err := s.Server().Report(); err != nil {

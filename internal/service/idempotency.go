@@ -97,13 +97,8 @@ func (c *idemCache) put(rec idemRecord) {
 // entries returns the cache contents oldest-first (the order a base
 // snapshot stores and a restore re-puts).
 func (c *idemCache) entries() []idemRecord {
-	return c.newest(len(c.ring))
-}
-
-// newest returns the n most recent records, oldest-first.
-func (c *idemCache) newest(n int) []idemRecord {
-	out := make([]idemRecord, 0, n)
-	for i := len(c.ring) - n; i < len(c.ring); i++ {
+	out := make([]idemRecord, 0, len(c.ring))
+	for i := range c.ring {
 		out = append(out, c.ring[(c.head+i)%len(c.ring)])
 	}
 	return out

@@ -28,7 +28,7 @@ func exportedBody(t *testing.T, name string, users int) []byte {
 	}
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
-	body, err := s.encodeStateLocked(s.srv.Snapshot(), 0)
+	body, err := s.encodeStateLocked(s.srv.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

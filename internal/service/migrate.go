@@ -76,7 +76,7 @@ func (r *Registry) Migrate(ctx context.Context, name, target string) (string, er
 	if err := s.retiredErr(); err != nil {
 		return "", err
 	}
-	body, err := s.encodeStateLocked(s.srv.Snapshot(), 0)
+	body, err := s.encodeStateLocked(s.srv.Snapshot())
 	if err != nil {
 		return "", err
 	}

@@ -29,37 +29,31 @@ import (
 // since the last and the journal has outgrown the base. So each batch
 // is written once, the bytes written stay amortised O(1) per step
 // rather than O(T), and a restore reads at most about twice the base.
-// <name>.delta, the incremental log earlier versions kept between
-// bases, is read on restore and removed by the next compaction.
+// That base and journal are the only layout a restore reads. A
+// <name>.delta beside a base is the incremental log older versions kept
+// between bases; a restore refuses such a session rather than restore
+// the base without it (DESIGN.md §6 has the upgrade path).
 
-// Snapshot, delta-log and journal schema versions inside the persist
-// envelopes. Bump on any change to the encodings. Restore reads these
-// versions, plus snapshot v2 and delta v1 and v2 (nothing writes delta
-// records any more), and refuses every other one with a "not
-// supported" error rather than guessing (DESIGN.md §6).
+// Snapshot and journal schema versions inside the persist envelopes.
+// Bump on any change to the encodings. Restore reads these versions,
+// plus snapshot v3, and refuses every other one with a "not supported"
+// error rather than guessing (DESIGN.md §6).
 //
 // A snapshot is a sessionState (config, server state, idempotency
 // entries): what the session released and the models it accounts
 // against, never a leakage series, which restore re-derives by
-// charging the budgets. A delta-log record is a sessionDelta. A
-// journal record is a batchRecord carrying a whole ingestion batch plus
-// its optional idempotency record, appended as ONE checksummed envelope
-// so a torn tail drops a batch and its key together — the retry-safety
-// invariant (a key on disk implies all its steps are too) depends on
-// exactly that atomicity.
+// charging the budgets. A journal record is a batchRecord carrying a
+// whole ingestion batch plus its optional idempotency record, appended
+// as ONE checksummed envelope so a torn tail drops a batch and its key
+// together — the retry-safety invariant (a key on disk implies all its
+// steps are too) depends on exactly that atomicity.
 const (
-	sessionSchemaVersion = 3
+	sessionSchemaVersion = 4
 	batchSchemaVersion   = 2
-	deltaSchemaVersion   = 3
-	// schemaWithSeries is the snapshot and delta record written before
-	// v3: the same fields plus every cohort's stored leakage series,
+	// schemaWithBaseTag is the snapshot written before v4: the same
+	// fields plus the random tag that tied delta records to their base,
 	// which decoding skips. Read, no longer written.
-	schemaWithSeries = 2
-	// deltaSchemaWholeIdem is the delta record written before v2: a v2
-	// record whose Idem is the whole idempotency memory, which replaces
-	// the memory on restore instead of extending it. Read, no longer
-	// written.
-	deltaSchemaWholeIdem = 1
+	schemaWithBaseTag = 3
 )
 
 // defaultSnapshotEvery is the minimum number of steps between
@@ -134,37 +128,15 @@ func (r *Registry) SetJournalSync(mode JournalSyncMode, window time.Duration) er
 // config (JSON, exactly as submitted — plans and noise modes are
 // rebuilt from it rather than serialized), the creation time, the full
 // server state, and the idempotency-key memory (oldest-first, so the
-// eviction order survives the restart). BaseID is a random nonzero tag
-// naming this base to the delta records layered on it: each compaction
-// draws a fresh one, so records an older base left behind are skipped.
-// A migration body, which has none, and every snapshot written before
-// delta logs existed decode it as zero (an additive field, added in
-// schema v2).
+// eviction order survives the restart). The same body is a base
+// snapshot and a migration's payload.
 //
-//tplvet:wire v3 schema=8e65de803f9a
+//tplvet:wire v4 schema=9bd3818beedc
 type sessionState struct {
 	ConfigJSON []byte
 	Created    time.Time
 	Server     *stream.ServerState
 	Idem       []idemRecord
-	BaseID     uint64
-}
-
-// sessionDelta is the body of a delta-log record (read, no longer
-// written): the base it extends,
-// what changed in the server since the previous snapshot, and the
-// idempotency records added since the previous snapshot, oldest-first
-// (at most idemCacheSize). Restore puts them, in order, on the memory
-// the base and the earlier records left, which rebuilds the FIFO
-// exactly; so a record costs O(steps + new keys), not a copy of the
-// whole memory. In a v1 record (deltaSchemaWholeIdem) Idem is the whole
-// memory instead.
-//
-//tplvet:wire v3 schema=3d2ef11ebb0c
-type sessionDelta struct {
-	BaseID uint64
-	Server *stream.ServerDelta
-	Idem   []idemRecord
 }
 
 // batchRecord is the journal body: one ingestion batch and its
@@ -224,7 +196,10 @@ func (r *Registry) snapEvery() int {
 }
 
 // initPersistenceLocked opens the session's journal. A new session then
-// writes its base, which also truncates whatever the journal held. A
+// writes its base, which also truncates whatever the journal held, and
+// removes a delta log a session of its name may have left (after the
+// base: a crash between the two leaves a session that refuses to
+// restore, never a stale log that passes for its history). A
 // recovered session writes nothing when its journal ended cleanly: the
 // base and the journal already hold its state, and new records append
 // behind them. Behind a torn final record the journal is cut back to
@@ -240,7 +215,10 @@ func (s *Session) initPersistenceLocked(recovered bool) error {
 	}
 	s.journal = j
 	if !recovered {
-		return s.snapshotLocked()
+		if err := s.snapshotLocked(); err != nil {
+			return err
+		}
+		return s.store.RemoveDeltaLog(s.name)
 	}
 	if s.replayed.Torn {
 		if err := j.TruncateTo(s.replayed.End); err != nil {
@@ -252,32 +230,19 @@ func (s *Session) initPersistenceLocked(recovered bool) error {
 }
 
 // snapshotLocked compacts: it writes the session's whole state as a
-// fresh base under a new BaseID, then empties the journal (base first,
-// truncate second: a crash between the two leaves journal records the
-// base already covers, which restore skips by step index). A restored
-// session's first compaction also removes the delta log an earlier
-// version may have left, whose records the new BaseID already
-// disowns. A successful compaction also heals a poisoned journal — the
-// truncate drops whatever partial record a failed append left behind.
-// Caller holds s.stepMu.
+// fresh base, then empties the journal (base first, truncate second: a
+// crash between the two leaves journal records the base already
+// covers, which restore skips by step index). A successful compaction
+// also heals a poisoned journal — the truncate drops whatever partial
+// record a failed append left behind. Caller holds s.stepMu.
 func (s *Session) snapshotLocked() error {
-	id, err := newBaseID()
-	if err != nil {
-		return err
-	}
 	st := s.srv.Snapshot()
-	body, err := s.encodeStateLocked(st, id)
+	body, err := s.encodeStateLocked(st)
 	if err != nil {
 		return err
 	}
 	if err := s.store.SaveSnapshot(s.name, sessionSchemaVersion, body); err != nil {
 		return err
-	}
-	if s.recovered {
-		if err := s.store.RemoveDeltaLog(s.name); err != nil {
-			return err
-		}
-		s.recovered = false
 	}
 	if s.journal != nil {
 		if err := s.journal.Reset(); err != nil {
@@ -295,27 +260,11 @@ func (s *Session) snapshotLocked() error {
 	return nil
 }
 
-// newBaseID draws a random nonzero base tag. Random rather than counted,
-// so a delta log left behind by an earlier session of the same name can
-// never match a new session's base.
-func newBaseID() (uint64, error) {
-	for {
-		seed, err := randomSeed()
-		if err != nil {
-			return 0, err
-		}
-		if seed != 0 {
-			return uint64(seed), nil
-		}
-	}
-}
-
 // encodeStateLocked gob-encodes the session's full portable state (the
-// same body snapshots persist, tagged baseID; migration ships it over
-// the wire untagged). Caller holds s.stepMu; st is a fresh
-// s.srv.Snapshot().
-func (s *Session) encodeStateLocked(st *stream.ServerState, baseID uint64) ([]byte, error) {
-	body, err := gobEncode(sessionState{ConfigJSON: s.cfgJSON, Created: s.created, Server: st, Idem: s.idem.entries(), BaseID: baseID})
+// body snapshots persist and migration ships over the wire). Caller
+// holds s.stepMu; st is a fresh s.srv.Snapshot().
+func (s *Session) encodeStateLocked(st *stream.ServerState) ([]byte, error) {
+	body, err := gobEncode(sessionState{ConfigJSON: s.cfgJSON, Created: s.created, Server: st, Idem: s.idem.entries()})
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding snapshot: %w", err)
 	}
@@ -496,15 +445,17 @@ func (s *Session) detachPersistenceLocked() *persist.Store {
 }
 
 // RestoreAll rebuilds every session found in the attached store: for
-// each, the last good snapshot is loaded and verified, any delta log
-// and then the journal are folded into it, the plan and noise mode are
-// rebuilt from the stored config, the compiled leakage engines are
-// re-attached by content through the registry's shared model cache, and
-// the accountants are charged the whole history at once. A restore
+// each, the last good snapshot is loaded and verified, the journal is
+// folded into it, the plan and noise mode are rebuilt from the stored
+// config, the compiled leakage engines are re-attached by content
+// through the registry's shared model cache, and the accountants are
+// charged the whole history at once. A restore
 // writes nothing unless the journal ends in a torn record, which is cut
-// off. A session that cannot be restored is skipped with
-// its error reported — its files stay on disk for inspection — so one
-// corrupt tenant cannot keep the rest of the fleet down.
+// off. A session that cannot be restored — a damaged file, a schema
+// version this build does not read, a delta log beside its base — is
+// skipped with its error reported, and its files stay on disk for
+// inspection, so one corrupt tenant cannot keep the rest of the fleet
+// down.
 //
 // Sessions are loaded concurrently, at most GOMAXPROCS at a time, but
 // admitted one by one in store.List() order, so which sessions a user
@@ -617,11 +568,11 @@ func returnRestoreGarbage() {
 }
 
 // decodeSessionState verifies a snapshot envelope body and decodes the
-// portable session value it carries. A v2 body decodes the same way:
-// gob skips the leakage series it also stores.
+// portable session value it carries. A v3 body decodes the same way:
+// gob skips the base tag it also stores.
 func decodeSessionState(version uint32, body []byte) (st sessionState, err error) {
-	if version != sessionSchemaVersion && version != schemaWithSeries {
-		return st, fmt.Errorf("service: snapshot schema version %d not supported (want %d or %d)", version, sessionSchemaVersion, schemaWithSeries)
+	if version != sessionSchemaVersion && version != schemaWithBaseTag {
+		return st, fmt.Errorf("service: snapshot schema version %d not supported (want %d or %d)", version, sessionSchemaVersion, schemaWithBaseTag)
 	}
 	if err := gobDecode(body, &st); err != nil {
 		return st, fmt.Errorf("service: decoding snapshot: %w", err)
@@ -678,62 +629,6 @@ func (s *Session) adoptIdem(recs []idemRecord) {
 	}
 }
 
-// applyDeltaLog layers the delta log an earlier version may have left
-// onto a decoded base. Records naming an earlier base are already
-// covered by this one (a crash between a compaction's rename and the
-// log's removal leaves them) and are skipped — by BaseID, since a
-// record that added no step has the same FromT/ToT whichever side of
-// the compaction wrote it. Every other record must continue the state
-// exactly (FromT at the state's step), or the restore fails; its
-// idempotency records are put on the memory in order (a v1 record's
-// replace it). Records of every version decode the same way: gob skips
-// the leakage series v1 and v2 records store. A torn final record ends
-// the log cleanly — the journal was not reset past it, so it still
-// holds those steps — but damage followed by more records fails the
-// session loudly rather than silently restoring a shorter history. It
-// reports the bytes of the records read, which count toward the next
-// compaction like journal bytes.
-func applyDeltaLog(store *persist.Store, name string, st *sessionState) (logBytes int, err error) {
-	var mem idemCache
-	for _, rec := range st.Idem {
-		mem.put(rec)
-	}
-	res, err := store.ReplayDeltaLog(name, func(version uint32, body []byte) error {
-		if version != deltaSchemaVersion && version != schemaWithSeries && version != deltaSchemaWholeIdem {
-			return fmt.Errorf("service: delta schema version %d not supported (want %d, %d or %d)", version, deltaSchemaVersion, schemaWithSeries, deltaSchemaWholeIdem)
-		}
-		var rec sessionDelta
-		if err := gobDecode(body, &rec); err != nil {
-			return fmt.Errorf("service: decoding snapshot delta: %w", err)
-		}
-		if rec.Server == nil {
-			return fmt.Errorf("service: snapshot delta has no server state")
-		}
-		logBytes += len(body)
-		if rec.BaseID != st.BaseID {
-			return nil
-		}
-		if err := st.Server.Extend(rec.Server); err != nil {
-			return fmt.Errorf("service: applying snapshot delta: %w", err)
-		}
-		if version == deltaSchemaWholeIdem {
-			mem = idemCache{}
-		}
-		for _, e := range rec.Idem {
-			mem.put(e)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	if res.Corrupt {
-		return 0, fmt.Errorf("service: delta log is damaged after %d intact records", res.Records)
-	}
-	st.Idem = mem.entries()
-	return logBytes, nil
-}
-
 // foldJournal folds the session's journal into a decoded base, one
 // batch record (steps + idempotency record) at a time, and returns the
 // idempotency records to layer over the base's memory, in journal
@@ -774,20 +669,26 @@ func foldJournal(store *persist.Store, name string, st *sessionState) (tail []id
 }
 
 // loadSession loads, verifies and folds one session from the store,
-// ready for admit: base, delta log and journal make one state, which
-// one RestoreServer charges. It changes no registry state and writes
-// nothing (the shared model cache aside, which is safe for concurrent
-// use), so RestoreAll runs it for several sessions at once.
+// ready for admit: base and journal make one state, which one
+// RestoreServer charges. A delta log beside the base fails the session:
+// its records hold steps the base does not, so the base and journal
+// alone could restore a shorter history than was charged. It changes
+// no registry state and writes nothing (the shared model cache aside,
+// which is safe for concurrent use), so RestoreAll runs it for several
+// sessions at once.
 func (r *Registry) loadSession(store *persist.Store, name string) (*Session, error) {
+	legacy, err := store.HasDeltaLog(name)
+	if err != nil {
+		return nil, err
+	}
+	if legacy {
+		return nil, fmt.Errorf("service: session %q has a delta log (%s.delta), which this version does not read: start the previous version on this state dir and shut it down cleanly, which folds the log into a fresh base, then start this one", name, name)
+	}
 	version, body, err := store.LoadSnapshot(name)
 	if err != nil {
 		return nil, err
 	}
 	st, err := decodeSessionState(version, body)
-	if err != nil {
-		return nil, err
-	}
-	deltaBytes, err := applyDeltaLog(store, name, &st)
 	if err != nil {
 		return nil, err
 	}
@@ -805,8 +706,8 @@ func (r *Registry) loadSession(store *persist.Store, name string) (*Session, err
 	}
 	s.adoptIdem(st.Idem)
 	s.adoptIdem(idemTail)
-	s.recovered, s.replayed = true, res
-	s.baseBytes, s.logBytes = len(body), deltaBytes+journalBytes
+	s.replayed = res
+	s.baseBytes, s.logBytes = len(body), journalBytes
 	// The health bookkeeping describes the files as found.
 	s.lastSnapT, s.lastSnapAt, s.journalRecords = baseT, r.now(), s.srv.T()-baseT
 	if mod, _, err := store.SnapshotStat(name); err == nil {

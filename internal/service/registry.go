@@ -65,14 +65,12 @@ type Session struct {
 	committer     *persist.GroupCommitter // shared group-commit leader (JournalSyncGroup)
 
 	// What the files hold (guarded by stepMu; see snapshotLocked):
-	// baseBytes is the base's size, logBytes what was logged behind it
-	// (journal records, and the delta log of a restored session), which
-	// compaction weighs against it. A restored session carries what its
-	// journal replay found, for admit to cut off a torn tail, and removes
-	// any delta log at its first compaction (recovered).
+	// baseBytes is the base's size and logBytes the journal records
+	// behind it, which compaction weighs against it. A restored session
+	// carries what its journal replay found (replayed), for admit to cut
+	// off a torn tail.
 	baseBytes int
 	logBytes  int
-	recovered bool
 	replayed  persist.ReplayResult
 
 	// persistMu guards only the bookkeeping below, so health and
@@ -374,9 +372,12 @@ func (r *Registry) newSession(cfg *SessionConfig, cfgJSON []byte, created time.T
 // in memory and on disk, before the name is free again.
 //
 // recovered marks a session rebuilt from its own files: its state is
-// already durable, so a failed first snapshot is latched into its health
-// (persistBatch retries it) instead of refusing the session, and a
-// rollback keeps its files.
+// already durable, so it writes no first snapshot, a failed cut of a
+// torn journal tail is latched into its health (persistBatch compacts
+// instead of appending until a compaction succeeds) instead of refusing
+// the session, and a rollback keeps its files. Any other session writes
+// its first snapshot, which must succeed, and a rollback removes its
+// files.
 func (r *Registry) admit(s *Session, recovered bool) error {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()

@@ -32,26 +32,8 @@ func deltaServer(t *testing.T) *Server {
 	return s
 }
 
-// snapshotDelta builds the delta from step fromT to the server's T out
-// of a full Snapshot: the incremental record earlier versions wrote
-// between bases, which Extend still reads.
-func snapshotDelta(s *Server, fromT int) *ServerDelta {
-	st := s.Snapshot()
-	return &ServerDelta{
-		FromT:       fromT,
-		ToT:         st.T(),
-		Budgets:     st.Budgets[fromT:],
-		Published:   st.Published[fromT:],
-		Sensitivity: st.Sensitivity,
-		Noise:       st.Noise,
-		HasPlan:     st.HasPlan,
-		PlanBase:    st.PlanBase,
-		RNG:         st.RNG,
-	}
-}
-
-// roundTripGob pushes v through gob into out, as the service persists
-// every delta.
+// roundTripGob pushes v through gob into out, as the service journals
+// every step record.
 func roundTripGob(t *testing.T, v, out any) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -63,54 +45,26 @@ func roundTripGob(t *testing.T, v, out any) {
 	}
 }
 
-// TestSnapshotDeltaExtendsToSnapshot is the capture differential: at
-// every capture of a stream with interleaved reads (FPL refreshes
-// between captures, and captures with no new step), the first snapshot
-// extended by every delta since — each pushed through gob, as the
-// service persists them — equals Snapshot() exactly.
-func TestSnapshotDeltaExtendsToSnapshot(t *testing.T) {
-	s := deltaServer(t)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 3; i++ {
-		if _, err := s.CollectPlanned(stepValues(rng, s.Users(), s.Domain())); err != nil {
-			t.Fatal(err)
+// journalRecords returns a batch's step records as the service journals
+// them: each pushed through gob.
+func journalRecords(t *testing.T, res []StepResult) []StepRecord {
+	t.Helper()
+	recs := make([]StepRecord, len(res))
+	for i, r := range res {
+		roundTripGob(t, StepRecord{T: r.T, Eps: r.Eps, Published: r.Published, NoiseDraws: r.Draws}, &recs[i])
+	}
+	return recs
+}
+
+// foldResults folds a batch's journal records onto st with AppendStep.
+func foldResults(t *testing.T, st *ServerState, res []StepResult) error {
+	t.Helper()
+	for _, rec := range journalRecords(t, res) {
+		if err := st.AppendStep(rec); err != nil {
+			return err
 		}
 	}
-	base := s.Snapshot()
-	cur := base.T()
-	st := snapshotRoundTrip(t, base)
-	for round := 0; round < 40; round++ {
-		for i := rng.Intn(4); i > 0; i-- {
-			if round%2 == 0 {
-				if _, err := s.CollectPlanned(stepValues(rng, s.Users(), s.Domain())); err != nil {
-					t.Fatal(err)
-				}
-			} else if _, err := s.Collect(stepValues(rng, s.Users(), s.Domain()), 0.05+0.1*rng.Float64()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if round%3 == 0 {
-			// A read refreshes every cohort's forward series.
-			if _, err := s.Report(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d := snapshotDelta(s, cur)
-		var back ServerDelta
-		roundTripGob(t, d, &back)
-		if err := st.Extend(&back); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		cur = d.ToT
-		if want := s.Snapshot(); !reflect.DeepEqual(st, want) {
-			t.Fatalf("round %d (T=%d): base ⊕ deltas differs from Snapshot()", round, want.T())
-		}
-	}
-	restored, err := RestoreServer(st, RestoreOptions{Plan: s.plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAgree(t, s, restored, []int{0, 1, 2, 3, 4})
+	return nil
 }
 
 // TestAppendStepFoldsJournal: a base with every later step's journal
@@ -137,11 +91,7 @@ func TestAppendStepFoldsJournal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range res {
-			var rec StepRecord
-			roundTripGob(t, StepRecord{T: r.T, Eps: r.Eps, Published: r.Published, NoiseDraws: r.Draws}, &rec)
-			journal = append(journal, rec)
-		}
+		journal = append(journal, journalRecords(t, res)...)
 	}
 	collect(7)
 	base := s.Snapshot()
@@ -171,51 +121,6 @@ func TestAppendStepFoldsJournal(t *testing.T) {
 		if !reflect.DeepEqual(st, before) {
 			t.Fatalf("%s: a refused record modified the state", name)
 		}
-	}
-}
-
-// TestExtendRejectsMismatchedDeltas: a delta that does not start where
-// the state ends, or whose shape disagrees with the state, is refused
-// and leaves the state untouched.
-func TestExtendRejectsMismatchedDeltas(t *testing.T) {
-	s := deltaServer(t)
-	rng := rand.New(rand.NewSource(2))
-	collect := func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := s.CollectPlanned(stepValues(rng, s.Users(), s.Domain())); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	collect(4)
-	base := s.Snapshot()
-	collect(3)
-	d1 := snapshotDelta(s, base.T())
-	collect(2)
-	d2 := snapshotDelta(s, d1.ToT)
-	for name, mutate := range map[string]func(d *ServerDelta){
-		"gap":          func(d *ServerDelta) { *d = *d2 },
-		"overlap":      func(d *ServerDelta) { d.FromT-- },
-		"short-budget": func(d *ServerDelta) { d.Budgets = d.Budgets[1:] },
-		"bad-budget":   func(d *ServerDelta) { d.Budgets[0] = -1 },
-		"wide-row":     func(d *ServerDelta) { d.Published[0] = append(d.Published[0], 1) },
-		"nil":          nil,
-	} {
-		t.Run(name, func(t *testing.T) {
-			st := snapshotRoundTrip(t, base)
-			var d *ServerDelta
-			if mutate != nil {
-				d = new(ServerDelta)
-				roundTripGob(t, d1, d)
-				mutate(d)
-			}
-			if err := st.Extend(d); !errors.Is(err, ErrBadServerState) {
-				t.Fatalf("Extend = %v, want ErrBadServerState", err)
-			}
-			if !reflect.DeepEqual(st, snapshotRoundTrip(t, base)) {
-				t.Fatal("a refused delta modified the state")
-			}
-		})
 	}
 }
 
@@ -271,9 +176,10 @@ func TestCohortNumberingByPointerPair(t *testing.T) {
 }
 
 // TestSnapshotDeltaUnderConcurrentReads: readers refresh the forward
-// series while captures run. Every delta must extend the state the
-// previous ones built, and the result must restore to a server that
-// answers like the live one.
+// series while batches land and captures run. Every batch's journal
+// records must fold onto the state the base and the earlier records
+// built, and the result must equal Snapshot() and restore to a server
+// that answers like the live one.
 func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 	s := deltaServer(t)
 	rng := rand.New(rand.NewSource(13))
@@ -293,31 +199,30 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 			}
 		}
 	}()
-	base := s.Snapshot()
-	cur := base.T()
-	st := snapshotRoundTrip(t, base)
+	st := snapshotRoundTrip(t, s.Snapshot())
 	for round := 0; round < 300; round++ {
-		for i := 0; i < 1+round%3; i++ {
-			if _, err := s.CollectPlanned(stepValues(rng, s.Users(), s.Domain())); err != nil {
-				t.Fatal(err)
-			}
+		steps := make([]BatchStep, 1+round%3)
+		for i := range steps {
+			steps[i].Values = stepValues(rng, s.Users(), s.Domain())
 		}
-		d := snapshotDelta(s, cur)
-		var back ServerDelta
-		roundTripGob(t, d, &back)
-		if err := st.Extend(&back); err != nil {
+		res, err := s.CollectBatch(steps)
+		if err == nil {
+			err = foldResults(t, st, res)
+		}
+		if err != nil {
 			close(stop)
 			<-done
 			t.Fatalf("round %d: %v", round, err)
 		}
-		cur = d.ToT
-		if round%50 == 49 { // a compaction: restart the chain
-			base := s.Snapshot()
-			cur, st = base.T(), snapshotRoundTrip(t, base)
+		if round%50 == 49 { // a compaction: a fresh base
+			st = snapshotRoundTrip(t, s.Snapshot())
 		}
 	}
 	close(stop)
 	<-done
+	if want := s.Snapshot(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("base ⊕ journal differs from Snapshot() at T=%d", want.T())
+	}
 	restored, err := RestoreServer(st, RestoreOptions{Plan: s.plan})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +236,8 @@ func TestSnapshotDeltaUnderConcurrentReads(t *testing.T) {
 // under -race: the forward-series cache a read rewrites is locked
 // inside core.Accountant, not by the stream package). Every read equals
 // the batch series (core.TPLSeries, WEventTPL) at the T it saw, and the
-// delta chain still extends to Snapshot() bit for bit.
+// base with every later batch's journal records folded on equals
+// Snapshot() bit for bit.
 func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	s := deltaServer(t) // users 0 and 4 share cohort 0
 	const steps, w = 60, 3
@@ -377,21 +283,23 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 		}
 		return v, user
 	}
-	collect := func(n int) {
+	collect := func(n int) []StepResult {
 		steps := make([]BatchStep, n)
 		for i := range steps {
 			e := eps[s.T()+i]
 			steps[i] = BatchStep{Counts: []int{s.Users(), 0, 0}, Eps: &e}
 		}
-		if _, err := s.CollectBatch(steps); err != nil {
+		res, err := s.CollectBatch(steps)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return res
 	}
 
 	// read runs read method m against cohort 0 and checks the result at
 	// the T it saw. A method whose result does not reveal T is checked
 	// only when T did not move around the call.
-	const methods = 10
+	const methods = 9
 	read := func(m, i int) {
 		T0 := s.T()
 		u := []int{0, 4}[i%2]
@@ -466,8 +374,6 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 			if st := s.Snapshot(); !reflect.DeepEqual(st.Budgets, eps[:st.T()]) {
 				t.Errorf("Snapshot at T=%d holds other budgets", st.T())
 			}
-		case 9:
-			_ = snapshotDelta(s, T0) // a capture from a reader
 		}
 		if err != nil {
 			t.Errorf("read %d at T=%d: %v", m, T0, err)
@@ -475,9 +381,7 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	}
 
 	collect(3)
-	base := s.Snapshot()
-	cur := base.T()
-	st := snapshotRoundTrip(t, base)
+	st := snapshotRoundTrip(t, s.Snapshot())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -495,19 +399,13 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 		}(g)
 	}
 	for round := 0; s.T() < steps; round++ {
-		collect(min(1+round%3, steps-s.T()))
-		d := snapshotDelta(s, cur)
-		var back ServerDelta
-		roundTripGob(t, d, &back)
-		if err := st.Extend(&back); err != nil {
+		if err := foldResults(t, st, collect(min(1+round%3, steps-s.T()))); err != nil {
 			close(stop)
 			wg.Wait()
 			t.Fatalf("round %d: %v", round, err)
 		}
-		cur = d.ToT
-		if round%7 == 6 { // a compaction: restart the chain
-			base := s.Snapshot()
-			cur, st = base.T(), snapshotRoundTrip(t, base)
+		if round%7 == 6 { // a compaction: a fresh base
+			st = snapshotRoundTrip(t, s.Snapshot())
 		}
 	}
 	close(stop)
@@ -515,11 +413,7 @@ func TestSameCohortReadsDuringCaptures(t *testing.T) {
 	for m := 0; m < methods; m++ { // every method once more, at a fixed T
 		read(m, m)
 	}
-	d := snapshotDelta(s, cur)
-	if err := st.Extend(d); err != nil {
-		t.Fatal(err)
-	}
 	if want := s.Snapshot(); !reflect.DeepEqual(st, want) {
-		t.Fatalf("base ⊕ deltas differs from Snapshot() at T=%d", want.T())
+		t.Fatalf("base ⊕ journal differs from Snapshot() at T=%d", want.T())
 	}
 }

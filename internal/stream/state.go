@@ -341,3 +341,21 @@ func (s *Server) ApplyStep(rec StepRecord) error {
 	}
 	return nil
 }
+
+// AppendStep folds one journal record onto a decoded base in place: its
+// budget and published row, and the noise position if it is further
+// along. A base plus its journal folded this way is the session's whole
+// durable state, which one RestoreServer then charges at once. The
+// record must continue the state exactly (T == T()+1); a gap or an
+// overlap is rejected with ErrBadServerState and leaves st untouched.
+// Budgets and row widths are checked by RestoreServer's validation, as
+// for any snapshot.
+func (st *ServerState) AppendStep(rec StepRecord) error {
+	if rec.T != st.T()+1 {
+		return badState("step record for t=%d but the state ends at t=%d", rec.T, st.T())
+	}
+	st.Budgets = append(st.Budgets, rec.Eps)
+	st.Published = append(st.Published, rec.Published)
+	st.RNG.Draws = max(st.RNG.Draws, rec.NoiseDraws)
+	return nil
+}
